@@ -13,10 +13,10 @@ from .closure import (invariant_closure, is_nilpotent,
 from .eigen import (approx_joint_eigenvalue_pairs, char_poly,
                     commuting_reduce, eigenvalues, joint_eigenvalue_pairs)
 from .errors import (DimensionMismatch, DocumentError, InfeasibleSpec,
-                     IntegrabilityViolation, IrrationalSpectrum,
-                     MonadcalcError, NonCommuting, OverlapViolation,
-                     PointOnExceptionalLine, SingularGroupElement,
-                     SurjectivityViolation)
+                     IntegrabilityViolation, InvariantViolation,
+                     IrrationalSpectrum, MonadcalcError, NonCommuting,
+                     OverlapViolation, PointOnExceptionalLine,
+                     SingularGroupElement, SurjectivityViolation)
 from .field import QI, qi
 from .generate import GenSpec, generate
 from .matrix import (Matrix, Subspace, column_space, hstack, inverse,

@@ -214,8 +214,9 @@ def cmd_batch(args) -> int:
         return _fail_io(str(exc))
     if not files:
         return _fail_io(f"no .json documents in {args.dir}")
-    jobs = args.jobs or os.cpu_count() or 1
-    if jobs > 1 and len(files) > 1:
+    # a fork pool starts all its workers up front: never more than documents
+    jobs = min(args.jobs or os.cpu_count() or 1, len(files))
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_process_one, files))
     else:
@@ -232,6 +233,16 @@ def cmd_batch(args) -> int:
     if counts["invalid"]:
         return EXIT_DOMAIN
     return EXIT_OK
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trivialize", help="verify the explicit trivialization")
     p.add_argument("path")
-    p.add_argument("--samples", type=int, default=10)
+    p.add_argument("--samples", type=_positive_int, default=10)
     p.set_defaults(func=cmd_trivialize)
 
     p = sub.add_parser("generate", help="write a seeded family instance")

@@ -13,7 +13,8 @@ from typing import List, Sequence, Tuple
 
 import sympy
 
-from .errors import DimensionMismatch, IrrationalSpectrum, NonCommuting, NonSquareMatrix
+from .errors import (DimensionMismatch, IrrationalSpectrum, NonCommuting,
+                     NonSquareMatrix, check_invariant)
 from .field import ONE, QI, ZERO
 from .matrix import Matrix, hstack, inverse, kernel_basis, solve
 
@@ -90,7 +91,7 @@ def _common_eigenvector(mats: Sequence[Matrix], k: int) -> Matrix:
     for M in mats:
         ME = M @ E
         X = solve(E, ME)  # restriction of M to span(E), valid by invariance
-        assert X is not None
+        check_invariant(X is not None, "joint subspace is not invariant")
         lam = eigenvalues(X)[0][0]
         ker = kernel_basis(X - Matrix.identity(X.rows).scale(lam))
         E = E @ ker.basis
@@ -131,7 +132,7 @@ def commuting_reduce(mats: Sequence[Matrix]) -> Tuple[Matrix, List[Matrix]]:
         v = v.scale(v[pivot, 0].inverse())
         P = _extend_to_basis(v)
         Pinv = inverse(P)
-        assert Pinv is not None
+        check_invariant(Pinv is not None, "basis extension is singular")
         conj = [Pinv @ M @ P for M in ms]
         subs = [Matrix(n - 1, n - 1,
                        [M[i, j] for i in range(1, n) for j in range(1, n)])
@@ -145,10 +146,10 @@ def commuting_reduce(mats: Sequence[Matrix]) -> Tuple[Matrix, List[Matrix]]:
 
     g = recurse(mats, k)
     ginv = inverse(g)
-    assert ginv is not None
+    check_invariant(ginv is not None, "triangularizing basis is singular")
     tris = [ginv @ M @ g for M in mats]
-    for T in tris:
-        assert T.is_upper_triangular()
+    check_invariant(all(T.is_upper_triangular() for T in tris),
+                    "reduced family is not upper triangular")
     return g, tris
 
 

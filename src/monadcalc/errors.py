@@ -13,10 +13,6 @@ class NonSquareMatrix(MonadcalcError):
     pass
 
 
-class SingularMatrix(MonadcalcError):
-    pass
-
-
 class SingularGroupElement(MonadcalcError):
     """A group action was requested with a non-invertible element."""
 
@@ -63,3 +59,13 @@ class InfeasibleSpec(MonadcalcError):
 
 class DocumentError(MonadcalcError):
     """Malformed instance document (JSON shape, rational syntax, dimensions)."""
+
+
+class InvariantViolation(MonadcalcError):
+    """An internal invariant failed: a bug, not a property of the input."""
+
+
+def check_invariant(condition: bool, message: str):
+    """An ``assert`` that ``python -O`` keeps: raise InvariantViolation."""
+    if not condition:
+        raise InvariantViolation(message)

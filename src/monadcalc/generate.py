@@ -270,7 +270,8 @@ def _blowup_generic(rng: random.Random, k: int, r: int) -> MonadDataBlowup:
     if rng.random() < 0.5:
         d = _rand_matrix(rng, k, k)
     else:
-        # nilpotent d to also hit the fully-degenerate stratum sometimes
+        # nilpotent d; d a1 need not be nilpotent, so in practice this
+        # reaches the fully-degenerate stratum only at k <= 2 (d = 0 at k = 1)
         d = _rand_unitriangular(rng, k, upper=True) - Matrix.identity(k)
     a2 = a1 @ _poly_in(rng, d @ a1)
     b, c = _orthogonal_bc(rng, k, r)

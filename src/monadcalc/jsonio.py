@@ -21,6 +21,7 @@ instance documents.
 from __future__ import annotations
 
 import json
+import re
 from typing import Union
 
 from .blowup import MonadDataBlowup
@@ -30,6 +31,9 @@ from .matrix import Matrix
 from .p2 import MonadDataP2
 
 SCHEMA_VERSION = "1"
+
+# An optional minus sign, then decimal digits, a slash and decimal digits.
+_RATIONAL = re.compile(r"-?[0-9]+/[0-9]+")
 
 Instance = Union[MonadDataP2, MonadDataBlowup]
 
@@ -41,9 +45,11 @@ def _qi_to_obj(v: QI) -> dict:
 def _qi_from_obj(obj) -> QI:
     if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
         raise DocumentError(f"bad scalar entry {obj!r}")
-    try:
+    if not all(isinstance(v, str) and _RATIONAL.fullmatch(v) for v in obj.values()):
+        raise DocumentError(f"bad rational string in {obj!r}: want 'p/q'")
+    try:  # fails on a zero denominator or more digits than int() accepts
         return QI.parse(obj["re"], obj["im"])
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"bad rational string in {obj!r}: {exc}") from exc
 
 

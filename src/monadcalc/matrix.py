@@ -73,9 +73,6 @@ class Matrix:
     def col_matrix(self, j: int) -> "Matrix":
         return Matrix(self.rows, 1, [self[i, j] for i in range(self.rows)])
 
-    def to_rows(self) -> List[List[QI]]:
-        return [self.row_list(i) for i in range(self.rows)]
-
     # -- arithmetic -----------------------------------------------------
 
     def _check_same_shape(self, other: "Matrix"):
@@ -301,14 +298,6 @@ class Subspace:
         else:
             basis = Matrix.zeros(columns.rows, 0)
         return cls(columns.rows, basis)
-
-    @classmethod
-    def zero(cls, n: int) -> "Subspace":
-        return cls(n, Matrix.zeros(n, 0))
-
-    @classmethod
-    def full(cls, n: int) -> "Subspace":
-        return cls(n, Matrix.identity(n))
 
     @property
     def dim(self) -> int:

@@ -6,18 +6,18 @@ is a framed torsion-free sheaf of rank r and charge k = dim W.  This
 module implements the tuple calculus: validation, the GL(W) action,
 special subspaces and nondegeneracy, pointwise evaluation of the monad
 maps, reduction to a nondegenerate part plus a point multiset, and the
-charge-at-the-origin test.
+charge-at-the-origin test (its one copy: stratify and trivialize call it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
-from .closure import invariant_closure, is_nilpotent, max_invariant_in_kernel
+from .closure import invariant_closure, max_invariant_in_kernel, nilpotency_index
 from .eigen import approx_joint_eigenvalue_pairs, joint_eigenvalue_pairs
 from .errors import (DimensionMismatch, IntegrabilityViolation,
-                     SingularGroupElement)
+                     SingularGroupElement, check_invariant)
 from .field import ONE, QI, ZERO, qi
 from .matrix import (Matrix, Subspace, column_space, hstack, inverse,
                      rank, rref, vstack)
@@ -233,12 +233,14 @@ def _split_top(m: MonadDataP2, V: Subspace):
     """
     g = _basis_extension(V)
     ginv = inverse(g)
-    assert ginv is not None
+    check_invariant(ginv is not None, "basis extension is singular")
     d, k = V.dim, m.k
     na1, na2 = ginv @ m.a1 @ g, ginv @ m.a2 @ g
     nb, nc = ginv @ m.b, m.c @ g
     # invariance of V makes the lower-left blocks vanish
-    assert _sub(na1, d, k, 0, d).is_zero() and _sub(na2, d, k, 0, d).is_zero()
+    check_invariant(_sub(na1, d, k, 0, d).is_zero()
+                    and _sub(na2, d, k, 0, d).is_zero(),
+                    "split subspace is not invariant")
     top = (_sub(na1, 0, d, 0, d), _sub(na2, 0, d, 0, d))
     bottom = (_sub(na1, d, k, d, k), _sub(na2, d, k, d, k))
     return top, bottom, nb, nc, d
@@ -298,13 +300,29 @@ def canonical_reduction(m: MonadDataP2, eigen_mode: str = "exact") -> DUPoint:
     return DUPoint(reduced=current, points=tuple(points), approx=approx)
 
 
-def is_concentrated_at_origin(m: MonadDataP2) -> bool:
-    """True iff a1, a2 are nilpotent and c kills every word a1^.. a2^.. b.
+class Concentration(NamedTuple):
+    """Nilpotency indices of a1, a2 (None when not nilpotent), the
+    invariant closure of Im b (:func:`min_b_special`) and the verdict."""
+
+    nilpotency: Tuple[Optional[int], Optional[int]]
+    closure: Subspace
+    concentrated: bool
+
+
+def concentration(m: MonadDataP2) -> Concentration:
+    """Concentrated iff a1, a2 are nilpotent and c kills every word a1^.. a2^.. b.
 
     The word family (empty word included, i.e. c b = 0) is finite once
-    phrased through the invariant closure of Im b.
+    phrased through the invariant closure of Im b: c kills every word
+    exactly when it kills the closure.
     """
-    if not (is_nilpotent(m.a1) and is_nilpotent(m.a2)):
-        return False
-    closure = invariant_closure([m.a1, m.a2], column_space(m.b))
-    return (m.c @ closure.basis).is_zero()
+    n1, n2 = nilpotency_index(m.a1), nilpotency_index(m.a2)
+    closure = min_b_special(m)
+    return Concentration((n1, n2), closure,
+                         n1 is not None and n2 is not None
+                         and (m.c @ closure.basis).is_zero())
+
+
+def is_concentrated_at_origin(m: MonadDataP2) -> bool:
+    """The yes/no form of :func:`concentration`."""
+    return concentration(m).concentrated

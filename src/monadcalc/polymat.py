@@ -14,13 +14,6 @@ from .matrix import Matrix
 PolyMatrix = Dict[Tuple[int, ...], Matrix]
 
 
-def poly_add(p: PolyMatrix, q: PolyMatrix) -> PolyMatrix:
-    out = dict(p)
-    for mono, M in q.items():
-        out[mono] = out[mono] + M if mono in out else M
-    return {m: M for m, M in out.items() if not M.is_zero()}
-
-
 def poly_matmul(p: PolyMatrix, q: PolyMatrix) -> PolyMatrix:
     out: PolyMatrix = {}
     for m1, A in p.items():
@@ -30,14 +23,3 @@ def poly_matmul(p: PolyMatrix, q: PolyMatrix) -> PolyMatrix:
             out[mono] = out[mono] + prod if mono in out else prod
     return {m: M for m, M in out.items() if not M.is_zero()}
 
-
-def poly_eval(p: PolyMatrix, values, zero: Matrix) -> Matrix:
-    """Evaluate at a point; ``zero`` supplies the output shape."""
-    acc = zero
-    for mono, M in p.items():
-        s = None
-        for e, v in zip(mono, values):
-            for _ in range(e):
-                s = v if s is None else s * v
-        acc = acc + (M if s is None else M.scale(s))
-    return acc

@@ -4,21 +4,23 @@ The pushforward sends (a1, a2, d, b, c) to (d a1, d a2, d b, c); its
 integrability defect is d times the blowup defect, so valid tuples push
 to valid tuples.  A blowup tuple lies in the fully-degenerate stratum
 iff d a1 and d a2 are nilpotent and c kills every word in them applied
-to d b; the production classifier phrases the word family through the
-invariant closure, while the exhaustive word enumeration is kept as an
-independent oracle.
+to d b, i.e. iff its pushforward passes the concentration test of
+:mod:`p2`, which phrases the word family through the invariant closure.
+One breadth-first word search serves both the shortest failing word of
+a negative report and the exhaustive oracle kept as an independent
+reference.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 from .blowup import MonadDataBlowup
-from .closure import invariant_closure, nilpotency_index
-from .matrix import column_space
-from .p2 import MonadDataP2, canonical_reduction
+from .closure import nilpotency_index
+from .errors import check_invariant
+from .p2 import MonadDataP2, canonical_reduction, concentration
 
 Witness = Union[str, Tuple[int, ...]]
 
@@ -44,40 +46,43 @@ def pushforward(mt: MonadDataBlowup) -> MonadDataP2:
     return MonadDataP2(mt.d @ mt.a1, mt.d @ mt.a2, mt.d @ mt.b, mt.c)
 
 
-def _shortest_failing_word(mt: MonadDataBlowup, max_len: int) -> Optional[Tuple[int, ...]]:
-    """Breadth-first search for the shortest word with c . w(da1, da2) . db != 0.
+def _failing_words(m: MonadDataP2, max_len: int) -> Iterator[Tuple[int, ...]]:
+    """Words w over {1, 2} of length <= max_len with c . w(a1, a2) . b != 0.
 
-    Ties break lexicographically (1 before 2).  Returns None when every
-    word up to max_len passes.
+    Breadth-first, so the shortest come first and ties break
+    lexicographically (1 before 2).  Each word's vector is built from its
+    parent's, and only as far as the caller keeps asking.
     """
-    da = {1: mt.d @ mt.a1, 2: mt.d @ mt.a2}
-    db = mt.d @ mt.b
-    queue = deque([((), db)])
+    queue = deque([((), m.b)])
     while queue:
         word, v = queue.popleft()
-        if not (mt.c @ v).is_zero():
-            return word
+        if not (m.c @ v).is_zero():
+            yield word
         if len(word) < max_len:
-            for idx in (1, 2):
-                queue.append((word + (idx,), da[idx] @ v))
-    return None
+            for idx, g in ((1, m.a1), (2, m.a2)):
+                queue.append((word + (idx,), g @ v))
 
 
 def classify_s0(mt: MonadDataBlowup) -> StratumReport:
-    """Closure-based stratum classifier with deterministic witnesses."""
-    da1, da2 = mt.d @ mt.a1, mt.d @ mt.a2
-    n1, n2 = nilpotency_index(da1), nilpotency_index(da2)
+    """The concentration test of :mod:`p2` on the pushforward, with witnesses.
+
+    (d a1, d a2, d b, c) is exactly pushforward(mt), so the stratum is
+    decided by :func:`concentration` alone; the shortest failing word is
+    searched for only to explain a negative verdict.
+    """
+    m = pushforward(mt)
+    test = concentration(m)
+    n1, n2 = test.nilpotency
     nil = (("da1", n1), ("da2", n2))
-    closure = invariant_closure([da1, da2], column_space(mt.d @ mt.b))
-    krylov_dim = closure.dim
+    krylov_dim = test.closure.dim
     if n1 is None:
         return StratumReport(False, nil, krylov_dim, witness="da1 not nilpotent")
     if n2 is None:
         return StratumReport(False, nil, krylov_dim, witness="da2 not nilpotent")
-    if (mt.c @ closure.basis).is_zero():
+    if test.concentrated:
         return StratumReport(True, nil, krylov_dim)
-    word = _shortest_failing_word(mt, 2 * mt.k)
-    assert word is not None
+    word = next(_failing_words(m, 2 * m.k), None)
+    check_invariant(word is not None, "c misses the closure but kills every word")
     return StratumReport(False, nil, krylov_dim, witness=word)
 
 
@@ -88,23 +93,10 @@ def classify_s0_oracle(mt: MonadDataBlowup, max_len: int) -> bool:
     since the invariant closure of a k-dimensional space stabilizes in
     at most k generator applications.
     """
-    da1, da2 = mt.d @ mt.a1, mt.d @ mt.a2
-    if nilpotency_index(da1) is None or nilpotency_index(da2) is None:
+    m = pushforward(mt)
+    if nilpotency_index(m.a1) is None or nilpotency_index(m.a2) is None:
         return False
-    db = mt.d @ mt.b
-    level = [db]
-    if not (mt.c @ db).is_zero():
-        return False
-    for _ in range(max_len):
-        nxt = []
-        for v in level:
-            for g in (da1, da2):
-                w = g @ v
-                if not (mt.c @ w).is_zero():
-                    return False
-                nxt.append(w)
-        level = nxt
-    return True
+    return next(_failing_words(m, max_len), None) is None
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,13 @@ of [0:0:1]; this module builds the kernel-valued frame sections on the
 two charts U1 = {x1 != 0}, U2 = {x2 != 0}, the full-rank frame matrices,
 and the exact transition solution on the overlap.
 
+Concentration is checked once per public call, through
+:func:`p2.is_concentrated_at_origin`; the private builders assume it.
+They treat all r framing indices at once: the sections at a point are
+the columns of one (2k+r) x r matrix and the transition data the columns
+of one k x r matrix, so the per-index helpers are column extractions and
+:func:`verify_trivialization` checks every identity as a matrix identity.
+
 Block convention: a kernel vector is (first W block, second W block,
 C^r block) in the column order of B, so the b-dependent part of the U1
 section sits in the SECOND W block (this is what makes B . s = 0 hold;
@@ -17,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import MonadcalcError, OverlapViolation
-from .field import ONE, QI, ZERO, qi
+from .errors import MonadcalcError, OverlapViolation, check_invariant
+from .field import ONE, QI, qi
 from .matrix import Matrix, hstack, inverse, rank, solve, vstack
 from .p2 import (MonadDataP2, ProjectivePoint, evaluate_A, evaluate_B,
                  is_concentrated_at_origin)
@@ -63,39 +70,45 @@ def _check_index(m: MonadDataP2, i: int):
         raise IndexError(f"framing index {i} outside 1..{m.r}")
 
 
-def _unit(r: int, i: int) -> Matrix:
-    return Matrix.column([ONE if t == i - 1 else ZERO for t in range(r)])
+def _frame(m: MonadDataP2, p: ChartPoint) -> Tuple[Matrix, Matrix]:
+    """The chart resolvent R and all r sections at p as the columns of one
+    (2k+r) x r matrix: U1 (0, -alpha3 R b, 1), U2 (beta3 R b, 0, 1).
+
+    R = (1 - t a)^-1 with (a, t) = (a1, alpha3) on U1 and (a2, beta3) on
+    U2; it exists for every t since a is nilpotent.
+    """
+    t, on_u1 = p.coord_b, p.chart == "U1"
+    R = inverse(Matrix.identity(m.k) - (m.a1 if on_u1 else m.a2).scale(t))
+    check_invariant(R is not None, "resolvent of a nilpotent matrix is singular")
+    Rb, zero = R @ m.b, Matrix.zeros(m.k, m.r)
+    w = [zero, Rb.scale(-t)] if on_u1 else [Rb.scale(t), zero]
+    return R, vstack(w + [Matrix.identity(m.r)])
 
 
-def _resolvent(a: Matrix, lam: QI) -> Matrix:
-    """(1 - lam * a)^-1, which exists for every lam since a is nilpotent."""
-    inv = inverse(Matrix.identity(a.rows) - a.scale(lam))
-    assert inv is not None
-    return inv
+def _transition(m: MonadDataP2, R1: Matrix, alpha2: QI, alpha3: QI) -> Matrix:
+    """xi1 for all r framing indices: alpha3 R1 (alpha2 - alpha3 a2)^-1 b,
+    with R1 the U1 resolvent at alpha3."""
+    shifted_b = solve(Matrix.identity(m.k).scale(alpha2) - m.a2.scale(alpha3), m.b)
+    check_invariant(shifted_b is not None, "alpha2 - alpha3 a2 is singular")
+    return (R1 @ shifted_b).scale(alpha3)
+
+
+def _section(m: MonadDataP2, i: int, p: ChartPoint, chart: str) -> Matrix:
+    _require_concentrated(m)
+    _check_index(m, i)
+    if p.chart != chart:
+        raise ValueError(f"section_s{chart[1]} is defined on {chart} chart points")
+    return _frame(m, p)[1].col_matrix(i - 1)
 
 
 def section_s1(m: MonadDataP2, i: int, p: ChartPoint) -> Matrix:
     """U1 frame section (0, -alpha3 (1 - alpha3 a1)^-1 b e_i, e_i)."""
-    _require_concentrated(m)
-    _check_index(m, i)
-    if p.chart != "U1":
-        raise ValueError("section_s1 is defined on U1 chart points")
-    a3 = p.coord_b
-    e = _unit(m.r, i)
-    mid = (_resolvent(m.a1, a3) @ m.b @ e).scale(-a3)
-    return vstack([Matrix.zeros(m.k, 1), mid, e])
+    return _section(m, i, p, "U1")
 
 
 def section_s2(m: MonadDataP2, i: int, p: ChartPoint) -> Matrix:
     """U2 frame section (beta3 (1 - beta3 a2)^-1 b e_i, 0, e_i)."""
-    _require_concentrated(m)
-    _check_index(m, i)
-    if p.chart != "U2":
-        raise ValueError("section_s2 is defined on U2 chart points")
-    b3 = p.coord_b
-    e = _unit(m.r, i)
-    top = (_resolvent(m.a2, b3) @ m.b @ e).scale(b3)
-    return vstack([top, Matrix.zeros(m.k, 1), e])
+    return _section(m, i, p, "U2")
 
 
 def frame_matrix(m: MonadDataP2, p: ChartPoint) -> Matrix:
@@ -105,10 +118,7 @@ def frame_matrix(m: MonadDataP2, p: ChartPoint) -> Matrix:
     of that block (a1 nilpotent) forces maximal rank at every chart point.
     """
     _require_concentrated(m)
-    sections = section_s1 if p.chart == "U1" else section_s2
-    cols = [evaluate_A(m, p.projective())]
-    cols += [sections(m, i, p) for i in range(1, m.r + 1)]
-    return hstack(cols)
+    return hstack([evaluate_A(m, p.projective()), _frame(m, p)[1]])
 
 
 def transition_xi(m: MonadDataP2, i: int, alpha2: QI, alpha3: QI) -> Tuple[Matrix, Matrix]:
@@ -123,11 +133,9 @@ def transition_xi(m: MonadDataP2, i: int, alpha2: QI, alpha3: QI) -> Tuple[Matri
     alpha2, alpha3 = qi(alpha2), qi(alpha3)
     if alpha2.is_zero():
         raise OverlapViolation("alpha2 = 0 lies outside U1 ∩ U2")
-    e = _unit(m.r, i)
-    shifted = inverse(Matrix.identity(m.k).scale(alpha2) - m.a2.scale(alpha3))
-    assert shifted is not None  # alpha2 != 0 and a2 nilpotent
-    xi1 = (_resolvent(m.a1, alpha3) @ shifted @ m.b @ e).scale(alpha3)
-    return xi1, e
+    R1 = _frame(m, ChartPoint("U1", alpha2, alpha3))[0]
+    return (_transition(m, R1, alpha2, alpha3).col_matrix(i - 1),
+            Matrix.identity(m.r).col_matrix(i - 1))
 
 
 def default_sample_points(n: int, seed: int = 11) -> List[ChartPoint]:
@@ -151,10 +159,13 @@ def verify_trivialization(m: MonadDataP2,
                           n_samples: int = 10) -> bool:
     """Exact verification of the trivialization identities on samples.
 
-    At each sample point: both sections lie in Ker B, both frame
-    matrices have full column rank, and on the overlap the transition
-    identity s2 - s1 = A xi1 holds with c xi1 = 0 and xi matching an
-    independent generic linear solve of frame . xi = s2.
+    Concentration is checked once, here.  At each sample point all r
+    sections lie in Ker B and the frame [A | sections] has full column
+    rank; on the overlap the transition identity s2 - s1 = A xi1 holds
+    with c xi1 = 0 and (xi1, xi2) matching an independent generic linear
+    solve of frame_U1 . xi = s2.  Each identity is checked for all r
+    framing indices at once, one chart resolvent and one transition
+    solve per point.
     """
     _require_concentrated(m)
     if m.k == 0 and m.r == 0:
@@ -162,41 +173,27 @@ def verify_trivialization(m: MonadDataP2,
     if sample_points is None:
         sample_points = default_sample_points(n_samples)
     for p in sample_points:
-        if p.chart == "U1":
-            a2c, a3c = p.coord_a, p.coord_b
-            p1 = p
-        else:
-            # move to U1 coordinates when possible for the overlap test
-            if p.coord_a.is_zero():
-                p1 = None
-            else:
-                a2c = p.coord_a.inverse()
-                a3c = p.coord_b * p.coord_a.inverse()
-                p1 = ChartPoint("U1", a2c, a3c)
-        # kernel membership and frame rank on the given chart
-        B = evaluate_B(m, p.projective())
-        sec = section_s1 if p.chart == "U1" else section_s2
-        for i in range(1, m.r + 1):
-            if not (B @ sec(m, i, p)).is_zero():
-                return False
-        F = frame_matrix(m, p)
-        if rank(F) != m.k + m.r:
+        q = p.projective()
+        A = evaluate_A(m, q)
+        R, S = _frame(m, p)
+        F = hstack([A, S])
+        if not (evaluate_B(m, q) @ S).is_zero() or rank(F) != m.k + m.r:
             return False
-        if p1 is None or a2c.is_zero():
-            continue
-        # overlap identities in U1 coordinates
-        u2 = ChartPoint("U2", a2c.inverse(), a3c * a2c.inverse())
-        A = evaluate_A(m, p1.projective())
-        F1 = frame_matrix(m, p1)
-        for i in range(1, m.r + 1):
-            xi1, xi2 = transition_xi(m, i, a2c, a3c)
-            s1 = section_s1(m, i, p1)
-            s2 = section_s2(m, i, u2)
-            if not (s2 - s1 - A @ xi1).is_zero():
-                return False
-            if not (m.c @ xi1).is_zero():
-                return False
-            generic = solve(F1, s2)
-            if generic is None or not (generic - vstack([xi1, xi2])).is_zero():
-                return False
+        # q is normalized, so on U1 it reads [1 : alpha2 : alpha3]
+        x1, alpha2, alpha3 = q.coords()
+        if x1.is_zero() or alpha2.is_zero():
+            continue  # off the overlap U1 ∩ U2
+        if p.chart == "U1":
+            R1, S1, F1 = R, S, F
+            beta1 = alpha2.inverse()
+            S2 = _frame(m, ChartPoint("U2", beta1, alpha3 * beta1))[1]
+        else:
+            R1, S1 = _frame(m, ChartPoint("U1", alpha2, alpha3))
+            S2, F1 = S, hstack([A, S1])
+        xi1 = _transition(m, R1, alpha2, alpha3)
+        if not ((S2 - S1 - A @ xi1).is_zero() and (m.c @ xi1).is_zero()):
+            return False
+        generic = solve(F1, S2)
+        if generic is None or generic != vstack([xi1, Matrix.identity(m.r)]):
+            return False
     return True

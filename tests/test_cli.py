@@ -2,7 +2,9 @@
 
 import json
 
-from monadcalc import jsonio
+import pytest
+
+from monadcalc import cli, jsonio
 from monadcalc.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, main
 from monadcalc.generate import GenSpec, generate
 from monadcalc.matrix import Matrix
@@ -44,6 +46,16 @@ def test_validate_broken_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{broken")
     assert main(["validate", str(path)]) == EXIT_IO
+
+
+def test_validate_float_scalar_is_malformed(tmp_path, capsys):
+    doc = jsonio.to_document(generate(GenSpec(k=1, r=2, seed=0,
+                                              family="charge_one")))
+    doc["matrices"]["a1"][0][0]["re"] = 0.1
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == EXIT_IO
+    assert capsys.readouterr().out == ""
 
 
 # -- classify ------------------------------------------------------------
@@ -110,6 +122,17 @@ def test_trivialize_ok(tmp_path, capsys):
     assert _last_json(capsys)["ok"] is True
 
 
+def test_trivialize_rejects_sample_counts_below_one(tmp_path, capsys):
+    path = _write(tmp_path, "m.json", "block_concentrated", 2, 1)
+    for bad in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["trivialize", path, "--samples", bad])
+        assert exc.value.code == 2  # argparse's malformed-argument exit
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--samples" in captured.err
+
+
 def test_trivialize_not_concentrated(tmp_path, capsys):
     path = _write(tmp_path, "m.json", "commuting_points", 2, 1)
     assert main(["trivialize", path]) == EXIT_DOMAIN
@@ -169,3 +192,33 @@ def test_batch_empty_directory(tmp_path, capsys):
 
 def test_batch_missing_directory(capsys):
     assert main(["batch", "/no/such/dir"]) == EXIT_IO
+
+
+def test_batch_clamps_jobs_to_document_count(tmp_path, capsys, monkeypatch):
+    seen = []
+
+    class FakePool:
+        """Records the requested worker count and runs the map in-process."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    _write(tmp_path, "a.json", "blowup_zero_d", 2, 1, seed=1)
+    _write(tmp_path, "b.json", "blowup_zero_d", 2, 1, seed=2)
+    assert main(["batch", str(tmp_path), "--jobs", "64"]) == EXIT_OK
+    assert seen == [2]
+    # the processor-count default is clamped the same way
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    _write(tmp_path, "c.json", "blowup_zero_d", 2, 1, seed=3)
+    assert main(["batch", str(tmp_path)]) == EXIT_OK
+    assert seen == [2, 3]

@@ -7,6 +7,7 @@ import pytest
 from monadcalc import jsonio
 from monadcalc.blowup import MonadDataBlowup
 from monadcalc.errors import DocumentError
+from monadcalc.field import QI
 from monadcalc.generate import GenSpec, generate
 from monadcalc.p2 import MonadDataP2
 
@@ -85,7 +86,22 @@ def test_rejects_malformed_documents():
         0, {"re": "1/0", "im": "0/1"}))                        # zero denominator
     _corrupt(lambda d: d["matrices"]["a1"][0].__setitem__(
         0, {"re": "x", "im": "0/1"}))                          # unparsable
+    _corrupt(lambda d: d["matrices"]["a1"][0].__setitem__(
+        0, {"re": "1" * 5000 + "/1", "im": "0/1"}))            # too many digits
     _corrupt(lambda d: d["matrices"]["a1"][0].__setitem__(0, {"re": "1/2"}))
+    # scalars are "p/q" strings only: no JSON numbers, booleans, decimals
+    for bad in (0.1, 1, True, None, "0.1", "1e3", "1", "+1/2", " 1/2",
+                "1/2 ", "1/-2", "\u0661/2"):
+        _corrupt(lambda d: d["matrices"]["a1"][0].__setitem__(
+            0, {"re": bad, "im": "0/1"}))
+        _corrupt(lambda d: d["matrices"]["b"][1].__setitem__(
+            0, {"re": "0/1", "im": bad}))
+
+
+def test_accepts_signed_unreduced_rationals():
+    doc = jsonio.to_document(_p2())
+    doc["matrices"]["a1"][0][0] = {"re": "-2/4", "im": "0/7"}
+    assert jsonio.from_document(doc).a1[0, 0] == QI("-1/2", 0)
 
 
 def test_kind_dimension_consistency():

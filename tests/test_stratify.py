@@ -4,7 +4,8 @@ from conftest import family_instances, raw_blowup_tuples, rng
 from monadcalc.blowup import MonadDataBlowup, blowup_defect
 from monadcalc.generate import GenSpec, generate, random_invertible
 from monadcalc.matrix import Matrix
-from monadcalc.p2 import integrability_defect, is_integrable
+from monadcalc.p2 import (concentration, integrability_defect,
+                          is_concentrated_at_origin, is_integrable)
 from monadcalc.stratify import (ChargeLabel, charge_label, classify_s0,
                                 classify_s0_oracle, pushforward)
 
@@ -84,6 +85,32 @@ def test_classifier_matches_oracle_on_families():
 def test_classifier_matches_oracle_on_raw():
     for mt in raw_blowup_tuples(30, seed=64, kmax=3):
         assert classify_s0(mt).is_s0 == classify_s0_oracle(mt, 2 * mt.k)
+
+
+def test_classifier_is_the_concentration_test_of_the_pushforward():
+    tuples = raw_blowup_tuples(30, seed=67, kmax=3)
+    for fam in ("blowup_zero_d", "blowup_generic", "invalid_integrability"):
+        tuples += family_instances(fam, 10, seed=68)
+    for mt in tuples:
+        rep, m = classify_s0(mt), pushforward(mt)
+        assert rep.is_s0 == is_concentrated_at_origin(m)
+        test = concentration(m)
+        assert dict(rep.nilpotency) == {"da1": test.nilpotency[0],
+                                        "da2": test.nilpotency[1]}
+        assert rep.krylov_dim == test.closure.dim
+
+
+def test_failing_word_is_shortest_and_agrees_with_oracle():
+    # d a1 = J (shift), d a2 = 0, d b = e3, c = e1^T: c J^2 d b = 1 and
+    # every shorter word vanishes, so the witness is (1, 1)
+    J = Matrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    mt = MonadDataBlowup(J, Matrix.zeros(3, 3), Matrix.identity(3),
+                         Matrix.from_rows([[0], [0], [1]]),
+                         Matrix.from_rows([[1, 0, 0]]))
+    rep = classify_s0(mt)
+    assert rep.witness == (1, 1) and rep.krylov_dim == 3
+    assert classify_s0_oracle(mt, 1)       # words up to length 1 all vanish
+    assert not classify_s0_oracle(mt, 2)   # (1, 1) is reached at length 2
 
 
 def test_classification_is_group_invariant():

@@ -3,10 +3,11 @@
 import pytest
 
 from conftest import family_instances
+from monadcalc import p2, trivialize
 from monadcalc.errors import OverlapViolation
 from monadcalc.field import ONE, ZERO, qi
 from monadcalc.generate import GenSpec, generate
-from monadcalc.matrix import Matrix, rank, solve, vstack
+from monadcalc.matrix import Matrix, hstack, inverse, rank, solve, vstack
 from monadcalc.p2 import MonadDataP2, evaluate_A, evaluate_B
 from monadcalc.trivialize import (ChartPoint, NotConcentrated,
                                   default_sample_points, frame_matrix,
@@ -45,10 +46,15 @@ def test_section_s2_k1_hand_computed():
 def test_sections_require_concentration():
     free = MonadDataP2(Matrix.identity(1), Matrix.zeros(1, 1),
                        Matrix.zeros(1, 1), Matrix.zeros(1, 1))
-    with pytest.raises(NotConcentrated):
-        section_s1(free, 1, ChartPoint("U1", ONE, ZERO))
-    with pytest.raises(NotConcentrated):
-        verify_trivialization(free)
+    u1, u2 = ChartPoint("U1", ONE, ZERO), ChartPoint("U2", ONE, ONE)
+    # every public helper checks concentration itself
+    for call in (lambda: section_s1(free, 1, u1),
+                 lambda: section_s2(free, 1, u2),
+                 lambda: frame_matrix(free, u1),
+                 lambda: transition_xi(free, 1, ONE, ONE),
+                 lambda: verify_trivialization(free)):
+        with pytest.raises(NotConcentrated):
+            call()
 
 
 def test_section_chart_and_index_checks():
@@ -109,3 +115,82 @@ def test_verify_trivialization_handles_u2_points():
     m = generate(GenSpec(k=2, r=2, seed=5, family="block_concentrated"))
     pts = [ChartPoint("U2", qi(3), qi(1)), ChartPoint("U2", ZERO, ONE)]
     assert verify_trivialization(m, sample_points=pts)
+
+
+def test_verify_checks_concentration_once(monkeypatch):
+    checks, nil = [], []
+    real_check, real_nilpotency = p2.is_concentrated_at_origin, p2.nilpotency_index
+
+    def counting_check(m):
+        checks.append(m)
+        return real_check(m)
+
+    def counting_nilpotency(M):
+        nil.append(M)
+        return real_nilpotency(M)
+
+    monkeypatch.setattr(trivialize, "is_concentrated_at_origin", counting_check)
+    monkeypatch.setattr(p2, "nilpotency_index", counting_nilpotency)
+    pts = default_sample_points(6) + [ChartPoint("U2", qi(3), qi(1)),
+                                      ChartPoint("U2", ZERO, ONE)]
+    for m in family_instances("block_concentrated", 6, seed=72):
+        checks.clear()
+        nil.clear()
+        assert verify_trivialization(m, sample_points=pts)
+        assert len(checks) == 1
+        assert len(nil) == 2  # a1 and a2, once each
+
+
+def _closed_form_column(m, p, i):
+    """The section for framing index i from the closed form, one vector."""
+    e = Matrix.identity(m.r).col_matrix(i - 1)
+    t = p.coord_b
+    a = m.a1 if p.chart == "U1" else m.a2
+    w = inverse(Matrix.identity(m.k) - a.scale(t)) @ m.b @ e
+    zero = Matrix.zeros(m.k, 1)
+    if p.chart == "U1":
+        return vstack([zero, w.scale(-t), e])
+    return vstack([w.scale(t), zero, e])
+
+
+def test_frame_columns_match_per_index_helpers():
+    pts = default_sample_points(5) + [
+        ChartPoint("U2", qi(3), qi(1)), ChartPoint("U2", ZERO, ONE),
+        ChartPoint("U2", qi("1/2", 1), qi(-2))]
+    for m in family_instances("block_concentrated", 6, seed=73):
+        for p in pts:
+            S = trivialize._frame(m, p)[1]
+            assert (S.rows, S.cols) == (2 * m.k + m.r, m.r)
+            helper = section_s1 if p.chart == "U1" else section_s2
+            for i in range(1, m.r + 1):
+                assert S.col_matrix(i - 1) == helper(m, i, p)
+                assert S.col_matrix(i - 1) == _closed_form_column(m, p, i)
+            assert frame_matrix(m, p) == hstack([evaluate_A(m, p.projective()), S])
+            if p.chart != "U1" or p.coord_a.is_zero():
+                continue
+            a2c, a3c = p.coord_a, p.coord_b
+            X = trivialize._transition(m, trivialize._frame(m, p)[0], a2c, a3c)
+            shifted = inverse(Matrix.identity(m.k).scale(a2c) - m.a2.scale(a3c))
+            R1 = inverse(Matrix.identity(m.k) - m.a1.scale(a3c))
+            for i in range(1, m.r + 1):
+                xi1, xi2 = transition_xi(m, i, a2c, a3c)
+                e = Matrix.identity(m.r).col_matrix(i - 1)
+                assert X.col_matrix(i - 1) == xi1
+                assert xi1 == (R1 @ shifted @ m.b @ e).scale(a3c)
+                assert xi2 == e
+
+
+def test_verify_rejects_a_broken_frame(monkeypatch):
+    """The identity checks still fire when the sections are wrong."""
+    m = generate(GenSpec(k=3, r=2, seed=6, family="block_concentrated"))
+    real = trivialize._frame
+
+    def broken_frame(m_, p):
+        R, S = real(m_, p)
+        if p.chart == "U2":  # double the C^r block of every U2 section
+            S = S + vstack([Matrix.zeros(S.rows - m_.r, S.cols),
+                            Matrix.identity(m_.r)])
+        return R, S
+
+    monkeypatch.setattr(trivialize, "_frame", broken_frame)
+    assert not verify_trivialization(m, n_samples=4)
