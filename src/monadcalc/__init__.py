@@ -2,7 +2,8 @@
 projective plane and its blowup.
 
 All arithmetic is exact over the Gaussian rationals Q(i); floating point
-only enters through the optional approximate-eigenvalue fallback.
+only proposes eigenvalue candidates that are then checked exactly, and
+otherwise enters through the optional approximate-eigenvalue fallback.
 """
 
 from .blowup import (BlowupPoint, MonadDataBlowup, act2, blowup_defect,
@@ -13,7 +14,7 @@ from .closure import (invariant_closure, is_nilpotent,
 from .eigen import (approx_joint_eigenvalue_pairs, char_poly,
                     commuting_reduce, eigenvalues, joint_eigenvalue_pairs)
 from .errors import (DimensionMismatch, DocumentError, InfeasibleSpec,
-                     IntegrabilityViolation, InvariantViolation,
+                     IntegrabilityViolation, InvalidPoint, InvariantViolation,
                      IrrationalSpectrum, MonadcalcError, NonCommuting,
                      OverlapViolation, PointOnExceptionalLine,
                      SingularGroupElement, SurjectivityViolation)

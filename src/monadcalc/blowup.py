@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import (DimensionMismatch, IntegrabilityViolation,
+from .errors import (DimensionMismatch, IntegrabilityViolation, InvalidPoint,
                      PointOnExceptionalLine, SingularGroupElement,
                      SurjectivityViolation)
 from .field import ONE, QI, ZERO, qi
@@ -101,9 +101,9 @@ class BlowupPoint:
     def __init__(self, x: ProjectivePoint, y1, y2):
         y1, y2 = qi(y1), qi(y2)
         if y1.is_zero() and y2.is_zero():
-            raise ValueError("y coordinates cannot both vanish")
+            raise InvalidPoint("y coordinates cannot both vanish")
         if not (x.x1 * y1 + x.x2 * y2).is_zero():
-            raise ValueError("point violates the incidence relation")
+            raise InvalidPoint("point violates the incidence relation")
         s = (y1 if not y1.is_zero() else y2).inverse()
         self.x = x
         self.y1, self.y2 = s * y1, s * y2

@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", help="validate/classify a directory of documents")
     p.add_argument("dir")
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=_positive_int, default=None,
                    help="parallel workers (default: number of processors)")
     p.set_defaults(func=cmd_batch)
 

@@ -1,21 +1,28 @@
 """Exact spectra of commuting families: characteristic polynomials,
 eigenvalues in Q(i), and simultaneous triangularization.
 
-Root extraction is delegated to sympy's factorization over QQ_I; a
-characteristic polynomial with a factor of degree >= 2 over Q(i) raises
+Roots in Q(i) are found without factorization.  Substituting t = s/D,
+with D the common denominator of the coefficients, turns a monic f into
+a monic F over Z[i]; since Z[i] is integrally closed, the Q(i)-roots of
+F are Gaussian integers.  numpy's roots of the exact square-free part
+F / gcd(F, F') are rounded to Gaussian integers, and a candidate counts
+only once exact synthetic division leaves no remainder, which also gives
+its multiplicity: no false root can be returned.  When the multiplicities
+found fall short of deg f, the polynomial goes to sympy's factorization
+over QQ_I, imported only then; that exact path alone raises
 IrrationalSpectrum.  A floating-point fallback (Schur form) is provided
-for callers that accept approximate eigenvalue pairs.
+for callers that accept approximate eigenvalue pairs.  numpy, scipy and
+sympy are imported inside functions, never when the package loads.
 """
 
 from __future__ import annotations
 
+from math import gcd, isfinite, lcm
 from typing import List, Sequence, Tuple
-
-import sympy
 
 from .errors import (DimensionMismatch, IrrationalSpectrum, NonCommuting,
                      NonSquareMatrix, check_invariant)
-from .field import ONE, QI, ZERO
+from .field import ONE, QI, ZERO, Rat
 from .matrix import Matrix, hstack, inverse, kernel_basis, solve
 
 
@@ -34,18 +41,108 @@ def char_poly(M: Matrix) -> List[QI]:
     return coeffs
 
 
-def _to_sympy(q: QI):
-    return (sympy.Rational(int(q.re.numerator), int(q.re.denominator))
-            + sympy.Rational(int(q.im.numerator), int(q.im.denominator)) * sympy.I)
+Gauss = Tuple[int, int]  # a + b i in Z[i]
 
 
-def _from_sympy(expr) -> QI:
-    expr = sympy.nsimplify(sympy.expand(expr))
-    re, im = expr.as_real_imag()
-    if not (re.is_rational and im.is_rational):
-        raise IrrationalSpectrum(f"root {expr} is not in Q(i)")
-    return QI(f"{sympy.fraction(re)[0]}/{sympy.fraction(re)[1]}",
-              f"{sympy.fraction(im)[0]}/{sympy.fraction(im)[1]}")
+def _gmul(x: Gauss, y: Gauss) -> Gauss:
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _gsub(x: Gauss, y: Gauss) -> Gauss:
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def _strip(F: List[Gauss]) -> List[Gauss]:
+    """Drop leading zero coefficients; the zero polynomial is []."""
+    j = 0
+    while j < len(F) and F[j] == (0, 0):
+        j += 1
+    return F[j:]
+
+
+def _pseudo_remainder(A: List[Gauss], B: List[Gauss]) -> List[Gauss]:
+    """A Z[i]-multiple of (A mod B), divided by the integer content."""
+    lb = B[0]
+    while len(A) >= len(B):
+        la = A[0]
+        A = _strip([_gsub(_gmul(lb, a), _gmul(la, b))
+                    for a, b in zip(A[1:], B[1:])]
+                   + [_gmul(lb, a) for a in A[len(B):]])
+    g = gcd(*(x for a in A for x in a))
+    return [(a // g, b // g) for a, b in A] if g > 1 else A
+
+
+def _monic_gcd(A: List[Gauss], B: List[Gauss]) -> List[Gauss]:
+    """The monic gcd over Q(i) of a monic A in Z[i][s] and B; it lies in
+    Z[i][s] because its roots are integral over Z[i]."""
+    while B:
+        A, B = B, _pseudo_remainder(A, B)
+    lead = A[0]
+    norm = lead[0] * lead[0] + lead[1] * lead[1]
+    monic = [_gmul(a, (lead[0], -lead[1])) for a in A]
+    check_invariant(all(x % norm == 0 for a in monic for x in a),
+                    "gcd of monic polynomials over Z[i] is not integral")
+    return [(a // norm, b // norm) for a, b in monic]
+
+
+def _divide_monic(F: List[Gauss], G: List[Gauss]) -> List[Gauss]:
+    """Quotient of F by a monic divisor G (long division over Z[i])."""
+    F, Q = list(F), []
+    for j in range(len(F) - len(G) + 1):
+        q = F[j]
+        Q.append(q)
+        for i in range(1, len(G)):
+            F[j + i] = _gsub(F[j + i], _gmul(q, G[i]))
+    return Q
+
+
+def _deflate(F: List[Gauss], r: Gauss):
+    """F / (s - r) when r is a root of F (synthetic division), else None."""
+    acc, out = (0, 0), []
+    for c in F:
+        acc = (c[0] + r[0] * acc[0] - r[1] * acc[1],
+               c[1] + r[0] * acc[1] + r[1] * acc[0])
+        out.append(acc)
+    return out[:-1] if acc == (0, 0) else None
+
+
+def _candidates(S: List[Gauss]) -> List[Gauss]:
+    """Gaussian integers nearest to the roots of the square-free S: exact
+    for degree 1, rounded numpy roots otherwise; [] when S has too large
+    coefficients for floats or numpy finds no finite roots."""
+    if len(S) <= 2:
+        return [(-a, -b) for a, b in S[1:]]
+    import numpy as np
+
+    try:
+        floats = [complex(a, b) for a, b in S]
+    except OverflowError:
+        return []
+    with np.errstate(all="ignore"):
+        try:
+            zs = [complex(z) for z in np.roots(floats)]
+        except np.linalg.LinAlgError:
+            return []
+    return [(round(z.real), round(z.imag)) for z in zs
+            if isfinite(z.real) and isfinite(z.imag)]
+
+
+def _sympy_roots(F: List[Gauss], D: int) -> List[Tuple[QI, int]]:
+    """Exact fallback: the roots of F over QQ_I (sympy factorization),
+    divided by D."""
+    from sympy import QQ_I, Poly, Symbol
+
+    poly = Poly.from_list([QQ_I(a, b) for a, b in F], Symbol("t"),
+                          domain=QQ_I)
+    found = []
+    for fac, mult in poly.factor_list()[1]:
+        if fac.degree() > 1:
+            raise IrrationalSpectrum(
+                f"irreducible factor of degree {fac.degree()} over Q(i)")
+        lead, const = fac.rep.to_list()
+        root = QQ_I.quo(-const, lead * D)
+        found.append((QI(root.x, root.y), mult))
+    return found
 
 
 def roots_in_qi(coeffs: Sequence[QI]) -> List[Tuple[QI, int]]:
@@ -54,22 +151,26 @@ def roots_in_qi(coeffs: Sequence[QI]) -> List[Tuple[QI, int]]:
     Raises IrrationalSpectrum when the polynomial does not split over
     Q(i).  Output is sorted by the deterministic field order.
     """
-    t = sympy.Symbol("t")
-    deg = len(coeffs) - 1
-    expr = sympy.Integer(0)
-    for j, c in enumerate(coeffs):
-        expr += _to_sympy(c) * t ** (deg - j)
-    poly = sympy.Poly(expr, t, domain="QQ_I")
-    _, factors = poly.factor_list()
-    found: List[Tuple[QI, int]] = []
-    for fac, mult in factors:
-        if fac.degree() > 1:
-            raise IrrationalSpectrum(
-                f"irreducible factor of degree {fac.degree()} over Q(i)")
-        if fac.degree() == 1:
-            a, b = fac.all_coeffs()
-            root = _from_sympy(-b / a)
-            found.append((root, mult))
+    if coeffs and coeffs[0] != ONE:
+        coeffs = [c / coeffs[0] for c in coeffs]
+    # t = s / D turns f into a monic F over Z[i]: its Q(i)-roots are
+    # Gaussian integers, D times those of f.
+    D = lcm(*(int(q.denominator) for c in coeffs for q in (c.re, c.im)))
+    F, scale = [], 1
+    for c in coeffs:
+        F.append((int(c.re * scale), int(c.im * scale)))
+        scale *= D
+    dF = [_gmul(c, (len(F) - 1 - j, 0)) for j, c in enumerate(F[:-1])]
+    G = _monic_gcd(F, dF) if dF else [(1, 0)]
+    rest, found = F, []
+    for r in _candidates(_divide_monic(F, G)):
+        mult, q = 0, _deflate(rest, r)
+        while q is not None:
+            mult, rest, q = mult + 1, q, _deflate(q, r)
+        if mult:
+            found.append((QI(Rat(r[0], D), Rat(r[1], D)), mult))
+    if len(rest) > 1:  # some root was missed: decide exactly
+        found = _sympy_roots(F, D)
     found.sort(key=lambda rm: rm[0].sort_key())
     return found
 

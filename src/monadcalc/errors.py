@@ -45,6 +45,12 @@ class SurjectivityViolation(MonadcalcError):
         self.cokernel_dim = cokernel_dim
 
 
+class InvalidPoint(MonadcalcError, ValueError):
+    """Coordinates that name no point: all zero, off the incidence locus,
+    or in the wrong or an unknown chart.  Also a ValueError: the caller
+    passed a bad argument value."""
+
+
 class PointOnExceptionalLine(MonadcalcError):
     """Operation defined only away from the exceptional line."""
 

@@ -16,7 +16,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from .closure import invariant_closure, max_invariant_in_kernel, nilpotency_index
 from .eigen import approx_joint_eigenvalue_pairs, joint_eigenvalue_pairs
-from .errors import (DimensionMismatch, IntegrabilityViolation,
+from .errors import (DimensionMismatch, IntegrabilityViolation, InvalidPoint,
                      SingularGroupElement, check_invariant)
 from .field import ONE, QI, ZERO, qi
 from .matrix import (Matrix, Subspace, column_space, hstack, inverse,
@@ -33,7 +33,7 @@ class ProjectivePoint:
         coords = [qi(x1), qi(x2), qi(x3)]
         lead = next((c for c in coords if not c.is_zero()), None)
         if lead is None:
-            raise ValueError("all projective coordinates are zero")
+            raise InvalidPoint("all projective coordinates are zero")
         s = lead.inverse()
         self.x1, self.x2, self.x3 = (s * c for c in coords)
 

@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import MonadcalcError, OverlapViolation, check_invariant
+from .errors import (InvalidPoint, MonadcalcError, OverlapViolation,
+                     check_invariant)
 from .field import ONE, QI, qi
 from .matrix import Matrix, hstack, inverse, rank, solve, vstack
 from .p2 import (MonadDataP2, ProjectivePoint, evaluate_A, evaluate_B,
@@ -49,7 +50,7 @@ class ChartPoint:
 
     def __post_init__(self):
         if self.chart not in ("U1", "U2"):
-            raise ValueError("chart must be 'U1' or 'U2'")
+            raise InvalidPoint("chart must be 'U1' or 'U2'")
         object.__setattr__(self, "coord_a", qi(self.coord_a))
         object.__setattr__(self, "coord_b", qi(self.coord_b))
 
@@ -97,7 +98,7 @@ def _section(m: MonadDataP2, i: int, p: ChartPoint, chart: str) -> Matrix:
     _require_concentrated(m)
     _check_index(m, i)
     if p.chart != chart:
-        raise ValueError(f"section_s{chart[1]} is defined on {chart} chart points")
+        raise InvalidPoint(f"section_s{chart[1]} is defined on {chart} chart points")
     return _frame(m, p)[1].col_matrix(i - 1)
 
 

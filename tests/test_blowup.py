@@ -10,6 +10,7 @@ from monadcalc.blowup import (BlowupPoint, MonadDataBlowup, act2,
                               surjectivity_corank, symbolic_blowup_product,
                               validate)
 from monadcalc.errors import (DimensionMismatch, IntegrabilityViolation,
+                              InvalidPoint, MonadcalcError,
                               PointOnExceptionalLine, SurjectivityViolation)
 from monadcalc.field import qi
 from monadcalc.generate import GenSpec, generate, random_invertible
@@ -104,6 +105,16 @@ def test_blowup_point_incidence():
     assert e.on_exceptional_line()
     with pytest.raises(PointOnExceptionalLine):
         BlowupPoint.over(ProjectivePoint(0, 0, 1))
+
+
+def test_blowup_point_errors_are_domain_errors():
+    x = ProjectivePoint(1, 2, 0)
+    with pytest.raises(MonadcalcError):
+        BlowupPoint(x, 1, 1)  # violates incidence
+    with pytest.raises(InvalidPoint):
+        BlowupPoint(ProjectivePoint(0, 0, 1), 0, 0)
+    with pytest.raises(InvalidPoint):
+        BlowupPoint(x, 0, 0)
 
 
 # -- symbolic identity ---------------------------------------------------

@@ -1,6 +1,10 @@
 """The command-line contract: subcommands, exit codes, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -194,6 +198,17 @@ def test_batch_missing_directory(capsys):
     assert main(["batch", "/no/such/dir"]) == EXIT_IO
 
 
+def test_batch_rejects_job_counts_below_one(tmp_path, capsys):
+    _write(tmp_path, "a.json", "blowup_zero_d", 2, 1)
+    for bad in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", str(tmp_path), "--jobs", bad])
+        assert exc.value.code == 2  # argparse's malformed-argument exit
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--jobs" in captured.err
+
+
 def test_batch_clamps_jobs_to_document_count(tmp_path, capsys, monkeypatch):
     seen = []
 
@@ -222,3 +237,28 @@ def test_batch_clamps_jobs_to_document_count(tmp_path, capsys, monkeypatch):
     _write(tmp_path, "c.json", "blowup_zero_d", 2, 1, seed=3)
     assert main(["batch", str(tmp_path)]) == EXIT_OK
     assert seen == [2, 3]
+
+
+# -- imports -------------------------------------------------------------
+
+_IMPORT_PROBE = """
+import sys
+import monadcalc
+bare = sorted(m for m in ("numpy", "scipy", "sympy") if m in sys.modules)
+from monadcalc import cli
+code = cli.main(["reduce", sys.argv[1]])
+print(bare, code, "sympy" in sys.modules)
+"""
+
+
+def test_package_and_exact_reduce_leave_sympy_unloaded(tmp_path):
+    """numpy, scipy and sympy load on demand only; split spectra never
+    reach the sympy fallback."""
+    path = _write(tmp_path, "m.json", "commuting_points", 3, 2, seed=4)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, path],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    report, probe = proc.stdout.splitlines()
+    assert len(json.loads(report)["points"]) == 3
+    assert probe == "[] 0 False"

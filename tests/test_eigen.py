@@ -1,15 +1,18 @@
 """Characteristic polynomials, exact spectra, simultaneous triangularization."""
 
 import pytest
+import sympy
 
 from conftest import rng
+from monadcalc import eigen
 from monadcalc.eigen import (approx_joint_eigenvalue_pairs, char_poly,
                              commuting_reduce, eigenvalues,
                              joint_eigenvalue_pairs, roots_in_qi)
-from monadcalc.errors import IrrationalSpectrum, NonCommuting
+from monadcalc.errors import InfeasibleSpec, IrrationalSpectrum, NonCommuting
 from monadcalc.field import I, ONE, ZERO, qi
-from monadcalc.generate import random_invertible
+from monadcalc.generate import GenSpec, generate, random_invertible
 from monadcalc.matrix import Matrix, inverse
+from monadcalc.p2 import canonical_reduction
 
 
 def test_char_poly_small_cases():
@@ -41,6 +44,138 @@ def test_roots_in_qi():
     assert roots_in_qi([ONE, qi(-1), qi("1/4")]) == [(qi("1/2"), 2)]
     with pytest.raises(IrrationalSpectrum):
         roots_in_qi([ONE, ZERO, qi(-2)])  # t^2 - 2
+
+
+# -- roots_in_qi against sympy's factorization over QQ_I --------------------
+
+def _oracle_roots(coeffs):
+    """Roots with multiplicity from sympy's factor_list over QQ_I."""
+    t = sympy.Symbol("t")
+    deg = len(coeffs) - 1
+    expr = sum((sympy.Rational(c.re_str()) + sympy.I * sympy.Rational(c.im_str()))
+               * t ** (deg - j) for j, c in enumerate(coeffs))
+    _, factors = sympy.Poly(expr, t, domain="QQ_I").factor_list()
+    found = []
+    for fac, mult in factors:
+        if fac.degree() > 1:
+            raise IrrationalSpectrum("does not split")
+        a, b = fac.all_coeffs()
+        re, im = sympy.expand(-b / a).as_real_imag()
+        found.append((qi(f"{re.p}/{re.q}", f"{im.p}/{im.q}"), mult))
+    return sorted(found, key=lambda rm: rm[0].sort_key())
+
+
+def _outcome(find, coeffs):
+    try:
+        return find(coeffs)
+    except IrrationalSpectrum:
+        return "IrrationalSpectrum"
+
+
+def _assert_matches_oracle(polys):
+    for coeffs in polys:
+        assert _outcome(roots_in_qi, coeffs) == _outcome(_oracle_roots, coeffs), coeffs
+
+
+def _expand(roots):
+    """Coefficients of prod (t - root), leading first."""
+    coeffs = [ONE]
+    for root in roots:
+        coeffs = [a - root * b for a, b in zip(coeffs + [ZERO], [ZERO] + coeffs)]
+    return coeffs
+
+
+@pytest.fixture
+def fallback_calls(monkeypatch):
+    """Counts the polynomials handed to the sympy fallback."""
+    calls = []
+    exact = eigen._sympy_roots
+
+    def counting(F, D):
+        calls.append(F)
+        return exact(F, D)
+
+    monkeypatch.setattr(eigen, "_sympy_roots", counting)
+    return calls
+
+
+def test_roots_match_oracle_on_seeded_reductions(monkeypatch, fallback_calls):
+    """Every polynomial canonical_reduction meets on the seeded plane
+    families with k <= 6 splits through verified candidates alone."""
+    seen = {}
+    exact = eigen.roots_in_qi
+
+    def recording(coeffs):
+        seen.setdefault(tuple(coeffs), None)
+        return exact(coeffs)
+
+    monkeypatch.setattr(eigen, "roots_in_qi", recording)
+    for family in ("commuting_points", "block_concentrated", "charge_one"):
+        for k in range(1, 7):
+            for r in (1, 2, 3):
+                for seed in range(2):
+                    try:
+                        m = generate(GenSpec(k=k, r=r, seed=seed, family=family))
+                    except InfeasibleSpec:
+                        continue
+                    canonical_reduction(m)
+    assert fallback_calls == []
+    assert max(len(c) for c in seen) == 7  # k = 6 blocks were reached
+    _assert_matches_oracle([list(c) for c in seen])
+
+
+def test_roots_match_oracle_on_random_char_polys():
+    """300 characteristic polynomials of random matrices up to 3 x 3: raw
+    entries (mostly irreducible) and conjugated triangular matrices
+    (split, often with repeated roots)."""
+    r_ = rng(24)
+
+    def entry():
+        im = r_.randint(-2, 2) if r_.random() < 0.5 else 0
+        return qi(f"{r_.randint(-3, 3)}/{r_.choice((1, 1, 2, 3))}", im)
+
+    polys = []
+    for j in range(300):
+        n = r_.randint(1, 3)
+        if j % 2:
+            M = Matrix(n, n, [entry() for _ in range(n * n)])
+        else:
+            diag = [entry(), entry()]
+            T = Matrix(n, n, [r_.choice(diag) if a == b else
+                              entry() if b > a else ZERO
+                              for a in range(n) for b in range(n)])
+            g = random_invertible(r_, n)
+            M = inverse(g) @ T @ g
+        polys.append(char_poly(M))
+    _assert_matches_oracle(polys)
+
+
+def test_roots_hard_cases(fallback_calls):
+    big = qi(2 ** 70 + 1, 3)
+    cases = {
+        "sextuple": _expand([qi("7/3", "-5/11")] * 6),
+        "double": _expand([big, big]),
+        "huge": [ONE, qi(-10 ** 400)],
+        "constant": [ONE],
+    }
+    assert roots_in_qi(cases["sextuple"]) == [(qi("7/3", "-5/11"), 6)]
+    assert roots_in_qi(cases["double"]) == [(big, 2)]
+    assert roots_in_qi(cases["huge"]) == [(qi(10 ** 400), 1)]
+    assert roots_in_qi(cases["constant"]) == []
+    _assert_matches_oracle(cases.values())
+    assert fallback_calls == []
+
+
+def test_roots_fall_back_exactly_when_candidates_miss(fallback_calls):
+    # coefficients too large for floats: no candidate, sympy decides
+    too_big = _expand([qi(10 ** 400), qi("1/3", -1)])
+    assert roots_in_qi(too_big) == [(qi("1/3", -1), 1), (qi(10 ** 400), 1)]
+    # one verified root, an irreducible quadratic left over
+    mixed = [ONE, qi(-1), qi(-2), qi(2)]  # (t - 1)(t^2 - 2)
+    with pytest.raises(IrrationalSpectrum):
+        roots_in_qi(mixed)
+    assert len(fallback_calls) == 2
+    _assert_matches_oracle([too_big, mixed])
 
 
 def test_eigenvalues_matrix_level():

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import family_instances, raw_p2_tuples, rng
 from monadcalc.errors import (DimensionMismatch, IntegrabilityViolation,
+                              InvalidPoint, MonadcalcError,
                               SingularGroupElement)
 from monadcalc.field import qi
 from monadcalc.generate import GenSpec, generate, random_invertible
@@ -103,6 +104,14 @@ def test_evaluate_shapes():
     assert evaluate_A(m, p).cols == m.k
     assert evaluate_B(m, p).rows == m.k
     assert evaluate_B(m, p).cols == 2 * m.k + m.r
+
+
+def test_projective_point_rejects_all_zero_coordinates():
+    with pytest.raises(MonadcalcError):
+        ProjectivePoint(0, 0, 0)
+    with pytest.raises(InvalidPoint):
+        ProjectivePoint(qi(0), 0, qi(0, 0))
+    assert ProjectivePoint(0, 0, 2).coords() == (qi(0), qi(0), qi(1))
 
 
 def test_monad_complex_at_points():

@@ -21,6 +21,32 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+LAZY_IMPORTS = {"numpy", "scipy", "sympy"}
+
+
+def _module_level_imports(node):
+    """Import nodes that run when the module loads (function bodies skipped)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        yield from _module_level_imports(child)
+
+
+def test_heavy_dependencies_are_imported_inside_functions():
+    """Importing the package loads none of numpy, scipy and sympy."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in _module_level_imports(tree):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""])
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] in LAZY_IMPORTS]
+    assert found == []
+
+
 def test_check_invariant_raises_a_domain_error():
     check_invariant(True, "holds")
     with pytest.raises(InvariantViolation, match="broken") as exc:

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import family_instances
 from monadcalc import p2, trivialize
-from monadcalc.errors import OverlapViolation
+from monadcalc.errors import InvalidPoint, MonadcalcError, OverlapViolation
 from monadcalc.field import ONE, ZERO, qi
 from monadcalc.generate import GenSpec, generate
 from monadcalc.matrix import Matrix, hstack, inverse, rank, solve, vstack
@@ -63,6 +63,16 @@ def test_section_chart_and_index_checks():
         section_s1(m, 1, ChartPoint("U2", ONE, ZERO))
     with pytest.raises(IndexError):
         section_s1(m, 3, ChartPoint("U1", ONE, ZERO))
+
+
+def test_chart_errors_are_domain_errors():
+    m = _k1_instance()
+    with pytest.raises(MonadcalcError):
+        ChartPoint("U3", ONE, ZERO)
+    with pytest.raises(InvalidPoint):
+        section_s1(m, 1, ChartPoint("U2", ONE, ZERO))
+    with pytest.raises(InvalidPoint):
+        section_s2(m, 1, ChartPoint("U1", ONE, ZERO))
 
 
 def test_frame_matrix_full_rank():
