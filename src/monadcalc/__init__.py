@@ -3,7 +3,7 @@ projective plane and its blowup.
 
 All arithmetic is exact over the Gaussian rationals Q(i); floating point
 only proposes eigenvalue candidates that are then checked exactly, and
-otherwise enters through the optional approximate-eigenvalue fallback.
+otherwise gives the roots of the optional approximate joint spectrum.
 """
 
 from .blowup import (BlowupPoint, MonadDataBlowup, act2, blowup_defect,
@@ -12,7 +12,8 @@ from .blowup import (BlowupPoint, MonadDataBlowup, act2, blowup_defect,
 from .closure import (invariant_closure, is_nilpotent,
                       max_invariant_in_kernel, nilpotency_index)
 from .eigen import (approx_joint_eigenvalue_pairs, char_poly,
-                    commuting_reduce, eigenvalues, joint_eigenvalue_pairs)
+                    commuting_reduce, eigenvalues, joint_eigenvalue_pairs,
+                    joint_spectrum)
 from .errors import (DimensionMismatch, DocumentError, InfeasibleSpec,
                      IntegrabilityViolation, InvalidPoint, InvariantViolation,
                      IrrationalSpectrum, MonadcalcError, NonCommuting,

@@ -17,8 +17,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import jsonio
 from .blowup import MonadDataBlowup, validate
-from .errors import (DocumentError, InfeasibleSpec, IntegrabilityViolation,
-                     IrrationalSpectrum, MonadcalcError, SurjectivityViolation)
+from .errors import (DocumentError, IntegrabilityViolation, MonadcalcError,
+                     SurjectivityViolation)
 from .generate import FAMILIES, GenSpec, generate
 from .jsonio import _matrix_to_obj  # canonical matrix encoding for reports
 from .p2 import MonadDataP2, canonical_reduction, validate_p2
@@ -65,13 +65,22 @@ def _validate_instance(inst):
     return ({"valid": True}, EXIT_OK)
 
 
-def cmd_validate(args) -> int:
+def _load_valid(path, kind=None):
+    """(instance, EXIT_OK), or (None, code) once the failure is reported."""
     try:
-        inst = _load(args.path)
+        inst = _load(path, kind)
     except DocumentError as exc:
-        return _fail_io(str(exc))
+        return None, _fail_io(str(exc))
     report, code = _validate_instance(inst)
-    _emit(report)
+    if code != EXIT_OK:
+        _emit(report)
+    return inst, code
+
+
+def cmd_validate(args) -> int:
+    _, code = _load_valid(args.path)
+    if code == EXIT_OK:
+        _emit({"valid": True})
     return code
 
 
@@ -84,13 +93,8 @@ def _witness_obj(witness):
 
 
 def cmd_classify(args) -> int:
-    try:
-        mt = _load(args.path, kind="blowup")
-    except DocumentError as exc:
-        return _fail_io(str(exc))
-    report, code = _validate_instance(mt)
+    mt, code = _load_valid(args.path, "blowup")
     if code != EXIT_OK:
-        _emit(report)
         return code
     sr = classify_s0(mt)
     out = {
@@ -108,13 +112,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_pushforward(args) -> int:
-    try:
-        mt = _load(args.path, kind="blowup")
-    except DocumentError as exc:
-        return _fail_io(str(exc))
-    report, code = _validate_instance(mt)
+    mt, code = _load_valid(args.path, "blowup")
     if code != EXIT_OK:
-        _emit(report)
         return code
     m = pushforward(mt)
     jsonio.write_file(args.out, m)
@@ -131,20 +130,11 @@ def _point_obj(p, approx: bool):
 
 
 def cmd_reduce(args) -> int:
-    try:
-        m = _load(args.path, kind="p2")
-    except DocumentError as exc:
-        return _fail_io(str(exc))
-    report, code = _validate_instance(m)
+    m, code = _load_valid(args.path, "p2")
     if code != EXIT_OK:
-        _emit(report)
         return code
-    mode = "float" if args.use_float else "exact"
-    try:
-        du = canonical_reduction(m, eigen_mode=mode)
-    except IrrationalSpectrum as exc:
-        _emit({"error": "IrrationalSpectrum", "detail": str(exc)})
-        return EXIT_DOMAIN
+    # IrrationalSpectrum is a domain error: main reports it
+    du = canonical_reduction(m, eigen_mode="float" if args.use_float else "exact")
     _emit({
         "l": du.l,
         "total_charge": du.total_charge,
@@ -155,13 +145,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_trivialize(args) -> int:
-    try:
-        m = _load(args.path, kind="p2")
-    except DocumentError as exc:
-        return _fail_io(str(exc))
-    report, code = _validate_instance(m)
+    m, code = _load_valid(args.path, "p2")
     if code != EXIT_OK:
-        _emit(report)
         return code
     try:
         ok = verify_trivialization(m, n_samples=args.samples)
@@ -173,12 +158,9 @@ def cmd_trivialize(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    try:
-        spec = GenSpec(k=args.k, r=args.r, seed=args.seed, family=args.family)
-        inst = generate(spec)
-    except InfeasibleSpec as exc:
-        _emit({"error": "InfeasibleSpec", "detail": str(exc)})
-        return EXIT_DOMAIN
+    # InfeasibleSpec is a domain error: main reports it
+    inst = generate(GenSpec(k=args.k, r=args.r, seed=args.seed,
+                            family=args.family))
     jsonio.write_file(args.out, inst)
     _emit({"written": str(args.out), "family": args.family,
            "k": args.k, "r": args.r, "seed": args.seed})

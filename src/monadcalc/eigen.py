@@ -1,5 +1,5 @@
 """Exact spectra of commuting families: characteristic polynomials,
-eigenvalues in Q(i), and simultaneous triangularization.
+eigenvalues in Q(i), joint spectra and simultaneous triangularization.
 
 Roots in Q(i) are found without factorization.  Substituting t = s/D,
 with D the common denominator of the coefficients, turns a monic f into
@@ -10,20 +10,28 @@ only once exact synthetic division leaves no remainder, which also gives
 its multiplicity: no false root can be returned.  When the multiplicities
 found fall short of deg f, the polynomial goes to sympy's factorization
 over QQ_I, imported only then; that exact path alone raises
-IrrationalSpectrum.  A floating-point fallback (Schur form) is provided
-for callers that accept approximate eigenvalue pairs.  numpy, scipy and
-sympy are imported inside functions, never when the package loads.
+IrrationalSpectrum.
+
+Joint spectra are read through one separating form l = a1 + s a2 + ...,
+checked exactly: each joint eigenvalue is a rational function, with
+trace coefficients, of a root of a square-free factor S_j of det(t - l)
+(Rouillier's rational univariate representation).  The exact and the
+approximate mode differ only in those roots: in Q(i), or numpy's complex
+roots.  numpy and sympy are imported inside functions only.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from math import gcd, isfinite, lcm
 from typing import List, Sequence, Tuple
 
+from .closure import is_nilpotent
 from .errors import (DimensionMismatch, IrrationalSpectrum, NonCommuting,
                      NonSquareMatrix, check_invariant)
 from .field import ONE, QI, ZERO, Rat
-from .matrix import Matrix, hstack, inverse, kernel_basis, solve
+from .matrix import (Matrix, Subspace, basis_extension, block, inverse,
+                     kernel_basis, solve, vstack)
 
 
 def char_poly(M: Matrix) -> List[QI]:
@@ -85,25 +93,36 @@ def _monic_gcd(A: List[Gauss], B: List[Gauss]) -> List[Gauss]:
     return [(a // norm, b // norm) for a, b in monic]
 
 
-def _divide_monic(F: List[Gauss], G: List[Gauss]) -> List[Gauss]:
-    """Quotient of F by a monic divisor G (long division over Z[i])."""
+def _derivative(F: List[Gauss]) -> List[Gauss]:
+    return [_gmul(c, (len(F) - 1 - j, 0)) for j, c in enumerate(F[:-1])]
+
+
+def _yun(F: List[Gauss]):
+    """Yun's square-free decomposition of a monic F over Z[i]: F / G and
+    F' / G for G = gcd(F, F'), and the pairs (S_j, j) of nonconstant,
+    monic, square-free and pairwise coprime S_j with F = prod S_j^j."""
+    dF = _derivative(F)
+    a = _monic_gcd(F, dF)
+    b, c = _divide_monic(F, a)[0], _divide_monic(dF, a)[0]
+    squarefree, parts, j = (b, c), [], 1
+    while len(b) > 1:
+        d = _strip([_gsub(x, y) for x, y in zip(c, _derivative(b))])
+        a = _monic_gcd(b, d)
+        if len(a) > 1:
+            parts.append((a, j))
+        b, c, j = _divide_monic(b, a)[0], _divide_monic(d, a)[0], j + 1
+    return squarefree, parts
+
+
+def _divide_monic(F: List[Gauss], G: List[Gauss]):
+    """Quotient and remainder of F by a monic G (long division over Z[i])."""
     F, Q = list(F), []
     for j in range(len(F) - len(G) + 1):
         q = F[j]
         Q.append(q)
         for i in range(1, len(G)):
             F[j + i] = _gsub(F[j + i], _gmul(q, G[i]))
-    return Q
-
-
-def _deflate(F: List[Gauss], r: Gauss):
-    """F / (s - r) when r is a root of F (synthetic division), else None."""
-    acc, out = (0, 0), []
-    for c in F:
-        acc = (c[0] + r[0] * acc[0] - r[1] * acc[1],
-               c[1] + r[0] * acc[1] + r[1] * acc[0])
-        out.append(acc)
-    return out[:-1] if acc == (0, 0) else None
+    return Q, _strip(F[len(Q):])
 
 
 def _candidates(S: List[Gauss]) -> List[Gauss]:
@@ -112,17 +131,10 @@ def _candidates(S: List[Gauss]) -> List[Gauss]:
     coefficients for floats or numpy finds no finite roots."""
     if len(S) <= 2:
         return [(-a, -b) for a, b in S[1:]]
-    import numpy as np
-
     try:
-        floats = [complex(a, b) for a, b in S]
-    except OverflowError:
+        zs = _complex_roots([complex(a, b) for a, b in S])
+    except (OverflowError, ValueError):  # numpy's LinAlgError is a ValueError
         return []
-    with np.errstate(all="ignore"):
-        try:
-            zs = [complex(z) for z in np.roots(floats)]
-        except np.linalg.LinAlgError:
-            return []
     return [(round(z.real), round(z.imag)) for z in zs
             if isfinite(z.real) and isfinite(z.imag)]
 
@@ -145,6 +157,17 @@ def _sympy_roots(F: List[Gauss], D: int) -> List[Tuple[QI, int]]:
     return found
 
 
+def _over_gauss(coeffs: Sequence[QI]) -> Tuple[List[Gauss], int]:
+    """(F, D) for a monic f over Q(i): t = s / D turns f into the monic F
+    over Z[i], whose Q(i)-roots are Gaussian integers, D times those of f."""
+    D = lcm(*(int(q.denominator) for c in coeffs for q in (c.re, c.im)))
+    F, scale = [], 1
+    for c in coeffs:
+        F.append((int(c.re * scale), int(c.im * scale)))
+        scale *= D
+    return F, D
+
+
 def roots_in_qi(coeffs: Sequence[QI]) -> List[Tuple[QI, int]]:
     """Roots (with multiplicity) of a monic polynomial, all in Q(i).
 
@@ -153,23 +176,16 @@ def roots_in_qi(coeffs: Sequence[QI]) -> List[Tuple[QI, int]]:
     """
     if coeffs and coeffs[0] != ONE:
         coeffs = [c / coeffs[0] for c in coeffs]
-    # t = s / D turns f into a monic F over Z[i]: its Q(i)-roots are
-    # Gaussian integers, D times those of f.
-    D = lcm(*(int(q.denominator) for c in coeffs for q in (c.re, c.im)))
-    F, scale = [], 1
-    for c in coeffs:
-        F.append((int(c.re * scale), int(c.im * scale)))
-        scale *= D
-    dF = [_gmul(c, (len(F) - 1 - j, 0)) for j, c in enumerate(F[:-1])]
-    G = _monic_gcd(F, dF) if dF else [(1, 0)]
-    rest, found = F, []
-    for r in _candidates(_divide_monic(F, G)):
-        mult, q = 0, _deflate(rest, r)
-        while q is not None:
-            mult, rest, q = mult + 1, q, _deflate(q, r)
-        if mult:
-            found.append((QI(Rat(r[0], D), Rat(r[1], D)), mult))
-    if len(rest) > 1:  # some root was missed: decide exactly
+    F, D = _over_gauss(coeffs)
+    found, missed = [], False
+    for S, j in _yun(F)[1]:  # a root of S_j has multiplicity j
+        for r in _candidates(S):
+            q, rest = _divide_monic(S, [(1, 0), (-r[0], -r[1])])
+            if not rest:  # r is a root: exact division by s - r
+                S = q
+                found.append((QI(Rat(r[0], D), Rat(r[1], D)), j))
+        missed = missed or len(S) > 1
+    if missed:  # some root was missed: decide exactly
         found = _sympy_roots(F, D)
     found.sort(key=lambda rm: rm[0].sort_key())
     return found
@@ -179,41 +195,81 @@ def eigenvalues(M: Matrix) -> List[Tuple[QI, int]]:
     return roots_in_qi(char_poly(M))
 
 
-def _check_commuting(mats: Sequence[Matrix]):
-    for i, A in enumerate(mats):
-        for B in mats[i + 1:]:
-            if not (A @ B - B @ A).is_zero():
-                raise NonCommuting("matrices do not pairwise commute")
+def _joint_key(values):
+    """Sort key of a joint eigenvalue: exact field order, or (re, im)."""
+    return tuple(x.sort_key() if isinstance(x, QI) else (x.real, x.imag)
+                 for x in values)
 
 
-def _common_eigenvector(mats: Sequence[Matrix], k: int) -> Matrix:
-    """One exact common eigenvector of a commuting family (k >= 1)."""
-    E = Matrix.identity(k)  # columns: basis of the current joint subspace
-    for M in mats:
-        ME = M @ E
-        X = solve(E, ME)  # restriction of M to span(E), valid by invariance
-        check_invariant(X is not None, "joint subspace is not invariant")
-        lam = eigenvalues(X)[0][0]
-        ker = kernel_basis(X - Matrix.identity(X.rows).scale(lam))
-        E = E @ ker.basis
-    return E.col_matrix(0)
+def _horner(coeffs, z):
+    return reduce(lambda acc, c: acc * z + c, coeffs)
 
 
-def _extend_to_basis(v: Matrix) -> Matrix:
-    """Invertible matrix whose first column is v (unit pivot convention)."""
-    k = v.rows
-    pivot = next(i for i in range(k) if not v[i, 0].is_zero())
-    cols = [v] + [Matrix.column([ONE if i == j else ZERO for i in range(k)])
-                  for j in range(k) if j != pivot]
-    return hstack(cols)
+def _combine(coeffs: Sequence[QI], powers: Sequence[Matrix]) -> Matrix:
+    """p(L) for p = sum c_m t^(d-1-m), given the powers I, L, ..., L^(d-1)."""
+    n = powers[0].rows
+    return sum((P.scale(c) for c, P in zip(reversed(coeffs), powers)),
+               Matrix.zeros(n, n))
 
 
-def commuting_reduce(mats: Sequence[Matrix]) -> Tuple[Matrix, List[Matrix]]:
-    """Simultaneous upper triangularization of a commuting family.
+def _trace_of_product(A: Matrix, B: Matrix) -> QI:
+    n = A.rows
+    return sum((A[i, j] * B[j, i] for i in range(n) for j in range(n)), ZERO)
 
-    Returns (g, [T1, ..., Ts]) with g invertible and Ti = g^-1 @ Mi @ g
-    exactly upper triangular.  The diagonal of Ti lists the joint
-    eigenvalues with multiplicity, in a deterministic order.
+
+def _complex_roots(coeffs) -> List[complex]:
+    import numpy as np
+
+    with np.errstate(all="ignore"):
+        return [complex(z) for z in np.roots([complex(c) for c in coeffs])]
+
+
+def _over_qi(P: List[Gauss], D: int) -> List[QI]:
+    """The monic polynomial over Q(i) whose Z[i]-form (t = s / D) is P."""
+    return [QI(Rat(a, D ** m), Rat(b, D ** m)) for m, (a, b) in enumerate(P)]
+
+
+def _read_through(mats: List[Matrix], ell: Matrix, approx: bool):
+    """The joint eigenvalues of the family read through the form ell, or
+    None when ell does not separate them."""
+    F, D = _over_gauss(char_poly(ell))
+    squarefree, parts = _yun(F)
+    roots = []
+    for S, j in parts:  # a root of S_j has multiplicity j
+        S = _over_qi(S, D)
+        zs = ([-S[1]] if len(S) == 2 else _complex_roots(S) if approx
+              else [z for z, _ in roots_in_qi(S)])
+        roots += [(complex(z) if approx else z, j) for z in zs]
+    # S = chi / gcd(chi, chi') is square-free and W = chi' / gcd has
+    # W(z) = m S'(z) at a root z of multiplicity m.  g_i, with n-th
+    # coefficient sum_{m <= n} S_m tr(a_i ell^(n - m)), has g_i(z) =
+    # tr(a_i on the generalized z-eigenspace) S'(z): a_i's one eigenvalue
+    # there is g_i(z) / W(z) once ell separates.
+    S, W = (_over_qi(P, D) for P in squarefree)
+    powers = [Matrix.identity(ell.rows)]
+    while len(powers) < len(W):
+        powers.append(powers[-1] @ ell)
+    gs = [[sum((S[m] * tr[n - m] for m in range(n + 1)), ZERO)
+           for n in range(len(W))]
+          for tr in ([_trace_of_product(A, P) for P in powers] for A in mats)]
+    # ell has one eigenvalue on each of its generalized eigenspaces, so the
+    # form separates iff every later member has one there too:
+    # W(ell) a_i - g_i(ell) is then nilpotent
+    W_at = _combine(W, powers)
+    if not all(is_nilpotent(A @ W_at - _combine(g, powers))
+               for A, g in zip(mats[1:], gs[1:])):
+        return None
+    if approx:
+        W, *gs = [[complex(c) for c in p] for p in [W] + gs]
+    return [tuple(_horner(g, z) / _horner(W, z) for g in gs)
+            for z, j in roots for _ in range(j)]
+
+
+def joint_spectrum(mats: Sequence[Matrix],
+                   approx: bool = False) -> List[tuple]:
+    """Joint eigenvalues (mu_1, ..., mu_n) of a commuting family, with
+    multiplicity, sorted: in Q(i) (else IrrationalSpectrum) or, with
+    ``approx``, complex.  NonCommuting unless the family commutes exactly.
     """
     mats = list(mats)
     if not mats:
@@ -222,30 +278,46 @@ def commuting_reduce(mats: Sequence[Matrix]) -> Tuple[Matrix, List[Matrix]]:
     for M in mats:
         if not M.is_square() or M.rows != k:
             raise DimensionMismatch("family members must be square of equal size")
-    _check_commuting(mats)
+    for i, A in enumerate(mats):
+        for B in mats[i + 1:]:
+            if not (A @ B - B @ A).is_zero():
+                raise NonCommuting("matrices do not pairwise commute")
+    # distinct joint eigenvalues collide under l = sum s^i a_i for at most
+    # n - 1 values of s each
+    for s in range((len(mats) - 1) * k * (k - 1) // 2 + 1):
+        ell = sum((M.scale(s ** i) for i, M in enumerate(mats[1:], 1)),
+                  mats[0])
+        found = _read_through(mats, ell, approx)
+        if found is not None:
+            return sorted(found, key=_joint_key)
+    check_invariant(False, "no linear form separates a commuting family")
 
-    def recurse(ms: List[Matrix], n: int) -> Matrix:
-        if n <= 1:
-            return Matrix.identity(n)
-        v = _common_eigenvector(ms, n)
-        # Normalize on the leading pivot for determinism.
-        pivot = next(i for i in range(n) if not v[i, 0].is_zero())
-        v = v.scale(v[pivot, 0].inverse())
-        P = _extend_to_basis(v)
+
+def commuting_reduce(mats: Sequence[Matrix]) -> Tuple[Matrix, List[Matrix]]:
+    """Simultaneous upper triangularization of a commuting family.
+
+    Returns (g, [T1, ..., Ts]) with g invertible and Ti = g^-1 @ Mi @ g
+    exactly upper triangular.  The diagonal lists the joint eigenvalues
+    with multiplicity in the order of :func:`joint_spectrum`.
+    """
+    mats = list(mats)
+    spectrum = joint_spectrum(mats)
+    k = len(spectrum)
+    g, ms = Matrix.identity(k), mats
+    # split off the least remaining joint eigenvalue: the first canonical
+    # basis vector of its joint eigenspace starts the next basis
+    for t, values in enumerate(spectrum[:-1]):
+        n, eye = k - t, Matrix.identity(k - t)
+        joint = kernel_basis(vstack([M - eye.scale(lam)
+                                     for M, lam in zip(ms, values)]))
+        P = basis_extension(Subspace(n, joint.basis.col_matrix(0)))
         Pinv = inverse(P)
         check_invariant(Pinv is not None, "basis extension is singular")
-        conj = [Pinv @ M @ P for M in ms]
-        subs = [Matrix(n - 1, n - 1,
-                       [M[i, j] for i in range(1, n) for j in range(1, n)])
-                for M in conj]
-        g_sub = recurse(subs, n - 1)
-        pad = Matrix(n, n,
-                     [ONE if (i == 0 and j == 0) else
-                      (g_sub[i - 1, j - 1] if i > 0 and j > 0 else ZERO)
-                      for i in range(n) for j in range(n)])
-        return P @ pad
-
-    g = recurse(mats, k)
+        ms = [Matrix(n - 1, n - 1, [C[i, j] for i in range(1, n)
+                                    for j in range(1, n)])
+              for C in (Pinv @ M @ P for M in ms)]
+        g = g @ block([[Matrix.identity(t), Matrix.zeros(t, n)],
+                       [Matrix.zeros(n, t), P]])
     ginv = inverse(g)
     check_invariant(ginv is not None, "triangularizing basis is singular")
     tris = [ginv @ M @ g for M in mats]
@@ -255,38 +327,11 @@ def commuting_reduce(mats: Sequence[Matrix]) -> Tuple[Matrix, List[Matrix]]:
 
 
 def joint_eigenvalue_pairs(m1: Matrix, m2: Matrix) -> List[Tuple[QI, QI]]:
-    """Joint eigenvalue pairs of two commuting matrices, with multiplicity."""
-    if m1.rows == 0:
-        return []
-    _, (t1, t2) = commuting_reduce([m1, m2])
-    pairs = [(t1[j, j], t2[j, j]) for j in range(m1.rows)]
-    pairs.sort(key=lambda p: (p[0].sort_key(), p[1].sort_key()))
-    return pairs
+    """The exact :func:`joint_spectrum` of a commuting pair."""
+    return joint_spectrum([m1, m2])
 
 
-def approx_joint_eigenvalue_pairs(m1: Matrix, m2: Matrix,
-                                  tol: float = 1e-9) -> List[Tuple[complex, complex]]:
-    """Floating-point fallback: joint eigenvalue pairs via a complex Schur form.
-
-    Intended for commuting pairs whose spectrum is not in Q(i); results
-    carry ordinary floating-point error and are labeled approximate by
-    callers.
-    """
-    import numpy as np
-    from scipy.linalg import schur
-
-    if m1.rows == 0:
-        return []
-    a1 = np.array([[complex(m1[i, j]) for j in range(m1.cols)]
-                   for i in range(m1.rows)])
-    a2 = np.array([[complex(m2[i, j]) for j in range(m2.cols)]
-                   for i in range(m2.rows)])
-    T, Z = schur(a1, output="complex")
-    B = Z.conj().T @ a2 @ Z
-    # For a commuting pair B is upper triangular up to roundoff.
-    lower = np.tril(B, -1)
-    if np.abs(lower).max(initial=0.0) > tol * max(1.0, np.abs(B).max(initial=1.0)):
-        raise NonCommuting("joint Schur reduction failed beyond tolerance")
-    pairs = [(complex(T[j, j]), complex(B[j, j])) for j in range(m1.rows)]
-    pairs.sort(key=lambda p: (p[0].real, p[0].imag, p[1].real, p[1].imag))
-    return pairs
+def approx_joint_eigenvalue_pairs(m1: Matrix,
+                                  m2: Matrix) -> List[Tuple[complex, complex]]:
+    """The complex :func:`joint_spectrum` of a commuting pair."""
+    return joint_spectrum([m1, m2], approx=True)

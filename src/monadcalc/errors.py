@@ -18,14 +18,14 @@ class SingularGroupElement(MonadcalcError):
 
 
 class NonCommuting(MonadcalcError):
-    """Simultaneous triangularization needs a pairwise commuting family."""
+    """Joint spectra need a family whose exact commutators all vanish."""
 
 
 class IrrationalSpectrum(MonadcalcError):
     """A characteristic polynomial does not split over Q(i).
 
-    Exact eigenvalue extraction is impossible; callers may fall back to
-    the floating-point mode where one is provided.
+    Exact eigenvalues do not exist; canonical_reduction's float mode
+    reads the same spectrum as complex numbers instead.
     """
 
 

@@ -34,6 +34,8 @@ SCHEMA_VERSION = "1"
 
 # An optional minus sign, then decimal digits, a slash and decimal digits.
 _RATIONAL = re.compile(r"-?[0-9]+/[0-9]+")
+# error messages quote at most this many characters of an offending entry
+_ECHO_CHARS = 100
 
 Instance = Union[MonadDataP2, MonadDataBlowup]
 
@@ -44,13 +46,13 @@ def _qi_to_obj(v: QI) -> dict:
 
 def _qi_from_obj(obj) -> QI:
     if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
-        raise DocumentError(f"bad scalar entry {obj!r}")
+        raise DocumentError(f"bad scalar entry {obj!r:.{_ECHO_CHARS}}")
     if not all(isinstance(v, str) and _RATIONAL.fullmatch(v) for v in obj.values()):
-        raise DocumentError(f"bad rational string in {obj!r}: want 'p/q'")
+        raise DocumentError(f"bad rational string in {obj!r:.{_ECHO_CHARS}}: want 'p/q'")
     try:  # fails on a zero denominator or more digits than int() accepts
         return QI.parse(obj["re"], obj["im"])
     except (ValueError, ZeroDivisionError) as exc:
-        raise DocumentError(f"bad rational string in {obj!r}: {exc}") from exc
+        raise DocumentError(f"bad rational string in {obj!r:.{_ECHO_CHARS}}: {exc}") from exc
 
 
 def _matrix_to_obj(M: Matrix) -> list:
@@ -121,10 +123,11 @@ def dumps(inst: Instance) -> str:
 
 def loads(text: str) -> Instance:
     try:
-        doc = json.loads(text)
+        return from_document(json.loads(text))
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
-    return from_document(doc)
+    except RecursionError:  # json.loads or repr of a deeply nested value
+        raise DocumentError("document is nested too deeply") from None
 
 
 def write_file(path, inst: Instance):

@@ -340,6 +340,18 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
 
+def basis_extension(space: Subspace) -> Matrix:
+    """Invertible matrix whose first dim columns are the subspace basis,
+    followed by the unit vectors of the rows without a basis pivot."""
+    n = space.ambient_dim
+    _, pivot_rows = rref(space.basis.transpose())
+    others = [j for j in range(n) if j not in set(pivot_rows)]
+    unit_cols = [Matrix.column([ONE if i == j else ZERO for i in range(n)])
+                 for j in others]
+    pieces = [space.basis] + unit_cols
+    return hstack(pieces) if space.dim + len(others) > 0 else Matrix.zeros(n, 0)
+
+
 def kernel_basis(M: Matrix) -> Subspace:
     """Canonical basis of the right kernel of M."""
     R, pivots = rref(M)

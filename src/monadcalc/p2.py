@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
 from .closure import invariant_closure, max_invariant_in_kernel, nilpotency_index
-from .eigen import approx_joint_eigenvalue_pairs, joint_eigenvalue_pairs
+from .eigen import _joint_key, joint_spectrum
 from .errors import (DimensionMismatch, IntegrabilityViolation, InvalidPoint,
                      SingularGroupElement, check_invariant)
-from .field import ONE, QI, ZERO, qi
-from .matrix import (Matrix, Subspace, column_space, hstack, inverse,
-                     rank, rref, vstack)
+from .field import QI, qi
+from .matrix import (Matrix, Subspace, basis_extension, column_space, hstack,
+                     inverse, rank, vstack)
 from .polymat import PolyMatrix, poly_matmul
 
 
@@ -193,7 +193,7 @@ class DUPoint:
 
     ``points`` is the sorted multiset of joint eigenvalue pairs of the
     split-off commuting blocks; when ``approx`` is set the pairs are
-    floating-point complex numbers from the Schur fallback.
+    complex numbers (float mode with at least one point).
     """
 
     reduced: MonadDataP2
@@ -209,17 +209,6 @@ class DUPoint:
         return self.l + len(self.points)
 
 
-def _basis_extension(space: Subspace) -> Matrix:
-    """Invertible matrix whose first dim columns are the subspace basis."""
-    n = space.ambient_dim
-    _, pivot_rows = rref(space.basis.transpose())
-    others = [j for j in range(n) if j not in set(pivot_rows)]
-    unit_cols = [Matrix.column([ONE if i == j else ZERO for i in range(n)])
-                 for j in others]
-    pieces = [space.basis] + unit_cols
-    return hstack(pieces) if space.dim + len(others) > 0 else Matrix.zeros(n, 0)
-
-
 def _sub(M: Matrix, r0: int, r1: int, c0: int, c1: int) -> Matrix:
     return Matrix(r1 - r0, c1 - c0,
                   [M[i, j] for i in range(r0, r1) for j in range(c0, c1)])
@@ -231,7 +220,7 @@ def _split_top(m: MonadDataP2, V: Subspace):
     Returns ((top blocks a1, a2 on V), (bottom blocks on W/V), the
     transformed b, c) - callers decide which side is kept.
     """
-    g = _basis_extension(V)
+    g = basis_extension(V)
     ginv = inverse(g)
     check_invariant(ginv is not None, "basis extension is singular")
     d, k = V.dim, m.k
@@ -254,9 +243,9 @@ def canonical_reduction(m: MonadDataP2, eigen_mode: str = "exact") -> DUPoint:
     nondegenerate reduced tuple and the discarded commuting diagonal
     blocks contribute their joint eigenvalue pairs as plane points.
 
-    eigen_mode "exact" raises IrrationalSpectrum when a discarded block
-    has spectrum outside Q(i); "float" switches to approximate pairs and
-    marks the result.
+    Pairs come from :func:`eigen.joint_spectrum`: eigen_mode "exact"
+    raises IrrationalSpectrum for a block with spectrum outside Q(i);
+    "float" reads them as complex numbers and marks the result.
     """
     if eigen_mode not in ("exact", "float"):
         raise ValueError("eigen_mode must be 'exact' or 'float'")
@@ -284,19 +273,11 @@ def canonical_reduction(m: MonadDataP2, eigen_mode: str = "exact") -> DUPoint:
                                   _sub(nc, 0, current.r, 0, d))
             continue
         break
-    points: List[Tuple[object, object]] = []
-    approx = False
-    for f1, f2 in delta_blocks:
-        if eigen_mode == "exact":
-            points.extend(joint_eigenvalue_pairs(f1, f2))
-        else:
-            points.extend(approx_joint_eigenvalue_pairs(f1, f2))
-            approx = True
-    if approx:
-        points.sort(key=lambda p: (complex(p[0]).real, complex(p[0]).imag,
-                                   complex(p[1]).real, complex(p[1]).imag))
-    else:
-        points.sort(key=lambda p: (p[0].sort_key(), p[1].sort_key()))
+    approx = eigen_mode == "float"
+    points = sorted((p for f1, f2 in delta_blocks
+                     for p in joint_spectrum([f1, f2], approx)),
+                    key=_joint_key)
+    approx = approx and bool(points)
     return DUPoint(reduced=current, points=tuple(points), approx=approx)
 
 

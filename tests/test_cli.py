@@ -62,6 +62,32 @@ def test_validate_float_scalar_is_malformed(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def _assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+    return lines[0]
+
+
+def test_deeply_nested_document_is_malformed(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    for command in ("validate", "reduce", "trivialize"):
+        assert main([command, str(path)]) == EXIT_IO
+        assert "nested too deeply" in _assert_one_error_line(capsys)
+
+
+def test_long_scalar_is_echoed_in_part(tmp_path, capsys):
+    doc = jsonio.to_document(generate(GenSpec(k=1, r=2, seed=0,
+                                              family="charge_one")))
+    doc["matrices"]["a1"][0][0]["re"] = "1" * 5000 + "/1"
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == EXIT_IO
+    assert len(_assert_one_error_line(capsys)) < 500
+
+
 # -- classify ------------------------------------------------------------
 
 def test_classify_with_oracle(tmp_path, capsys):
@@ -116,6 +142,16 @@ def test_reduce_irrational_spectrum_and_float_fallback(tmp_path, capsys):
     assert rep["approx"] is True
     xs = sorted(p[0][0] for p in rep["points"])
     assert abs(xs[0] + 2 ** 0.5) < 1e-8 and abs(xs[1] - 2 ** 0.5) < 1e-8
+
+
+def test_reduce_float_on_ill_conditioned_commuting_points(tmp_path, capsys):
+    path = _write(tmp_path, "m.json", "commuting_points", 4, 2, seed=869589436)
+    assert main(["reduce", path]) == EXIT_OK
+    exact = _last_json(capsys)
+    assert main(["reduce", path, "--float"]) == EXIT_OK
+    rep = _last_json(capsys)
+    assert rep["approx"] is True and rep["l"] == exact["l"] == 0
+    assert len(rep["points"]) == len(exact["points"]) == 4
 
 
 # -- trivialize ----------------------------------------------------------

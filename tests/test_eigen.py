@@ -187,6 +187,15 @@ def test_eigenvalues_matrix_level():
         eigenvalues(Matrix.from_rows([[0, 2], [1, 0]]))
 
 
+def _m(rows):
+    """Matrix from rows of ints, "p/q" strings or (re, im) pairs."""
+    return Matrix.from_rows([[qi(*x) if isinstance(x, tuple) else qi(x)
+                              for x in row] for row in rows])
+
+
+# The bases g below are pinned: the diagonal order (least joint eigenvalue
+# first) and the first canonical joint eigenvector at each step fix them.
+
 def test_commuting_reduce_examples():
     g, (t1, t2) = commuting_reduce([Matrix.diagonal([1, 2]),
                                     Matrix.diagonal([3, 4])])
@@ -194,11 +203,13 @@ def test_commuting_reduce_examples():
     assert sorted([(t1[j, j], t2[j, j]) for j in range(2)],
                   key=lambda p: p[0].sort_key()) == [(qi(1), qi(3)),
                                                      (qi(2), qi(4))]
+    assert g == Matrix.identity(2)
 
     J = Matrix.from_rows([[0, 1], [0, 0]])
-    _, (u1, u2) = commuting_reduce([J, Matrix.zeros(2, 2)])
+    g, (u1, u2) = commuting_reduce([J, Matrix.zeros(2, 2)])
     assert u1.is_upper_triangular() and u2.is_zero()
     assert u1[0, 0].is_zero() and u1[1, 1].is_zero()
+    assert g == Matrix.identity(2)
 
     S = Matrix.from_rows([[0, 1], [1, 0]])
     g, (t,) = commuting_reduce([S])
@@ -206,6 +217,29 @@ def test_commuting_reduce_examples():
     assert {t[0, 0], t[1, 1]} == {qi(1), qi(-1)}
     gi = inverse(g)
     assert gi @ S @ g == t
+    assert g == _m([[1, 0], [-1, 1]])
+
+
+def test_commuting_reduce_computes_one_char_poly_per_form(monkeypatch):
+    """The spectrum is read once, through a separating form: one
+    characteristic polynomial per form tried, none per recursion level."""
+    calls = []
+    exact = eigen.char_poly
+
+    def counting(M):
+        calls.append(M.rows)
+        return exact(M)
+
+    monkeypatch.setattr(eigen, "char_poly", counting)
+    m = generate(GenSpec(k=6, r=2, seed=0, family="commuting_points"))
+    commuting_reduce([m.a1, m.a2])
+    assert calls == [6]  # a1 has six distinct eigenvalues: s = 0 separates
+    calls.clear()
+    g = random_invertible(rng(30), 3)
+    gi = inverse(g)
+    commuting_reduce([gi @ Matrix.diagonal([0, 0, 1]) @ g,
+                      gi @ Matrix.diagonal([1, 2, 3]) @ g])
+    assert calls == [3, 3]  # a1 alone merges (0, 1) and (0, 2)
 
 
 def test_commuting_reduce_rejects_noncommuting():
@@ -215,9 +249,25 @@ def test_commuting_reduce_rejects_noncommuting():
         commuting_reduce([A, B])
 
 
+PINNED_BASES = [
+    [[1, 0], [("-103/857", "-104/857"), 1]],
+    [[1]],
+    [[1]],
+    [[1, 0], [("19/37", "3/37"), 1]],
+    [[1]],
+    [[1, 0, 0, 0],
+     [("-43842/83285", "10269/83285"), 1, 0, 0],
+     [("6711/83285", "4053/83285"), ("-1286/2703", "-178/901"), 1, 0],
+     [("-9129/83285", "-7077/83285"), ("-719/1802", "2117/5406"),
+      ("9/10", "-31/30"), 1]],
+    [[1, 0], [("138/373", "-195/373"), 1]],
+    [[1, 0, 0], [0, 1, 0], [("4/13", "6/13"), ("-19/39", "-35/39"), 1]],
+]
+
+
 def test_commuting_reduce_random_conjugated_diagonals():
     r_ = rng(21)
-    for _ in range(8):
+    for pinned in PINNED_BASES:
         n = r_.randint(1, 4)
         d1 = Matrix.diagonal([r_.randint(-4, 4) for _ in range(n)])
         d2 = Matrix.diagonal([r_.randint(-4, 4) for _ in range(n)])
@@ -229,6 +279,7 @@ def test_commuting_reduce_random_conjugated_diagonals():
         assert gi @ m1 @ g == t1 and gi @ m2 @ g == t2
         assert t1.is_upper_triangular() and t2.is_upper_triangular()
         assert char_poly(t1) == char_poly(d1)
+        assert g == _m(pinned)
 
 
 def test_joint_eigenvalue_pairs():
@@ -244,6 +295,132 @@ def test_joint_eigenvalue_pairs():
     assert joint_eigenvalue_pairs(m1, m2) == [(qi(0), qi(1)), (qi(0), qi(2)),
                                               (qi(5), qi(7))]
     assert joint_eigenvalue_pairs(Matrix.zeros(0, 0), Matrix.zeros(0, 0)) == []
+
+
+# -- joint spectra against sympy's characteristic polynomials -------------
+
+def _qqi(x):
+    from sympy import QQ, QQ_I
+
+    return QQ_I(QQ(x.re.numerator, x.re.denominator),
+                QQ(x.im.numerator, x.im.denominator))
+
+
+def _assert_pairs_match_charpolys(m1, m2, pairs):
+    """charpoly(m1 + s m2) = prod (t - mu1 - s mu2) for s = 0..k: both
+    sides have degree k in s, so this fixes the multiset of pairs."""
+    from sympy import QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    k = m1.rows
+    assert len(pairs) == k
+    for s in range(k + 1):
+        L = m1 + m2.scale(s)
+        dm = DomainMatrix([[_qqi(L[i, j]) for j in range(k)]
+                           for i in range(k)], (k, k), QQ_I)
+        coeffs = [QQ_I.one]
+        for mu1, mu2 in pairs:
+            z = _qqi(mu1 + mu2 * s)
+            coeffs = [a - z * b for a, b in
+                      zip(coeffs + [QQ_I.zero], [QQ_I.zero] + coeffs)]
+        assert dm.charpoly() == coeffs, (s, m1, m2)
+
+
+def _seeded_blocks(monkeypatch):
+    """The commuting blocks canonical_reduction splits off on the seeded
+    plane families with k <= 6."""
+    import monadcalc.p2 as p2
+
+    blocks = []
+    exact = p2.joint_spectrum
+
+    def recording(mats, approx=False):
+        blocks.append(tuple(mats))
+        return exact(mats, approx)
+
+    monkeypatch.setattr(p2, "joint_spectrum", recording)
+    for family in ("commuting_points", "block_concentrated", "charge_one"):
+        for k in range(1, 7):
+            for r in (1, 2, 3):
+                try:
+                    m = generate(GenSpec(k=k, r=r, seed=k + r, family=family))
+                except InfeasibleSpec:
+                    continue
+                canonical_reduction(m)
+    monkeypatch.undo()
+    return blocks
+
+
+def _random_commuting_pairs(count, seed):
+    """(p(M), q(M)) for random M with split spectrum: conjugated upper
+    triangular matrices, often with repeated (and defective) eigenvalues.
+    Half the time p merges M's two eigenvalues, so p(M) alone does not
+    separate the joint spectrum."""
+    r_ = rng(seed)
+    out = []
+    for _ in range(count):
+        n = r_.randint(1, 5)
+        diag = [qi(r_.randint(-2, 2), r_.randint(-1, 1)) for _ in range(2)]
+        T = Matrix(n, n, [r_.choice(diag) if a == b else
+                          qi(r_.randint(-2, 2)) if b > a else ZERO
+                          for a in range(n) for b in range(n)])
+        g = random_invertible(r_, n)
+        M = inverse(g) @ T @ g
+        eye = Matrix.identity(n)
+        alpha = (-(diag[0] + diag[1]) if r_.random() < 0.5
+                 else qi(r_.randint(-2, 2)))
+        out.append((M @ M + M.scale(alpha) + eye.scale(r_.randint(-2, 2)),
+                    M.scale(r_.randint(-2, 2)) + eye.scale(r_.randint(-1, 1))))
+    return out
+
+
+def _max_float_error(exact, approx):
+    """Largest distance from an exact pair to its nearest unused float pair."""
+    rest, worst = list(approx), 0.0
+    for p1, p2 in exact:
+        z1, z2 = complex(p1), complex(p2)
+        errs = [max(abs(a - z1), abs(b - z2)) for a, b in rest]
+        j = min(range(len(rest)), key=errs.__getitem__)
+        worst = max(worst, errs[j])
+        rest.pop(j)
+    return worst
+
+
+def test_joint_spectra_match_sympy_charpolys(monkeypatch):
+    blocks = _seeded_blocks(monkeypatch)
+    assert max(m1.rows for m1, _ in blocks) == 6
+    for m1, m2 in blocks + _random_commuting_pairs(60, seed=31):
+        _assert_pairs_match_charpolys(m1, m2, joint_eigenvalue_pairs(m1, m2))
+
+
+def test_float_joint_spectra_match_exact(monkeypatch):
+    """Defective eigenvalues too: each is one simple root of an exact
+    square-free factor, so its error does not grow like eps^(1/m)."""
+    blocks = _seeded_blocks(monkeypatch)
+    for m1, m2 in blocks + _random_commuting_pairs(60, seed=32):
+        exact = joint_eigenvalue_pairs(m1, m2)
+        approx = approx_joint_eigenvalue_pairs(m1, m2)
+        assert len(approx) == len(exact)
+        scale = max([1.0] + [abs(complex(x)) for p in exact for x in p])
+        assert _max_float_error(exact, approx) <= 1e-10 * scale
+
+
+def test_approx_pairs_of_a_defective_irrational_spectrum():
+    # +-sqrt(2), each in a 2 x 2 Jordan block of a1; a2 is nilpotent; a
+    # random basis hides the block structure
+    g = random_invertible(rng(40), 4)
+    gi = inverse(g)
+    a1, a2 = (gi @ _m(rows) @ g for rows in (
+        [[0, 2, 1, 0], [1, 0, 0, 1], [0, 0, 0, 2], [0, 0, 1, 0]],
+        [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]]))
+    assert a1 @ a2 == a2 @ a1
+    assert char_poly(a1) == [ONE, ZERO, qi(-4), ZERO, qi(4)]  # (t^2 - 2)^2
+    assert not (a1 @ a1 - Matrix.identity(4).scale(2)).is_zero()
+    with pytest.raises(IrrationalSpectrum):
+        joint_eigenvalue_pairs(a1, a2)
+    r2 = 2 ** 0.5
+    want = [(-r2, 0), (-r2, 0), (r2, 0), (r2, 0)]
+    assert _max_float_error(want, approx_joint_eigenvalue_pairs(a1, a2)) <= 1e-12
 
 
 def test_approx_pairs_match_exact_on_rational_input():

@@ -98,6 +98,20 @@ def test_rejects_malformed_documents():
             0, {"re": "0/1", "im": bad}))
 
 
+def test_rejects_hostile_documents():
+    with pytest.raises(DocumentError, match="nested too deeply"):
+        jsonio.loads("[" * 100_000 + "]" * 100_000)
+    doc = jsonio.to_document(_p2())
+    doc["matrices"]["a1"][0][0] = {"re": "1" * 5000 + "/1", "im": "0/1"}
+    with pytest.raises(DocumentError) as exc:
+        jsonio.loads(json.dumps(doc))
+    assert "1" * 90 in str(exc.value) and len(str(exc.value)) < 400
+    doc["matrices"]["a1"][0][0] = [[0] * 3000]
+    with pytest.raises(DocumentError) as exc:
+        jsonio.loads(json.dumps(doc))
+    assert len(str(exc.value)) < 200
+
+
 def test_accepts_signed_unreduced_rationals():
     doc = jsonio.to_document(_p2())
     doc["matrices"]["a1"][0][0] = {"re": "-2/4", "im": "0/7"}

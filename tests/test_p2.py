@@ -192,6 +192,46 @@ def test_reduction_float_mode():
     assert abs(vals[0] + 2 ** 0.5) < 1e-8 and abs(vals[1] - 2 ** 0.5) < 1e-8
 
 
+def _bauer_fike_bound(m):
+    """A backward error E moves a simple eigenvalue by at most cond(V) |E|,
+    V the eigenvectors of a generic combination of a1 and a2; a
+    backward-stable eigensolver has |E| <= 64 eps max(|a1|, |a2|) here."""
+    import numpy as np
+
+    A1, A2 = (np.array([[complex(M[i, j]) for j in range(m.k)]
+                        for i in range(m.k)]) for M in (m.a1, m.a2))
+    _, V = np.linalg.eig(A1 + (0.6 + 0.8j) * A2)
+    scale = max(1.0, np.linalg.norm(A1), np.linalg.norm(A2))
+    return 64 * np.finfo(float).eps * np.linalg.cond(V) * scale
+
+
+def test_reduction_float_mode_on_ill_conditioned_commuting_points():
+    # a1 has the double eigenvalue -4, split by a2
+    m = generate(GenSpec(k=4, r=2, seed=869589436, family="commuting_points"))
+    exact = canonical_reduction(m)
+    du = canonical_reduction(m, eigen_mode="float")
+    assert du.approx and du.l == exact.l == 0
+    bound = _bauer_fike_bound(m)
+    assert bound < 1e-8
+    rest = list(du.points)
+    for p1, p2 in exact.points:
+        z1, z2 = complex(p1), complex(p2)
+        errs = [max(abs(a - z1), abs(b - z2)) for a, b in rest]
+        j = min(range(len(rest)), key=errs.__getitem__)
+        assert errs[j] <= bound
+        rest.pop(j)
+
+
+def test_reduction_float_mode_keeps_concentrated_points_at_origin():
+    from monadcalc.stratify import charge_label
+
+    m = generate(GenSpec(k=6, r=2, seed=3, family="block_concentrated"))
+    du = canonical_reduction(m, eigen_mode="float")
+    assert du.approx and len(du.points) == 6
+    assert all(abs(p1) <= 1e-12 and abs(p2) <= 1e-12 for p1, p2 in du.points)
+    assert charge_label(m, "float").points_at_origin == 6
+
+
 def test_reduction_rejects_bad_mode():
     m = _diag_points(1, [0], [0])
     with pytest.raises(ValueError):

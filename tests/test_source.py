@@ -47,6 +47,23 @@ def test_heavy_dependencies_are_imported_inside_functions():
     assert found == []
 
 
+def test_scipy_is_not_imported():
+    """The float joint spectrum needs no scipy: no import of it anywhere."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
 def test_check_invariant_raises_a_domain_error():
     check_invariant(True, "holds")
     with pytest.raises(InvariantViolation, match="broken") as exc:
