@@ -14,10 +14,10 @@ from .closure import (invariant_closure, is_nilpotent,
 from .eigen import (approx_joint_eigenvalue_pairs, char_poly,
                     commuting_reduce, eigenvalues, joint_eigenvalue_pairs,
                     joint_spectrum)
-from .errors import (DimensionMismatch, DocumentError, InfeasibleSpec,
-                     IntegrabilityViolation, InvalidPoint, InvariantViolation,
-                     IrrationalSpectrum, MonadcalcError, NonCommuting,
-                     OverlapViolation, PointOnExceptionalLine,
+from .errors import (DimensionMismatch, DocumentError, FloatOverflow,
+                     InfeasibleSpec, IntegrabilityViolation, InvalidPoint,
+                     InvariantViolation, IrrationalSpectrum, MonadcalcError,
+                     NonCommuting, OverlapViolation, PointOnExceptionalLine,
                      SingularGroupElement, SurjectivityViolation)
 from .field import QI, qi
 from .generate import GenSpec, generate

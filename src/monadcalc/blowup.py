@@ -5,21 +5,37 @@ b: C^r -> W0, c: W1 -> C^r, subject to a1 d a2 - a2 d a1 + b c = 0 and
 a1(W1) + a2(W1) + b(C^r) = W0.  Points of the blowup carry homogeneous
 coordinates ([x1:x2:x3], [y1:y2]) with x1 y1 + x2 y2 = 0; the
 exceptional line is x1 = x2 = 0.
+
+The monad W1 + W0 --A~--> W0 + W1 + W0 + W1 + C^r --B~--> W0 + W1 is
+defined here once, by the blocks of its two maps (a coordinate alone
+stands for that multiple of the identity):
+
+    A~ = [[x3 a1,          -y2],
+          [x1 - d (x3 a1),   0],
+          [x3 a2,           y1],
+          [x2 - d (x3 a2),   0],
+          [x3 c,             0]]
+
+    B~ = [[x2,   x3 a2, -x1,   -x3 a1, x3 b],
+          [y1 d, y1,     y2 d,  y2,    0   ]]
+
+Both maps are linear in (x1, x2, x3, y1, y2), so their symbolic forms
+are read off the same evaluators: the coefficient of a coordinate is
+the map's value at that coordinate's unit point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import (DimensionMismatch, IntegrabilityViolation, InvalidPoint,
                      PointOnExceptionalLine, SingularGroupElement,
                      SurjectivityViolation)
-from .field import ONE, QI, ZERO, qi
-from .matrix import (Matrix, column_space, hstack, inverse, kernel_basis,
-                     rank, solve, vstack)
-from .p2 import ProjectivePoint, evaluate_A, evaluate_B
-from .polymat import PolyMatrix, poly_matmul
+from .field import qi
+from .matrix import (Matrix, block, column_space, hstack, inverse,
+                     kernel_basis, rank, solve)
+from .p2 import ProjectivePoint, _fiber_dim, evaluate_A, evaluate_B
+from .polymat import PolyMatrix, linear_polymatrix, poly_matmul
 
 
 @dataclass(frozen=True)
@@ -122,81 +138,35 @@ class BlowupPoint:
         return f"BlowupPoint({self.x!r}, [{self.y1!r}:{self.y2!r}])"
 
 
-@lru_cache(maxsize=256)
-def _coefficient_matrices(mt: MonadDataBlowup):
-    """Coefficient matrices of A~ and B~ in the monomials x1,x2,x3,y1,y2."""
-    k, r = mt.k, mt.r
-    eye = Matrix.identity(k)
-    zkk = Matrix.zeros(k, k)
-    zrk = Matrix.zeros(r, k)
-    zkr = Matrix.zeros(k, r)
-
-    def col2(top_w0, top_w1, bot_w0, bot_w1, cr):
-        return vstack([top_w0, top_w1, bot_w0, bot_w1, cr])
-
-    A: PolyMatrix = {
-        # column block 1 acts on W1, column block 2 on W0
-        (0, 0, 1, 0, 0): hstack([col2(mt.a1, -(mt.d @ mt.a1), mt.a2,
-                                      -(mt.d @ mt.a2), mt.c),
-                                 col2(zkk, zkk, zkk, zkk, zrk)]),
-        (1, 0, 0, 0, 0): hstack([col2(zkk, eye, zkk, zkk, zrk),
-                                 col2(zkk, zkk, zkk, zkk, zrk)]),
-        (0, 1, 0, 0, 0): hstack([col2(zkk, zkk, zkk, eye, zrk),
-                                 col2(zkk, zkk, zkk, zkk, zrk)]),
-        (0, 0, 0, 1, 0): hstack([col2(zkk, zkk, zkk, zkk, zrk),
-                                 col2(zkk, zkk, eye, zkk, zrk)]),
-        (0, 0, 0, 0, 1): hstack([col2(zkk, zkk, zkk, zkk, zrk),
-                                 col2(-eye, zkk, zkk, zkk, zrk)]),
-    }
-    B: PolyMatrix = {
-        (1, 0, 0, 0, 0): vstack([hstack([zkk, zkk, -eye, zkk, zkr]),
-                                 hstack([zkk, zkk, zkk, zkk, zkr])]),
-        (0, 1, 0, 0, 0): vstack([hstack([eye, zkk, zkk, zkk, zkr]),
-                                 hstack([zkk, zkk, zkk, zkk, zkr])]),
-        (0, 0, 1, 0, 0): vstack([hstack([zkk, mt.a2, zkk, -mt.a1, mt.b]),
-                                 hstack([zkk, zkk, zkk, zkk, zkr])]),
-        (0, 0, 0, 1, 0): vstack([hstack([zkk, zkk, zkk, zkk, zkr]),
-                                 hstack([mt.d, eye, zkk, zkk, zkr])]),
-        (0, 0, 0, 0, 1): vstack([hstack([zkk, zkk, zkk, zkk, zkr]),
-                                 hstack([zkk, zkk, mt.d, eye, zkr])]),
-    }
-    return A, B
+def _a_tilde(mt: MonadDataBlowup, x1, x2, x3, y1, y2) -> Matrix:
+    """A~ at raw coordinates, laid out as in the module docstring."""
+    k = mt.k
+    eye, zero = Matrix.identity(k), Matrix.zeros(k, k)
+    xa1, xa2 = mt.a1.scale(x3), mt.a2.scale(x3)
+    return block([[xa1, eye.scale(-y2)],
+                  [eye.scale(x1) - mt.d @ xa1, zero],
+                  [xa2, eye.scale(y1)],
+                  [eye.scale(x2) - mt.d @ xa2, zero],
+                  [mt.c.scale(x3), Matrix.zeros(mt.r, k)]])
 
 
-def _drop_zero(poly: PolyMatrix) -> PolyMatrix:
-    return {m: M for m, M in poly.items() if not M.is_zero()}
+def _b_tilde(mt: MonadDataBlowup, x1, x2, x3, y1, y2) -> Matrix:
+    """B~ at raw coordinates, laid out as in the module docstring."""
+    eye = Matrix.identity(mt.k)
+    return block([[eye.scale(x2), mt.a2.scale(x3), eye.scale(-x1),
+                   mt.a1.scale(-x3), mt.b.scale(x3)],
+                  [mt.d.scale(y1), eye.scale(y1), mt.d.scale(y2),
+                   eye.scale(y2), Matrix.zeros(mt.k, mt.r)]])
 
 
 def evaluate_A_blowup(mt: MonadDataBlowup, p: BlowupPoint) -> Matrix:
     """The (4k+r) x 2k blowup monad map at p."""
-    A, _ = _coefficient_matrices(mt)
-    x1, x2, x3 = p.x.coords()
-    vals = (x1, x2, x3, p.y1, p.y2)
-    out = Matrix.zeros(4 * mt.k + mt.r, 2 * mt.k)
-    for mono, M in _drop_zero(A).items():
-        s = _mono_value(mono, vals)
-        out = out + M.scale(s)
-    return out
+    return _a_tilde(mt, *p.x.coords(), p.y1, p.y2)
 
 
 def evaluate_B_blowup(mt: MonadDataBlowup, p: BlowupPoint) -> Matrix:
     """The 2k x (4k+r) blowup monad map at p."""
-    _, B = _coefficient_matrices(mt)
-    x1, x2, x3 = p.x.coords()
-    vals = (x1, x2, x3, p.y1, p.y2)
-    out = Matrix.zeros(2 * mt.k, 4 * mt.k + mt.r)
-    for mono, M in _drop_zero(B).items():
-        s = _mono_value(mono, vals)
-        out = out + M.scale(s)
-    return out
-
-
-def _mono_value(mono, vals) -> QI:
-    s = ONE
-    for e, v in zip(mono, vals):
-        for _ in range(e):
-            s = s * v
-    return s
+    return _b_tilde(mt, *p.x.coords(), p.y1, p.y2)
 
 
 def symbolic_blowup_product(mt: MonadDataBlowup) -> PolyMatrix:
@@ -206,69 +176,50 @@ def symbolic_blowup_product(mt: MonadDataBlowup) -> PolyMatrix:
     [[defect * x3^2, -sigma], [sigma, 0]] with sigma = x1 y1 + x2 y2,
     so it vanishes on the incidence locus iff the tuple is integrable.
     """
-    A, B = _coefficient_matrices(mt)
-    return poly_matmul(_drop_zero(B), _drop_zero(A))
+    units = [[int(i == j) for j in range(5)] for i in range(5)]
+    return poly_matmul(linear_polymatrix([_b_tilde(mt, *u) for u in units]),
+                       linear_polymatrix([_a_tilde(mt, *u) for u in units]))
 
 
 def fiber_dimension_blowup(mt: MonadDataBlowup, p: BlowupPoint) -> int:
-    A = evaluate_A_blowup(mt, p)
-    B = evaluate_B_blowup(mt, p)
-    return (B.cols - rank(B)) - rank(A)
-
-
-def _projection_matrix(k: int, r: int) -> Matrix:
-    """(2k+r) x (4k+r) projection killing the two W0 blocks (W = W1)."""
-    rows = 2 * k + r
-    cols = 4 * k + r
-    entries = [ZERO] * (rows * cols)
-
-    def put(i, j):
-        entries[i * cols + j] = ONE
-
-    for t in range(k):
-        put(t, k + t)            # first W1 block -> first W block
-        put(k + t, 3 * k + t)    # second W1 block -> second W block
-    for t in range(r):
-        put(2 * k + t, 4 * k + t)
-    return Matrix(rows, cols, entries)
+    return _fiber_dim(evaluate_A_blowup(mt, p), evaluate_B_blowup(mt, p))
 
 
 def fiber_projection_check(mt: MonadDataBlowup, p: BlowupPoint) -> bool:
     """Verify that forgetting the W0 blocks identifies the fibers of the
     blowup monad and of its pushforward at a point off the exceptional line.
 
-    Uses the rescaled section values y1 = x2, y2 = -x1 (legitimate off
-    the exceptional line) and checks: Ker B~ maps into Ker B, Im A~ maps
-    into Im A, and the induced map on monad cohomology fibers is an
-    isomorphism.
+    Off the exceptional line p's y-values are [x2 : -x1], fixed by x.
+    Checks: Ker B~ maps into Ker B, Im A~ maps into Im A, and the
+    induced map on monad cohomology fibers is an isomorphism.
     """
     from .stratify import pushforward
 
     if p.on_exceptional_line():
         raise PointOnExceptionalLine("fiber comparison needs x1, x2 not both 0")
-    x = p.x
-    q = BlowupPoint(x, x.x2, -x.x1)
-    k, r = mt.k, mt.r
     m = pushforward(mt)
-    At, Bt = evaluate_A_blowup(mt, q), evaluate_B_blowup(mt, q)
-    A, B = evaluate_A(m, x), evaluate_B(m, x)
-    P = _projection_matrix(k, r)
+    At, Bt = evaluate_A_blowup(mt, p), evaluate_B_blowup(mt, p)
+    A, B = evaluate_A(m, p.x), evaluate_B(m, p.x)
+    # forgetting the W0 blocks keeps the rows of W1, W1 and C^r
+    keep = [*range(mt.k, 2 * mt.k), *range(3 * mt.k, 4 * mt.k + mt.r)]
+
+    def project(M: Matrix) -> Matrix:
+        return Matrix(len(keep), M.cols, [e for i in keep for e in M.row_list(i)])
 
     Kt = kernel_basis(Bt)
-    # 1. P maps Ker B~ into Ker B.
-    if not (B @ (P @ Kt.basis)).is_zero():
+    PK = project(Kt.basis)
+    # 1. The projection maps Ker B~ into Ker B.
+    if not (B @ PK).is_zero():
         return False
-    # 2. P maps Im A~ into Im A.
-    if solve(A, P @ At) is None:
+    # 2. It maps Im A~ into Im A.
+    if solve(A, project(At)) is None:
         return False
     # 3. The induced map on fibers is injective and dimensions agree.
-    dim_fiber_t = Kt.dim - rank(At)
-    dim_fiber = (B.cols - rank(B)) - rank(A)
-    if dim_fiber_t != dim_fiber:
+    rank_At = rank(At)
+    if Kt.dim - rank_At != _fiber_dim(A, B):
         return False
     # Preimage of Im A inside Ker B~: parametrize v = Kt.basis @ t and
-    # require P v to be annihilated by the annihilator of Im A.
-    ann = column_space(A).annihilator()
-    cond = ann.basis.transpose() @ (P @ Kt.basis)
-    preimage_dim = cond.cols - rank(cond)
-    return preimage_dim == rank(At)
+    # require the projection of v to be annihilated by the annihilator
+    # of Im A.
+    cond = column_space(A).annihilator().basis.transpose() @ PK
+    return cond.cols - rank(cond) == rank_At

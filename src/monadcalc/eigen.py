@@ -27,8 +27,8 @@ from math import gcd, isfinite, lcm
 from typing import List, Sequence, Tuple
 
 from .closure import is_nilpotent
-from .errors import (DimensionMismatch, IrrationalSpectrum, NonCommuting,
-                     NonSquareMatrix, check_invariant)
+from .errors import (DimensionMismatch, FloatOverflow, IrrationalSpectrum,
+                     NonCommuting, NonSquareMatrix, check_invariant)
 from .field import ONE, QI, ZERO, Rat
 from .matrix import (Matrix, Subspace, basis_extension, block, inverse,
                      kernel_basis, solve, vstack)
@@ -287,7 +287,10 @@ def joint_spectrum(mats: Sequence[Matrix],
     for s in range((len(mats) - 1) * k * (k - 1) // 2 + 1):
         ell = sum((M.scale(s ** i) for i, M in enumerate(mats[1:], 1)),
                   mats[0])
-        found = _read_through(mats, ell, approx)
+        try:
+            found = _read_through(mats, ell, approx)
+        except OverflowError as exc:  # complex() of a huge exact value
+            raise FloatOverflow(str(exc)) from None
         if found is not None:
             return sorted(found, key=_joint_key)
     check_invariant(False, "no linear form separates a commuting family")

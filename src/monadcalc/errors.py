@@ -29,6 +29,10 @@ class IrrationalSpectrum(MonadcalcError):
     """
 
 
+class FloatOverflow(MonadcalcError):
+    """The approximate mode met an exact value outside the float range."""
+
+
 class IntegrabilityViolation(MonadcalcError):
     """Raised by validators; carries the nonzero defect matrix."""
 

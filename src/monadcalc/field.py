@@ -10,14 +10,14 @@ from __future__ import annotations
 
 try:
     from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is optional (extra "fast"); same results, slower
     from fractions import Fraction as Rat
 
 
 def _to_rat(x) -> Rat:
-    if isinstance(x, int) or type(x) is Rat:
-        return Rat(x)
-    if isinstance(x, str):
+    if type(x) is Rat:  # immutable: no copy needed
+        return x
+    if isinstance(x, (int, str)):
         return Rat(x)
     # Fraction <-> mpq interop and similar rational-like objects.
     if hasattr(x, "numerator") and hasattr(x, "denominator"):

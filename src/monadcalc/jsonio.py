@@ -5,7 +5,7 @@ A document is
     {
       "schema_version": "1",
       "kind": "p2" | "blowup",
-      "k": <int>, "r": <int>,
+      "k": <int>, "r": <int>,               # nonnegative, not booleans
       "matrices": {
         "a1": [[{"re": "p/q", "im": "p/q"}, ...], ...],
         "a2": ..., "b": ..., "c": ...,        # and "d" for blowup
@@ -98,7 +98,8 @@ def from_document(doc) -> Instance:
     if kind not in ("p2", "blowup"):
         raise DocumentError(f"kind must be 'p2' or 'blowup', got {kind!r}")
     k, r = doc.get("k"), doc.get("r")
-    if not (isinstance(k, int) and isinstance(r, int) and k >= 0 and r >= 0):
+    # bool is an int subclass, but true/false are not JSON integers
+    if not all(type(n) is int and n >= 0 for n in (k, r)):
         raise DocumentError("k and r must be nonnegative integers")
     mats = doc.get("matrices")
     if not isinstance(mats, dict):

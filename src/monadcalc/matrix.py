@@ -95,6 +95,10 @@ class Matrix:
 
     def scale(self, s) -> "Matrix":
         s = qi(s)
+        if s.is_zero():
+            return Matrix.zeros(self.rows, self.cols)
+        if s == ONE:
+            return self
         return Matrix(self.rows, self.cols, [s * a for a in self.entries])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":

@@ -21,7 +21,7 @@ from .errors import (DimensionMismatch, IntegrabilityViolation, InvalidPoint,
 from .field import QI, qi
 from .matrix import (Matrix, Subspace, basis_extension, column_space, hstack,
                      inverse, rank, vstack)
-from .polymat import PolyMatrix, poly_matmul
+from .polymat import PolyMatrix, linear_polymatrix, poly_matmul
 
 
 class ProjectivePoint:
@@ -153,35 +153,29 @@ def evaluate_B(m: MonadDataP2, p: ProjectivePoint) -> Matrix:
     ])
 
 
+# the unit points, at which A and B take their coefficient matrices
+_UNITS = (ProjectivePoint(1, 0, 0), ProjectivePoint(0, 1, 0),
+          ProjectivePoint(0, 0, 1))
+
+
 def symbolic_monad_product(m: MonadDataP2) -> PolyMatrix:
     """B A as a matrix-coefficient polynomial in (x1, x2, x3).
 
     For every raw tuple this equals ([a1, a2] + b c) * x3^2; all other
     monomial coefficients cancel identically.
     """
-    k, r = m.k, m.r
-    eye = Matrix.identity(k)
-    zkk = Matrix.zeros(k, k)
-    zrk = Matrix.zeros(r, k)
-    zkr = Matrix.zeros(k, r)
-    A: PolyMatrix = {
-        (1, 0, 0): vstack([eye, zkk, zrk]),
-        (0, 1, 0): vstack([zkk, eye, zrk]),
-        (0, 0, 1): vstack([-m.a1, -m.a2, m.c]),
-    }
-    B: PolyMatrix = {
-        (1, 0, 0): hstack([zkk, eye, zkr]),
-        (0, 1, 0): hstack([-eye, zkk, zkr]),
-        (0, 0, 1): hstack([m.a2, -m.a1, m.b]),
-    }
-    return poly_matmul(B, A)
+    return poly_matmul(linear_polymatrix([evaluate_B(m, p) for p in _UNITS]),
+                       linear_polymatrix([evaluate_A(m, p) for p in _UNITS]))
 
 
 def fiber_dimension(m: MonadDataP2, p: ProjectivePoint) -> int:
     """dim Ker B(p) - rank A(p); equals r wherever the monad maps have
     maximal rank."""
-    A = evaluate_A(m, p)
-    B = evaluate_B(m, p)
+    return _fiber_dim(evaluate_A(m, p), evaluate_B(m, p))
+
+
+def _fiber_dim(A: Matrix, B: Matrix) -> int:
+    """dim Ker B - rank A: the dimension of a monad's cohomology at a point."""
     return (B.cols - rank(B)) - rank(A)
 
 

@@ -7,11 +7,19 @@ symbolic machinery the monad identities need.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .matrix import Matrix
 
 PolyMatrix = Dict[Tuple[int, ...], Matrix]
+
+
+def linear_polymatrix(values: Sequence[Matrix]) -> PolyMatrix:
+    """The polynomial matrix of a map linear in n = len(values) coordinates,
+    from its values at the n unit points: each is its coordinate's coefficient."""
+    n = len(values)
+    return {tuple(int(i == j) for j in range(n)): M
+            for i, M in enumerate(values) if not M.is_zero()}
 
 
 def poly_matmul(p: PolyMatrix, q: PolyMatrix) -> PolyMatrix:

@@ -154,6 +154,20 @@ def test_reduce_float_on_ill_conditioned_commuting_points(tmp_path, capsys):
     assert len(rep["points"]) == len(exact["points"]) == 4
 
 
+def test_reduce_float_reports_values_beyond_the_float_range(tmp_path, capsys):
+    m = MonadDataP2(Matrix.diagonal([10 ** 400, 1]), Matrix.zeros(2, 2),
+                    Matrix.zeros(2, 1), Matrix.zeros(1, 2))
+    path = tmp_path / "huge.json"
+    jsonio.write_file(path, m)
+    assert main(["reduce", str(path)]) == EXIT_OK
+    assert len(_last_json(capsys)["points"]) == 2
+    assert main(["reduce", str(path), "--float"]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and captured.err == ""
+    assert json.loads(lines[0])["error"] == "FloatOverflow"
+
+
 # -- trivialize ----------------------------------------------------------
 
 def test_trivialize_ok(tmp_path, capsys):

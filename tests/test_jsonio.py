@@ -78,6 +78,8 @@ def test_rejects_malformed_documents():
     _corrupt(lambda d: d.update(kind="p3"))
     _corrupt(lambda d: d.update(k="2"))
     _corrupt(lambda d: d.update(k=-1))
+    _corrupt(lambda d: d.update(k=True))
+    _corrupt(lambda d: d.update(r=False))
     _corrupt(lambda d: d.pop("matrices"))
     _corrupt(lambda d: d["matrices"].pop("c"))
     _corrupt(lambda d: d["matrices"].update(extra=[]))
@@ -96,6 +98,17 @@ def test_rejects_malformed_documents():
             0, {"re": bad, "im": "0/1"}))
         _corrupt(lambda d: d["matrices"]["b"][1].__setitem__(
             0, {"re": "0/1", "im": bad}))
+
+
+def test_rejects_boolean_dimensions():
+    # true == 1 in Python, so a k = r = 1 document would pass the shape checks
+    doc = jsonio.to_document(
+        generate(GenSpec(k=1, r=1, seed=0, family="commuting_points")))
+    assert jsonio.from_document(doc).k == 1
+    for key in ("k", "r"):
+        bad = dict(doc, **{key: True})
+        with pytest.raises(DocumentError, match="nonnegative integers"):
+            jsonio.from_document(bad)
 
 
 def test_rejects_hostile_documents():

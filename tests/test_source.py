@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -9,6 +10,7 @@ import monadcalc
 from monadcalc.errors import InvariantViolation, MonadcalcError, check_invariant
 
 SRC = pathlib.Path(monadcalc.__file__).parent
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "monadbench" / "tracer.py"
 
 
 def test_no_assert_statements_in_package():
@@ -69,3 +71,16 @@ def test_check_invariant_raises_a_domain_error():
     with pytest.raises(InvariantViolation, match="broken") as exc:
         check_invariant(False, "broken")
     assert isinstance(exc.value, MonadcalcError)
+
+
+def test_benchmark_layer_modules_import():
+    """Every module the benchmark tracer wraps exists, so removing one
+    fails the test suite rather than a traced benchmark run."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"), filename=str(TRACER))
+    layers = [ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets]
+              == ["LAYER_MODULES"]]
+    assert len(layers) == 1 and layers[0]
+    for name in layers[0]:
+        importlib.import_module(f"monadcalc.{name}")
