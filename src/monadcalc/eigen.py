@@ -30,8 +30,8 @@ from .closure import is_nilpotent
 from .errors import (DimensionMismatch, FloatOverflow, IrrationalSpectrum,
                      NonCommuting, NonSquareMatrix, check_invariant)
 from .field import ONE, QI, ZERO, Rat
-from .matrix import (Matrix, Subspace, basis_extension, block, inverse,
-                     kernel_basis, solve, vstack)
+from .matrix import (Gauss, Matrix, Subspace, basis_extension, block,
+                     inverse, kernel_basis, solve, vstack)
 
 
 def char_poly(M: Matrix) -> List[QI]:
@@ -47,9 +47,6 @@ def char_poly(M: Matrix) -> List[QI]:
         coeffs.append(c)
         N = MN + Matrix.identity(k).scale(c)
     return coeffs
-
-
-Gauss = Tuple[int, int]  # a + b i in Z[i]
 
 
 def _gmul(x: Gauss, y: Gauss) -> Gauss:

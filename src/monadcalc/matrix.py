@@ -3,14 +3,20 @@
 Everything is immutable by convention; operations return fresh values.
 Subspaces are stored in reduced column echelon form so that equality of
 subspaces is equality of their basis matrices.
+
+Entries are Gaussian rationals in and Gaussian rationals out.  In
+between, elimination (rref, rank, solve, inverse, and the kernels and
+spans built on them) is fraction-free over Z[i]; products, powers and
+traces work on the ``QI`` entries directly.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NonSquareMatrix
-from .field import ONE, QI, ZERO, qi
+from .field import ONE, QI, ZERO, Rat, qi
 
 
 class Matrix:
@@ -208,69 +214,133 @@ def block(rows_of_blocks: Sequence[Sequence[Matrix]]) -> Matrix:
 
 
 # -- elimination --------------------------------------------------------
+#
+# Gaussian integers a + b i are (a, b) pairs.  Elimination never leaves
+# Z[i]: each row is first cleared to Gaussian integers by its own common
+# denominator (row scaling keeps the RREF), then fraction-free
+# Gauss-Jordan (Bareiss, Math. Comp. 22, 1968) updates every other row as
+# (p * row - f * pivot_row) / d, with p the new pivot and d the previous
+# one; each division is exact.  Only the entries a caller needs are
+# divided back into Q(i).
+
+Gauss = Tuple[int, int]
+
+
+def _gauss_rows(*mats: Matrix) -> List[List[Gauss]]:
+    """The rows of the horizontal concatenation of ``mats``, each scaled
+    to Gaussian integers by its own common denominator."""
+    out = []
+    for i in range(mats[0].rows):
+        row = [x for M in mats
+               for x in M.entries[i * M.cols:(i + 1) * M.cols]]
+        den = lcm(*(q.denominator for x in row for q in (x.re, x.im)))
+        out.append([(x.re.numerator * (den // x.re.denominator),
+                     x.im.numerator * (den // x.im.denominator))
+                    for x in row])
+    return out
+
+
+def _eliminate(rows: List[List[Gauss]]) -> Tuple[Gauss, Tuple[int, ...]]:
+    """Fraction-free Gauss-Jordan over Z[i], in place.
+
+    Returns ``(d, pivots)``: afterwards row r is d times row r of the
+    RREF for r < len(pivots), and the rows below are zero.
+    """
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    pivots = []
+    dr, di = 1, 0  # the previous pivot
+    for c in range(nc):
+        r = len(pivots)
+        if r == nr:
+            break
+        for i in range(r, nr):
+            if rows[i][c] != (0, 0):
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        prow = rows[r]
+        pr, pi = prow[c]
+        nd = dr * dr + di * di
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            fr, fi = row[c]
+            if not (fr or fi) and pr == dr and pi == di:
+                continue  # p * row / d = row
+            new = []
+            for (xr, xi), (yr, yi) in zip(row, prow):
+                ar = pr * xr - pi * xi - fr * yr + fi * yi
+                ai = pr * xi + pi * xr - fr * yi - fi * yr
+                if di:
+                    ar, ai = (ar * dr + ai * di) // nd, (ai * dr - ar * di) // nd
+                elif dr != 1:
+                    ar, ai = ar // dr, ai // dr
+                new.append((ar, ai))
+            rows[i] = new
+        pivots.append(c)
+        dr, di = pr, pi
+    return (dr, di), tuple(pivots)
+
+
+def _divider(d: Gauss):
+    """x -> x / d in Q(i), for Gaussian integers x and d != 0."""
+    dr, di = d
+    nd = dr * dr + di * di
+
+    def div(x):
+        xr, xi = x
+        if not (xr or xi):
+            return ZERO
+        if x == d:
+            return ONE
+        if di:
+            return QI(Rat(xr * dr + xi * di, nd), Rat(xi * dr - xr * di, nd))
+        return QI(Rat(xr, dr), Rat(xi, dr))
+    return div
+
 
 def rref(M: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
     """Reduced row echelon form and pivot columns (Gauss-Jordan, exact)."""
-    rows = [M.row_list(i) for i in range(M.rows)]
-    nr, nc = M.rows, M.cols
-    pivots = []
-    pr = 0
-    for pc in range(nc):
-        pivot_row = None
-        for i in range(pr, nr):
-            if not rows[i][pc].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        inv = rows[pr][pc].inverse()
-        rows[pr] = [inv * x for x in rows[pr]]
-        for i in range(nr):
-            if i == pr:
-                continue
-            f = rows[i][pc]
-            if f.is_zero():
-                continue
-            rows[i] = [x - f * y for x, y in zip(rows[i], rows[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == nr:
-            break
-    flat = [x for r in rows for x in r]
-    return Matrix(nr, nc, flat), tuple(pivots)
+    rows = _gauss_rows(M)
+    d, pivots = _eliminate(rows)
+    div = _divider(d)
+    flat = [div(x) for row in rows[:len(pivots)] for x in row]
+    flat += [ZERO] * ((M.rows - len(pivots)) * M.cols)
+    return Matrix(M.rows, M.cols, flat), pivots
 
 
 def rank(M: Matrix) -> int:
-    return len(rref(M)[1])
+    return len(_eliminate(_gauss_rows(M))[1])
+
+
+def _solve(A: Matrix, B: Matrix) -> Optional[Matrix]:
+    # shared by solve and inverse; inverse calls this and not solve so that
+    # a traced run counts inverse calls under inverse alone
+    rows = _gauss_rows(A, B)
+    d, pivots = _eliminate(rows)
+    # Any pivot landing in the B-block signals inconsistency.
+    if any(p >= A.cols for p in pivots):
+        return None
+    div = _divider(d)
+    X = [[ZERO] * B.cols for _ in range(A.cols)]
+    for row, p in zip(rows, pivots):
+        X[p] = [div(x) for x in row[A.cols:]]
+    return Matrix(A.cols, B.cols, [x for row in X for x in row])
 
 
 def solve(A: Matrix, B: Matrix) -> Optional[Matrix]:
     """A particular exact solution X of ``A X = B``, or None if inconsistent."""
     if A.rows != B.rows:
         raise DimensionMismatch("solve with mismatched row counts")
-    R, pivots = rref(hstack([A, B]))
-    # Any pivot landing in the B-block signals inconsistency.
-    if any(p >= A.cols for p in pivots):
-        return None
-    X = [[ZERO] * B.cols for _ in range(A.cols)]
-    for r, p in enumerate(pivots):
-        for j in range(B.cols):
-            X[p][j] = R[r, A.cols + j]
-    return Matrix(A.cols, B.cols, [x for row in X for x in row])
+    return _solve(A, B)
 
 
 def inverse(A: Matrix) -> Optional[Matrix]:
     if not A.is_square():
         raise NonSquareMatrix("inverse needs a square matrix")
-    R, pivots = rref(hstack([A, Matrix.identity(A.rows)]))
-    # Singular A pushes pivots into the identity block; require them to
-    # be exactly the A-columns.
-    if tuple(pivots[:A.rows]) != tuple(range(A.rows)) or len(pivots) != A.rows:
-        return None
-    return Matrix(A.rows, A.rows,
-                  [R[i, A.cols + j] for i in range(A.rows)
-                   for j in range(A.rows)])
+    # A X = I is inconsistent exactly when A is singular
+    return _solve(A, Matrix.identity(A.rows))
 
 
 # -- subspaces ----------------------------------------------------------
@@ -346,10 +416,15 @@ class Subspace:
 
 def basis_extension(space: Subspace) -> Matrix:
     """Invertible matrix whose first dim columns are the subspace basis,
-    followed by the unit vectors of the rows without a basis pivot."""
-    n = space.ambient_dim
-    _, pivot_rows = rref(space.basis.transpose())
-    others = [j for j in range(n) if j not in set(pivot_rows)]
+    followed by the unit vectors of the rows without a basis pivot.
+
+    The basis is in reduced column echelon form (or is one column of
+    such a basis), so the pivot of each column is its first nonzero row.
+    """
+    n, B = space.ambient_dim, space.basis
+    pivot_rows = {next(i for i in range(n) if not B[i, j].is_zero())
+                  for j in range(space.dim)}
+    others = [j for j in range(n) if j not in pivot_rows]
     unit_cols = [Matrix.column([ONE if i == j else ZERO for i in range(n)])
                  for j in others]
     pieces = [space.basis] + unit_cols

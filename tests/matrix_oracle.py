@@ -1,0 +1,106 @@
+"""Reference elimination over Q(i): Gauss-Jordan on ``QI`` entries.
+
+This is the elimination kernel the package used before its fraction-free
+Z[i] kernel, kept as the oracle that ``tests/test_matrix_oracle.py``
+compares ``rref``, ``rank``, ``solve``, ``inverse``, ``kernel_basis`` and
+``basis_extension`` against.
+"""
+
+from monadcalc.field import ONE, ZERO
+from monadcalc.matrix import Matrix, Subspace, hstack
+
+
+def rref(M):
+    """Reduced row echelon form and pivot columns (Gauss-Jordan, exact)."""
+    rows = [M.row_list(i) for i in range(M.rows)]
+    nr, nc = M.rows, M.cols
+    pivots = []
+    pr = 0
+    for pc in range(nc):
+        pivot_row = None
+        for i in range(pr, nr):
+            if not rows[i][pc].is_zero():
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+        inv = rows[pr][pc].inverse()
+        rows[pr] = [inv * x for x in rows[pr]]
+        for i in range(nr):
+            if i == pr:
+                continue
+            f = rows[i][pc]
+            if f.is_zero():
+                continue
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == nr:
+            break
+    flat = [x for r in rows for x in r]
+    return Matrix(nr, nc, flat), tuple(pivots)
+
+
+def rank(M):
+    return len(rref(M)[1])
+
+
+def solve(A, B):
+    R, pivots = rref(hstack([A, B]))
+    if any(p >= A.cols for p in pivots):
+        return None
+    X = [[ZERO] * B.cols for _ in range(A.cols)]
+    for r, p in enumerate(pivots):
+        for j in range(B.cols):
+            X[p][j] = R[r, A.cols + j]
+    return Matrix(A.cols, B.cols, [x for row in X for x in row])
+
+
+def inverse(A):
+    R, pivots = rref(hstack([A, Matrix.identity(A.rows)]))
+    if tuple(pivots[:A.rows]) != tuple(range(A.rows)) or len(pivots) != A.rows:
+        return None
+    return Matrix(A.rows, A.rows,
+                  [R[i, A.cols + j] for i in range(A.rows)
+                   for j in range(A.rows)])
+
+
+def from_span(columns):
+    R, pivots = rref(columns.transpose())
+    rows = [R.row_list(i) for i in range(len(pivots))]
+    if rows:
+        basis = Matrix(len(rows), columns.rows,
+                       [x for r in rows for x in r]).transpose()
+    else:
+        basis = Matrix.zeros(columns.rows, 0)
+    return Subspace(columns.rows, basis)
+
+
+def kernel_basis(M):
+    R, pivots = rref(M)
+    pivset = set(pivots)
+    cols = []
+    for f in (j for j in range(M.cols) if j not in pivset):
+        v = [ZERO] * M.cols
+        v[f] = ONE
+        for r, p in enumerate(pivots):
+            v[p] = -R[r, f]
+        cols.append(v)
+    if cols:
+        B = Matrix(len(cols), M.cols, [x for c in cols for x in c]).transpose()
+    else:
+        B = Matrix.zeros(M.cols, 0)
+    return from_span(B)
+
+
+def basis_extension(space):
+    """The basis followed by the unit vectors of the rows without a pivot
+    of ``rref(basis^T)``."""
+    n = space.ambient_dim
+    _, pivot_rows = rref(space.basis.transpose())
+    others = [j for j in range(n) if j not in set(pivot_rows)]
+    unit_cols = [Matrix.column([ONE if i == j else ZERO for i in range(n)])
+                 for j in others]
+    pieces = [space.basis] + unit_cols
+    return hstack(pieces) if space.dim + len(others) > 0 else Matrix.zeros(n, 0)

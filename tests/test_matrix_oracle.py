@@ -1,0 +1,271 @@
+"""The fraction-free elimination kernel against the QI Gauss-Jordan oracle.
+
+``rref``, ``rank``, ``solve``, ``inverse`` and ``kernel_basis`` must give
+exactly what the same functions built on ``matrix_oracle.rref`` give: on
+random shapes (empty, all-zero, rank-deficient, identity blocks), on
+entries with 200-bit numerators, on every matrix they receive while the
+seeded families run, and on hypothesis-drawn small matrices.
+"""
+
+import sys
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import matrix_oracle as oracle
+from conftest import family_instances, rng
+from monadcalc import matrix
+from monadcalc.blowup import BlowupPoint, fiber_projection_check
+from monadcalc.errors import IrrationalSpectrum
+from monadcalc.field import ONE, QI, ZERO, qi
+from monadcalc.matrix import (Matrix, hstack, inverse, kernel_basis, rank,
+                              rref, solve)
+from monadcalc.p2 import ProjectivePoint, canonical_reduction
+from monadcalc.stratify import classify_s0, pushforward
+from monadcalc.trivialize import verify_trivialization
+
+ELIMINATION = ("rref", "rank", "solve", "inverse", "kernel_basis")
+
+
+def _assert_matches_oracle(name, args, out=None):
+    if out is None:
+        out = getattr(matrix, name)(*args)
+    assert out == getattr(oracle, name)(*args), (name, args)
+
+
+def _assert_all_match(M, B):
+    """Every elimination entry point on M (and the right-hand side B)."""
+    for name in ("rref", "rank", "kernel_basis"):
+        _assert_matches_oracle(name, (M,))
+    _assert_matches_oracle("solve", (M, B))
+    if M.is_square():
+        _assert_matches_oracle("inverse", (M,))
+
+
+def _entry(r_, bits=4):
+    if r_.random() < 0.3:
+        return ZERO
+    im = r_.randint(-2 ** bits, 2 ** bits) if r_.random() < 0.6 else 0
+    return qi(Fraction(r_.randint(-2 ** bits, 2 ** bits), r_.choice((1, 1, 2, 3, 4))),
+              Fraction(im, r_.choice((1, 2, 5))))
+
+
+def _matrix(r_, rows, cols, **kw):
+    return Matrix(rows, cols, [_entry(r_, **kw) for _ in range(rows * cols)])
+
+
+def _random_case(r_, rows, cols):
+    kind = r_.choice(("dense", "low rank", "zero", "identity block"))
+    if kind == "low rank" and rows and cols:
+        k = r_.randint(1, min(rows, cols))
+        return _matrix(r_, rows, k) @ _matrix(r_, k, cols)
+    if kind == "zero":
+        return Matrix.zeros(rows, cols)
+    if kind == "identity block" and rows and cols:
+        k = min(rows, cols)
+        eye = Matrix.identity(k)
+        if rows > k:
+            return matrix.vstack([eye, _matrix(r_, rows - k, cols)])
+        return hstack([_matrix(r_, rows, cols - k), eye]) if cols > k else eye
+    return _matrix(r_, rows, cols)
+
+
+def _rhs(r_, M):
+    """A right-hand side for M: consistent (M X) or random."""
+    nrhs = r_.randint(0, 3)
+    if r_.random() < 0.5:
+        return M @ _matrix(r_, M.cols, nrhs)
+    return _matrix(r_, M.rows, nrhs)
+
+
+# -- random shapes ------------------------------------------------------
+
+def test_random_shapes_match_oracle():
+    r_ = rng(80)
+    shapes = [(0, n) for n in range(4)] + [(n, 0) for n in range(4)]
+    shapes += [(r_.randint(1, 9), r_.randint(1, 12)) for _ in range(160)]
+    shapes += [(n, n) for n in range(1, 10) for _ in range(4)]
+    for rows, cols in shapes:
+        M = _random_case(r_, rows, cols)
+        _assert_all_match(M, _rhs(r_, M))
+
+
+def test_large_entries_match_oracle():
+    """200-bit numerators over mixed denominators, Gaussian and real."""
+    r_ = rng(81)
+    dens = (1, 3, 2 ** 61 - 1, r_.getrandbits(64) | 1, 10 ** 20)
+
+    def big():
+        if r_.random() < 0.2:
+            return ZERO
+        re = Fraction(r_.getrandbits(200) - 2 ** 199, r_.choice(dens))
+        im = Fraction(r_.getrandbits(200) - 2 ** 199, r_.choice(dens))
+        return qi(re, im if r_.random() < 0.5 else 0)
+
+    for _ in range(12):
+        rows, cols = r_.randint(1, 6), r_.randint(1, 7)
+        M = Matrix(rows, cols, [big() for _ in range(rows * cols)])
+        if r_.random() < 0.4 and rows > 1:  # repeat a row: rank deficient
+            M = matrix.vstack([M, Matrix(1, cols, M.row_list(0)).scale(qi(3, -1))])
+        B = Matrix(M.rows, 2, [big() for _ in range(2 * M.rows)])
+        _assert_all_match(M, B)
+        n = min(rows, cols)
+        _assert_matches_oracle("inverse", (Matrix(n, n, [big() for _ in range(n * n)]),))
+
+
+def test_inconsistent_and_singular_give_none():
+    A = Matrix.from_rows([[1, 2, 0], [2, 4, 0], [0, 0, qi(0, 1)]])
+    assert solve(A, Matrix.column([1, 3, 0])) is None
+    assert solve(A, Matrix.column([1, 2, 5])) == Matrix.column([1, 0, qi(0, -5)])
+    assert solve(Matrix.zeros(2, 0), Matrix.column([0, 1])) is None
+    assert inverse(A) is None
+    assert inverse(Matrix.zeros(3, 3)) is None
+    assert inverse(Matrix.from_rows([[ONE, qi(0, 1)], [qi(0, 1), -ONE]])) is None
+    _assert_matches_oracle("solve", (A, Matrix.column([1, 3, 0])))
+    _assert_matches_oracle("inverse", (A,))
+
+
+# -- matrices the seeded families eliminate -----------------------------
+
+def _recording(monkeypatch, names):
+    """Wrap ``names`` of monadcalc.matrix in every package module that
+    binds them; returns the list of (name, args, result) they see."""
+    seen = []
+    for name in names:
+        fn = getattr(matrix, name)
+
+        def wrapper(*args, _fn=fn, _name=name):
+            out = _fn(*args)
+            seen.append((_name, args, out))
+            return out
+
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("monadcalc")
+                    and getattr(mod, name, None) is fn):
+                monkeypatch.setattr(mod, name, wrapper)
+    return seen
+
+
+def test_seeded_family_eliminations_match_oracle(monkeypatch):
+    seen = _recording(monkeypatch, ELIMINATION)
+    for m in family_instances("block_concentrated", 6, seed=3):
+        verify_trivialization(m, n_samples=2)
+        canonical_reduction(m)
+    for m in family_instances("commuting_points", 5, seed=3):
+        canonical_reduction(m)
+    off = BlowupPoint.over(ProjectivePoint(1, 2, 1))
+    for mt in family_instances("blowup_generic", 5, seed=3):
+        classify_s0(mt)
+        fiber_projection_check(mt, off)
+        try:
+            canonical_reduction(pushforward(mt))
+        except IrrationalSpectrum:
+            pass
+    assert {name for name, _, _ in seen} == set(ELIMINATION)
+    checked = set()
+    for name, args, out in seen:
+        if (name, args) not in checked:
+            checked.add((name, args))
+            _assert_matches_oracle(name, args, out)
+    assert len(checked) > 200
+
+
+def test_basis_extension_matches_oracle_on_reduce_blocks(monkeypatch):
+    """basis_extension reads the pivots off the canonical basis; the
+    oracle finds them by an rref of its transpose."""
+    seen = _recording(monkeypatch, ("basis_extension",))
+    for family in ("commuting_points", "block_concentrated", "charge_one"):
+        for m in family_instances(family, 12, seed=5):
+            canonical_reduction(m)
+    assert len(seen) > 30
+    assert any(space.dim > 1 for _, (space,), _ in seen)
+    for _, (space,), out in seen:
+        assert out == oracle.basis_extension(space)
+
+
+# -- properties of the kernel -------------------------------------------
+
+def test_rank_constructs_no_qi(monkeypatch):
+    r_ = rng(82)
+    mats = [_matrix(r_, 6, 7), _matrix(r_, 3, 5) @ _matrix(r_, 5, 4),
+            Matrix.zeros(2, 3), Matrix.identity(4)]
+    made = []
+    init = QI.__init__
+
+    def counting(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(QI, "__init__", counting)
+    ranks = [rank(M) for M in mats]
+    assert made == []
+    monkeypatch.undo()
+    assert ranks == [oracle.rank(M) for M in mats] == [6, 3, 0, 4]
+
+
+class _Opaque:
+    """A rational that offers nothing but ``numerator`` and
+    ``denominator``, the whole interface the kernel may use."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, q):
+        self.numerator, self.denominator = q.numerator, q.denominator
+
+    def __eq__(self, other):
+        raise TypeError("opaque rational compared")
+
+    __hash__ = None
+
+
+def _opaque(M):
+    def entry(x):
+        y = object.__new__(QI)
+        y.re, y.im = _Opaque(x.re), _Opaque(x.im)
+        return y
+    return Matrix(M.rows, M.cols, [entry(x) for x in M.entries])
+
+
+def test_kernel_reads_only_numerator_and_denominator():
+    """Another rational type (gmpy2's mpq) works in the kernel unchanged."""
+    r_ = rng(83)
+    for _ in range(10):
+        n = r_.randint(1, 5)
+        M = _random_case(r_, n, n)
+        B = _matrix(r_, n, 2)
+        assert rref(_opaque(M)) == oracle.rref(M)
+        assert rank(_opaque(M)) == oracle.rank(M)
+        assert solve(_opaque(M), _opaque(B)) == oracle.solve(M, B)
+        assert inverse(_opaque(M)) == oracle.inverse(M)
+
+
+# -- hypothesis ---------------------------------------------------------
+
+_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+_entries = st.one_of(st.just(ZERO), st.just(ONE),
+                     st.builds(QI, _rationals, _rationals),
+                     st.builds(QI, _rationals))
+
+
+@st.composite
+def _matrices(draw, max_rows=5, max_cols=6):
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(0, max_cols))
+    entries = draw(st.lists(_entries, min_size=rows * cols,
+                            max_size=rows * cols))
+    return Matrix(rows, cols, entries)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_matrices(), st.data())
+def test_hypothesis_matrices_match_oracle(M, data):
+    rows, cols = data.draw(st.sampled_from([(M.rows, 1), (M.rows, 2)]))
+    B = Matrix(rows, cols, data.draw(st.lists(_entries, min_size=rows * cols,
+                                              max_size=rows * cols)))
+    _assert_all_match(M, B)
+    R, pivots = rref(M)
+    assert rref(R) == (R, pivots)
+    assert all(R[i, p] == ONE for i, p in enumerate(pivots))
+    assert (M @ kernel_basis(M).basis).is_zero()
+
