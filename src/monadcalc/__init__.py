@@ -1,9 +1,10 @@
 """monadcalc: exact ADHM-style monad calculus for framed sheaves on the
 projective plane and its blowup.
 
-All arithmetic is exact over the Gaussian rationals Q(i); floating point
-only proposes eigenvalue candidates that are then checked exactly, and
-otherwise gives the roots of the optional approximate joint spectrum.
+All arithmetic is exact over the Gaussian rationals Q(i), eigenvalues
+included: their roots are found with Gaussian-integer arithmetic alone.
+Floating point gives only the roots of the optional approximate joint
+spectrum (``eigen_mode="float"``, ``reduce --float``).
 """
 
 from .blowup import (BlowupPoint, MonadDataBlowup, act2, blowup_defect,

@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract:
   0  success
-  1  I/O, JSON or document-shape error (including wrong document kind)
+  1  I/O, JSON or document-shape error (including wrong document kind
+     and an output file that cannot be written)
   2  domain invalidity (integrability/surjectivity violation, infeasible
      generator spec, irrational spectrum in exact mode, ...)
 """
@@ -217,14 +218,19 @@ def cmd_batch(args) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(least: int):
+    """An argparse type: an int no smaller than ``least``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {value}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="stratum classification of blowup data")
     p.add_argument("path")
-    p.add_argument("--oracle-maxlen", type=int, default=None,
+    p.add_argument("--oracle-maxlen", type=_int_at_least(0), default=None,
                    help="also run the exhaustive word oracle up to this length")
     p.set_defaults(func=cmd_classify)
 
@@ -256,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trivialize", help="verify the explicit trivialization")
     p.add_argument("path")
-    p.add_argument("--samples", type=_positive_int, default=10)
+    p.add_argument("--samples", type=_int_at_least(1), default=10)
     p.set_defaults(func=cmd_trivialize)
 
     p = sub.add_parser("generate", help="write a seeded family instance")
@@ -269,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", help="validate/classify a directory of documents")
     p.add_argument("dir")
-    p.add_argument("--jobs", type=_positive_int, default=None,
+    p.add_argument("--jobs", type=_int_at_least(1), default=None,
                    help="parallel workers (default: number of processors)")
     p.set_defaults(func=cmd_batch)
 
@@ -280,6 +286,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except DocumentError as exc:  # a document that cannot be read or written
+        return _fail_io(str(exc))
     except MonadcalcError as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)})
         return EXIT_DOMAIN

@@ -1,15 +1,14 @@
 """Exact spectra of commuting families: characteristic polynomials,
 eigenvalues in Q(i), joint spectra and simultaneous triangularization.
 
-Roots in Q(i) are found without factorization.  Substituting t = s/D,
-with D the common denominator of the coefficients, turns a monic f into
-a monic F over Z[i]; since Z[i] is integrally closed, the Q(i)-roots of
-F are Gaussian integers.  numpy's roots of the exact square-free part
-F / gcd(F, F') are rounded to Gaussian integers, and a candidate counts
-only once exact synthetic division leaves no remainder, which also gives
-its multiplicity: no false root can be returned.  When the multiplicities
-found fall short of deg f, the polynomial goes to sympy's factorization
-over QQ_I, imported only then; that exact path alone raises
+Roots in Q(i) are found with Gaussian-integer arithmetic alone.
+Substituting t = s/D, with D the common denominator of the coefficients,
+turns a monic f into a monic F over Z[i]; since Z[i] is integrally closed,
+the Q(i)-roots of F are Gaussian integers.  Each square-free factor of F
+(Yun) is solved modulo an inert prime p = 3 (mod 4), where Z[i]/(p) is a
+field (Cantor-Zassenhaus splitting), its roots there are Newton-lifted
+past the root bound, and a lift counts only once exact division leaves no
+remainder.  A factor with fewer such roots than its degree raises
 IrrationalSpectrum.
 
 Joint spectra are read through one separating form l = a1 + s a2 + ...,
@@ -17,13 +16,14 @@ checked exactly: each joint eigenvalue is a rational function, with
 trace coefficients, of a root of a square-free factor S_j of det(t - l)
 (Rouillier's rational univariate representation).  The exact and the
 approximate mode differ only in those roots: in Q(i), or numpy's complex
-roots.  numpy and sympy are imported inside functions only.
+roots.  numpy is imported by the approximate mode only.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from math import gcd, isfinite, lcm
+from itertools import count
+from math import gcd, isqrt, lcm
 from typing import List, Sequence, Tuple
 
 from .closure import is_nilpotent
@@ -122,36 +122,99 @@ def _divide_monic(F: List[Gauss], G: List[Gauss]):
     return Q, _strip(F[len(Q):])
 
 
-def _candidates(S: List[Gauss]) -> List[Gauss]:
-    """Gaussian integers nearest to the roots of the square-free S: exact
-    for degree 1, rounded numpy roots otherwise; [] when S has too large
-    coefficients for floats or numpy finds no finite roots."""
-    if len(S) <= 2:
-        return [(-a, -b) for a, b in S[1:]]
-    try:
-        zs = _complex_roots([complex(a, b) for a, b in S])
-    except (OverflowError, ValueError):  # numpy's LinAlgError is a ValueError
-        return []
-    return [(round(z.real), round(z.imag)) for z in zs
-            if isfinite(z.real) and isfinite(z.imag)]
+def _reduce_mod(F: List[Gauss], m: int) -> List[Gauss]:
+    return _strip([(a % m, b % m) for a, b in F])
 
 
-def _sympy_roots(F: List[Gauss], D: int) -> List[Tuple[QI, int]]:
-    """Exact fallback: the roots of F over QQ_I (sympy factorization),
-    divided by D."""
-    from sympy import QQ_I, Poly, Symbol
+def _at(F: List[Gauss], z: Gauss, m: int) -> Gauss:
+    """F(z) modulo m (Horner)."""
+    acc = (0, 0)
+    for a, b in F:
+        x, y = _gmul(acc, z)
+        acc = ((x + a) % m, (y + b) % m)
+    return acc
 
-    poly = Poly.from_list([QQ_I(a, b) for a, b in F], Symbol("t"),
-                          domain=QQ_I)
-    found = []
-    for fac, mult in poly.factor_list()[1]:
-        if fac.degree() > 1:
-            raise IrrationalSpectrum(
-                f"irreducible factor of degree {fac.degree()} over Q(i)")
-        lead, const = fac.rep.to_list()
-        root = QQ_I.quo(-const, lead * D)
-        found.append((QI(root.x, root.y), mult))
-    return found
+
+def _inverse_mod(x: Gauss, m: int) -> Gauss:
+    """1 / x modulo a power m of an inert prime that does not divide x."""
+    n = pow(x[0] * x[0] + x[1] * x[1], -1, m)
+    return (x[0] * n % m, -x[1] * n % m)
+
+
+def _times_mod(A: List[Gauss], B: List[Gauss], G: List[Gauss], p: int):
+    """A B modulo a monic G and p."""
+    prod = [(0, 0)] * (len(A) + len(B) - 1)
+    for i, a in enumerate(A):
+        for j, b in enumerate(B):
+            x, y = _gmul(a, b)
+            prod[i + j] = (prod[i + j][0] + x, prod[i + j][1] + y)
+    return _reduce_mod(_divide_monic(prod, G)[1], p)
+
+
+def _power_mod(A: List[Gauss], e: int, G: List[Gauss], p: int) -> List[Gauss]:
+    """A^e modulo a monic G and p."""
+    if e == 0:
+        return [(1, 0)]
+    R = _power_mod(A, e // 2, G, p)
+    R = _times_mod(R, R, G, p)
+    return _times_mod(R, A, G, p) if e % 2 else R
+
+
+def _gcd_mod(A: List[Gauss], B: List[Gauss], p: int) -> List[Gauss]:
+    """The monic gcd modulo p of a monic A and B."""
+    while B:
+        B = _reduce_mod([_gmul(_inverse_mod(B[0], p), b) for b in B], p)
+        A, B = B, _reduce_mod(_divide_monic(A, B)[1], p)
+    return A
+
+
+def _split(G: List[Gauss], p: int) -> List[Gauss]:
+    """The roots modulo p of a monic G over Z[i] that is a product of
+    distinct linear factors modulo p."""
+    if len(G) <= 2:
+        return [(-a % p, -b % p) for a, b in G[1:]]
+    # H = (z + t)^((p^2 - 1) / 2) is 1 at the roots r with r + t a nonzero
+    # square; for any two roots, some t in Z[i]/(p) tells them apart.  G has
+    # two roots or more, so H is not 0 modulo G.
+    for j in range(p * p):
+        H = _power_mod([(1, 0), (j % p, j // p)], (p * p - 1) // 2, G, p)
+        D = _gcd_mod(G, _reduce_mod(H[:-1] + [_gsub(H[-1], (1, 0))], p), p)
+        if 1 < len(D) < len(G):
+            rest = _reduce_mod(_divide_monic(G, D)[0], p)
+            return _split(D, p) + _split(rest, p)
+
+
+def _gauss_roots(S: List[Gauss]) -> List[Gauss]:
+    """The deg S roots of a monic square-free S over Z[i], all Gaussian
+    integers, else IrrationalSpectrum."""
+    dS = _derivative(S)
+    # the first inert prime p = 3 (mod 4) (Z[i]/(p) is then a field) at
+    # which the roots of S modulo p, those of gcd(S, z^(p^2) - z), are
+    # simple: each then lifts uniquely
+    for p in (p for p in count(3, 4)
+              if all(p % d for d in range(3, isqrt(p) + 1, 2))):
+        X = [(0, 0), (0, 0)] + _power_mod([(1, 0), (0, 0)], p * p, S, p)
+        X[-2] = _gsub(X[-2], (1, 0))
+        zs = _split(_gcd_mod(S, _reduce_mod(X, p), p), p)
+        if all(_at(dS, z, p) != (0, 0) for z in zs):
+            break
+    # both coordinates of a root are at most 1 + max |coefficient| in size
+    bound = 2 * (1 + max(abs(a) + abs(b) for a, b in S))
+    roots = []
+    for z in zs:
+        m = p
+        while m <= bound:  # a root modulo m: Newton makes it one mod m^2
+            m *= m
+            step = _gmul(_at(S, z, m), _inverse_mod(_at(dS, z, m), m))
+            z = ((z[0] - step[0]) % m, (z[1] - step[1]) % m)
+        r = tuple(x - m if 2 * x > m else x for x in z)
+        if not _divide_monic(S, [(1, 0), (-r[0], -r[1])])[1]:
+            roots.append(r)
+    if len(roots) < len(S) - 1:
+        raise IrrationalSpectrum(
+            f"{len(S) - 1 - len(roots)} of the {len(S) - 1} roots of a "
+            "square-free factor are not in Q(i)")
+    return roots
 
 
 def _over_gauss(coeffs: Sequence[QI]) -> Tuple[List[Gauss], int]:
@@ -174,16 +237,9 @@ def roots_in_qi(coeffs: Sequence[QI]) -> List[Tuple[QI, int]]:
     if coeffs and coeffs[0] != ONE:
         coeffs = [c / coeffs[0] for c in coeffs]
     F, D = _over_gauss(coeffs)
-    found, missed = [], False
-    for S, j in _yun(F)[1]:  # a root of S_j has multiplicity j
-        for r in _candidates(S):
-            q, rest = _divide_monic(S, [(1, 0), (-r[0], -r[1])])
-            if not rest:  # r is a root: exact division by s - r
-                S = q
-                found.append((QI(Rat(r[0], D), Rat(r[1], D)), j))
-        missed = missed or len(S) > 1
-    if missed:  # some root was missed: decide exactly
-        found = _sympy_roots(F, D)
+    found = [(QI(Rat(a, D), Rat(b, D)), j)
+             for S, j in _yun(F)[1]  # a root of S_j has multiplicity j
+             for a, b in _gauss_roots(S)]
     found.sort(key=lambda rm: rm[0].sort_key())
     return found
 
@@ -233,10 +289,12 @@ def _read_through(mats: List[Matrix], ell: Matrix, approx: bool):
     squarefree, parts = _yun(F)
     roots = []
     for S, j in parts:  # a root of S_j has multiplicity j
-        S = _over_qi(S, D)
-        zs = ([-S[1]] if len(S) == 2 else _complex_roots(S) if approx
-              else [z for z, _ in roots_in_qi(S)])
-        roots += [(complex(z) if approx else z, j) for z in zs]
+        if approx:
+            S = _over_qi(S, D)
+            zs = [complex(-S[1])] if len(S) == 2 else _complex_roots(S)
+        else:
+            zs = [QI(Rat(a, D), Rat(b, D)) for a, b in _gauss_roots(S)]
+        roots += [(z, j) for z in zs]
     # S = chi / gcd(chi, chi') is square-free and W = chi' / gcd has
     # W(z) = m S'(z) at a root z of multiplicity m.  g_i, with n-th
     # coefficient sum_{m <= n} S_m tr(a_i ell^(n - m)), has g_i(z) =

@@ -24,8 +24,10 @@ class NonCommuting(MonadcalcError):
 class IrrationalSpectrum(MonadcalcError):
     """A characteristic polynomial does not split over Q(i).
 
-    Exact eigenvalues do not exist; canonical_reduction's float mode
-    reads the same spectrum as complex numbers instead.
+    Raised by the exact root finder when a square-free factor has fewer
+    roots in Q(i) than its degree; the message says how many are
+    missing.  Exact eigenvalues do not exist; canonical_reduction's
+    float mode reads the same spectrum as complex numbers instead.
     """
 
 

@@ -132,8 +132,12 @@ def loads(text: str) -> Instance:
 
 
 def write_file(path, inst: Instance):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(inst))
+    text = dumps(inst)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc}") from exc
 
 
 def read_file(path) -> Instance:

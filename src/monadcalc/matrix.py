@@ -432,22 +432,26 @@ def basis_extension(space: Subspace) -> Matrix:
 
 
 def kernel_basis(M: Matrix) -> Subspace:
-    """Canonical basis of the right kernel of M."""
-    R, pivots = rref(M)
-    pivset = set(pivots)
-    free = [j for j in range(M.cols) if j not in pivset]
+    """Canonical basis of the right kernel of M, from one elimination.
+
+    Reverse the columns of M.  In the RREF of the result, each free
+    column f gives the kernel vector that is 1 at f, 0 at the other free
+    columns and 0 after f.  Reversed back, these vectors start with 1 at
+    distinct coordinates where all the others are 0: in order of that
+    leading coordinate, they are the reduced column echelon basis.
+    """
+    n = M.cols
+    R, pivots = rref(Matrix(M.rows, n, [M[i, n - 1 - j] for i in range(M.rows)
+                                        for j in range(n)]))
     cols = []
-    for f in free:
-        v = [ZERO] * M.cols
+    for f in reversed([j for j in range(n) if j not in pivots]):
+        v = [ZERO] * n
         v[f] = ONE
         for r, p in enumerate(pivots):
             v[p] = -R[r, f]
-        cols.append(v)
-    if cols:
-        B = Matrix(len(cols), M.cols, [x for c in cols for x in c]).transpose()
-    else:
-        B = Matrix.zeros(M.cols, 0)
-    return Subspace.from_span(B)
+        cols.append(v[::-1])
+    return Subspace(n, Matrix(n, len(cols), [c[i] for i in range(n)
+                                             for c in cols]))
 
 
 def column_space(M: Matrix) -> Subspace:

@@ -99,6 +99,17 @@ def test_classify_with_oracle(tmp_path, capsys):
     assert rep["nilpotency"] == {"da1": 1, "da2": 1}
 
 
+def test_classify_oracle_length_must_be_nonnegative(tmp_path, capsys):
+    path = _write(tmp_path, "mt.json", "blowup_zero_d", 2, 1)
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", path, "--oracle-maxlen", "-3"])
+    assert exc.value.code == 2  # argparse's malformed-argument exit
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--oracle-maxlen" in captured.err
+    assert main(["classify", path, "--oracle-maxlen", "0"]) == EXIT_OK
+    assert _last_json(capsys)["oracle_agrees"] is True
+
+
 def test_classify_rejects_p2_document(tmp_path, capsys):
     path = _write(tmp_path, "m.json", "commuting_points", 2, 1)
     assert main(["classify", path]) == EXIT_IO
@@ -118,6 +129,17 @@ def test_pushforward_round_trip(tmp_path, capsys):
     pushed = jsonio.read_file(out)
     assert isinstance(pushed, MonadDataP2)
     assert main(["validate", out]) == EXIT_OK
+
+
+def test_unwritable_outputs_are_io_errors(tmp_path, capsys):
+    src = _write(tmp_path, "mt.json", "blowup_generic", 2, 2)
+    out = str(tmp_path / "missing" / "out.json")
+    for argv in (["pushforward", src, out],
+                 ["generate", out, "--family", "charge_one", "--k", "1",
+                  "--r", "2"]):
+        assert main(argv) == EXIT_IO
+        assert "cannot write" in _assert_one_error_line(capsys)
+    assert not (tmp_path / "missing").exists()
 
 
 # -- reduce --------------------------------------------------------------
@@ -293,22 +315,31 @@ def test_batch_clamps_jobs_to_document_count(tmp_path, capsys, monkeypatch):
 
 _IMPORT_PROBE = """
 import sys
+
+def loaded():
+    return sorted(m for m in ("numpy", "scipy", "sympy") if m in sys.modules)
+
 import monadcalc
-bare = sorted(m for m in ("numpy", "scipy", "sympy") if m in sys.modules)
+bare = loaded()
 from monadcalc import cli
 code = cli.main(["reduce", sys.argv[1]])
-print(bare, code, "sympy" in sys.modules)
+exact = loaded()
+code_float = cli.main(["reduce", sys.argv[1], "--float"])
+print(bare, code, exact, code_float)
 """
 
 
 def test_package_and_exact_reduce_leave_sympy_unloaded(tmp_path):
-    """numpy, scipy and sympy load on demand only; split spectra never
-    reach the sympy fallback."""
+    """Neither importing the package nor an exact reduce loads numpy,
+    scipy or sympy, here on a spectrum whose square-free part is cubic;
+    only --float loads numpy."""
     path = _write(tmp_path, "m.json", "commuting_points", 3, 2, seed=4)
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, path],
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, check=True)
-    report, probe = proc.stdout.splitlines()
+    report, float_report, probe = proc.stdout.splitlines()
     assert len(json.loads(report)["points"]) == 3
-    assert probe == "[] 0 False"
+    assert json.loads(float_report)["approx"] is True
+    assert len(json.loads(float_report)["points"]) == 3
+    assert probe == "[] 0 [] 0"

@@ -1,5 +1,8 @@
 """Characteristic polynomials, exact spectra, simultaneous triangularization."""
 
+import time
+from math import prod
+
 import pytest
 import sympy
 
@@ -85,31 +88,18 @@ def _expand(roots):
     return coeffs
 
 
-@pytest.fixture
-def fallback_calls(monkeypatch):
-    """Counts the polynomials handed to the sympy fallback."""
-    calls = []
-    exact = eigen._sympy_roots
-
-    def counting(F, D):
-        calls.append(F)
-        return exact(F, D)
-
-    monkeypatch.setattr(eigen, "_sympy_roots", counting)
-    return calls
-
-
-def test_roots_match_oracle_on_seeded_reductions(monkeypatch, fallback_calls):
-    """Every polynomial canonical_reduction meets on the seeded plane
-    families with k <= 6 splits through verified candidates alone."""
+def test_roots_match_oracle_on_seeded_reductions(monkeypatch):
+    """Every characteristic polynomial whose roots canonical_reduction
+    decides on the seeded plane families with k <= 6."""
     seen = {}
-    exact = eigen.roots_in_qi
+    exact = eigen.char_poly
 
-    def recording(coeffs):
+    def recording(M):
+        coeffs = exact(M)
         seen.setdefault(tuple(coeffs), None)
-        return exact(coeffs)
+        return coeffs
 
-    monkeypatch.setattr(eigen, "roots_in_qi", recording)
+    monkeypatch.setattr(eigen, "char_poly", recording)
     for family in ("commuting_points", "block_concentrated", "charge_one"):
         for k in range(1, 7):
             for r in (1, 2, 3):
@@ -119,7 +109,6 @@ def test_roots_match_oracle_on_seeded_reductions(monkeypatch, fallback_calls):
                     except InfeasibleSpec:
                         continue
                     canonical_reduction(m)
-    assert fallback_calls == []
     assert max(len(c) for c in seen) == 7  # k = 6 blocks were reached
     _assert_matches_oracle([list(c) for c in seen])
 
@@ -150,7 +139,7 @@ def test_roots_match_oracle_on_random_char_polys():
     _assert_matches_oracle(polys)
 
 
-def test_roots_hard_cases(fallback_calls):
+def test_roots_hard_cases():
     big = qi(2 ** 70 + 1, 3)
     cases = {
         "sextuple": _expand([qi("7/3", "-5/11")] * 6),
@@ -163,19 +152,92 @@ def test_roots_hard_cases(fallback_calls):
     assert roots_in_qi(cases["huge"]) == [(qi(10 ** 400), 1)]
     assert roots_in_qi(cases["constant"]) == []
     _assert_matches_oracle(cases.values())
-    assert fallback_calls == []
 
 
-def test_roots_fall_back_exactly_when_candidates_miss(fallback_calls):
-    # coefficients too large for floats: no candidate, sympy decides
+def test_roots_beyond_the_float_range_and_partly_irrational():
+    # coefficients too large for floats
     too_big = _expand([qi(10 ** 400), qi("1/3", -1)])
     assert roots_in_qi(too_big) == [(qi("1/3", -1), 1), (qi(10 ** 400), 1)]
-    # one verified root, an irreducible quadratic left over
+    # one root in Q(i), an irreducible quadratic left over
     mixed = [ONE, qi(-1), qi(-2), qi(2)]  # (t - 1)(t^2 - 2)
-    with pytest.raises(IrrationalSpectrum):
+    with pytest.raises(IrrationalSpectrum, match="2 of the 3 roots"):
         roots_in_qi(mixed)
-    assert len(fallback_calls) == 2
     _assert_matches_oracle([too_big, mixed])
+
+
+def _inert_prime_product(below):
+    """The product of the primes p = 3 (mod 4) below ``below``."""
+    primes = [p for p in range(3, below, 4)
+              if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+    return primes, prod(primes)
+
+
+def test_roots_that_agree_modulo_every_small_inert_prime():
+    """The two roots of each polynomial agree, or the roots are multiple,
+    modulo every inert prime below 1200: none of those primes can split
+    them, and each polynomial is still decided quickly."""
+    primes, M = _inert_prime_product(1200)
+    assert len(primes) == 100 and primes[-1] == 1187
+    polys = [
+        _expand([ZERO, qi(M)]),
+        _expand([qi(1, -2), qi(1 + M, M - 2)]),
+        _expand([qi("1/3", "2/5"), qi(f"{3 * M + 1}/3", "2/5")]),
+        _expand([qi(M, M), qi(-M, -M), qi(2 * M)]),
+        [ONE, ZERO, qi(-2 * M * M)],  # roots +-M sqrt(2)
+        [ONE, qi(-M), qi(M * M, M * M)],  # roots M (1 - i) and M i
+        [ONE, qi(-M), qi(0, M * M)],  # roots M (1 +- sqrt(1 - 4 i)) / 2
+    ]
+    for coeffs in polys:
+        start = time.perf_counter()
+        outcome = _outcome(roots_in_qi, coeffs)
+        assert time.perf_counter() - start < 1.0
+        assert outcome == _outcome(_oracle_roots, coeffs), coeffs
+    assert roots_in_qi(polys[0]) == [(ZERO, 1), (qi(M), 1)]
+    assert roots_in_qi(polys[5]) == [(qi(0, M), 1), (qi(M, -M), 1)]
+    for irrational in (polys[4], polys[6]):
+        with pytest.raises(IrrationalSpectrum):
+            roots_in_qi(irrational)
+
+
+def test_huge_root_beside_a_gaussian_rational_one():
+    big = qi(10 ** 400, -3 * 10 ** 399 + 7)
+    small = qi("-5/7", "2/9")
+    for roots in ([big, small], [big, small, small], [-big, small, I]):
+        coeffs = _expand(roots)
+        want = sorted({z: roots.count(z) for z in roots}.items(),
+                      key=lambda rm: rm[0].sort_key())
+        assert roots_in_qi(coeffs) == want
+        _assert_matches_oracle([coeffs])
+
+
+def test_degree_ten_products_of_gaussian_rationals():
+    r_ = rng(25)
+    for _ in range(4):
+        distinct = [qi(f"{r_.randint(-40, 40)}/{r_.randint(1, 12)}",
+                       f"{r_.randint(-40, 40)}/{r_.randint(1, 12)}")
+                    for _ in range(7)]
+        roots = distinct + [r_.choice(distinct) for _ in range(3)]
+        coeffs = _expand(roots)
+        assert len(coeffs) == 11
+        want = sorted({z: roots.count(z) for z in roots}.items(),
+                      key=lambda rm: rm[0].sort_key())
+        assert roots_in_qi(coeffs) == want
+        _assert_matches_oracle([coeffs])
+
+
+def test_irreducible_factor_with_huge_coefficients_beside_split_roots():
+    """A factor over Q(i) without roots there, with coefficients far
+    beyond the float range, times roots that do lie in Q(i)."""
+    split = _expand([qi(2, 1), qi("-1/4"), qi(2, 1)])
+    for tail in ([ONE, qi(3 * 10 ** 80), qi(7, 10 ** 90)],
+                 [ONE, ZERO, qi(-(10 ** 120 + 1)), qi(2)],
+                 [ONE, qi(-1), qi(-2 * 10 ** 60)]):
+        coeffs = [sum((split[i] * tail[n - i] for i in range(len(split))
+                       if 0 <= n - i < len(tail)), ZERO)
+                  for n in range(len(split) + len(tail) - 1)]
+        with pytest.raises(IrrationalSpectrum):
+            roots_in_qi(coeffs)
+        _assert_matches_oracle([coeffs, split])
 
 
 def test_eigenvalues_matrix_level():

@@ -85,6 +85,32 @@ def test_kernel_examples():
     assert K.basis == Matrix.from_rows([[0], [1]])
 
 
+def test_kernel_basis_runs_one_elimination(monkeypatch):
+    """The canonical kernel basis is read off one RREF, with no second
+    elimination to canonicalize its span."""
+    import monadcalc.matrix as matrix
+
+    calls = []
+    exact = matrix._eliminate
+
+    def counting(rows):
+        calls.append(len(rows))
+        return exact(rows)
+
+    monkeypatch.setattr(matrix, "_eliminate", counting)
+    r_ = rng(5)
+    for rows, cols in [(0, 3), (2, 0), (3, 5), (5, 3), (4, 4)]:
+        calls.clear()
+        M = _random_matrix(r_, rows, cols, bound=2)
+        if rows > 1:  # rank deficient
+            M = vstack([M, Matrix(1, cols, [a + b for a, b in zip(
+                M.row_list(0), M.row_list(1))])])
+        K = kernel_basis(M)
+        assert len(calls) == 1
+        assert (M @ K.basis).is_zero()
+        assert K == Subspace.from_span(K.basis)
+
+
 def test_rank_nullity_random():
     r_ = rng(3)
     for _ in range(40):

@@ -66,6 +66,33 @@ def test_scipy_is_not_imported():
     assert found == []
 
 
+def _imports_by_function(node, where):
+    """(line, module, name of the enclosing function or None) per import."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            for alias in child.names:
+                yield f"{child.lineno}", alias.name, where
+        elif isinstance(child, ast.ImportFrom):
+            yield f"{child.lineno}", child.module or "", where
+        inner = (child.name if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+        yield from _imports_by_function(child, inner)
+
+
+def test_numpy_only_in_the_float_roots_and_sympy_nowhere():
+    """Exact mode runs on the standard library alone: sympy is a test
+    oracle only, and numpy serves the --float roots (_complex_roots)."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for line, name, where in _imports_by_function(tree, None):
+            top = name.split(".")[0]
+            if top == "sympy" or (top == "numpy" and (
+                    path.name, where) != ("eigen.py", "_complex_roots")):
+                found.append(f"{path.name}:{line} {name}")
+    assert found == []
+
+
 def test_check_invariant_raises_a_domain_error():
     check_invariant(True, "holds")
     with pytest.raises(InvariantViolation, match="broken") as exc:
