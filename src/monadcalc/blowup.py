@@ -202,17 +202,13 @@ def fiber_projection_check(mt: MonadDataBlowup, p: BlowupPoint) -> bool:
     A, B = evaluate_A(m, p.x), evaluate_B(m, p.x)
     # forgetting the W0 blocks keeps the rows of W1, W1 and C^r
     keep = [*range(mt.k, 2 * mt.k), *range(3 * mt.k, 4 * mt.k + mt.r)]
-
-    def project(M: Matrix) -> Matrix:
-        return Matrix(len(keep), M.cols, [e for i in keep for e in M.row_list(i)])
-
     Kt = kernel_basis(Bt)
-    PK = project(Kt.basis)
+    PK = Kt.basis.submatrix(keep, range(Kt.dim))
     # 1. The projection maps Ker B~ into Ker B.
     if not (B @ PK).is_zero():
         return False
     # 2. It maps Im A~ into Im A.
-    if solve(A, project(At)) is None:
+    if solve(A, At.submatrix(keep, range(At.cols))) is None:
         return False
     # 3. The induced map on fibers is injective and dimensions agree.
     rank_At = rank(At)

@@ -30,8 +30,8 @@ from .closure import is_nilpotent
 from .errors import (DimensionMismatch, FloatOverflow, IrrationalSpectrum,
                      NonCommuting, NonSquareMatrix, check_invariant)
 from .field import ONE, QI, ZERO, Rat
-from .matrix import (Gauss, Matrix, Subspace, basis_extension, block,
-                     inverse, kernel_basis, solve, vstack)
+from .matrix import (Gauss, Matrix, Subspace, block, inverse, invariant_split,
+                     kernel_basis, vstack)
 
 
 def char_poly(M: Matrix) -> List[QI]:
@@ -368,12 +368,7 @@ def commuting_reduce(mats: Sequence[Matrix]) -> Tuple[Matrix, List[Matrix]]:
         n, eye = k - t, Matrix.identity(k - t)
         joint = kernel_basis(vstack([M - eye.scale(lam)
                                      for M, lam in zip(ms, values)]))
-        P = basis_extension(Subspace(n, joint.basis.col_matrix(0)))
-        Pinv = inverse(P)
-        check_invariant(Pinv is not None, "basis extension is singular")
-        ms = [Matrix(n - 1, n - 1, [C[i, j] for i in range(1, n)
-                                    for j in range(1, n)])
-              for C in (Pinv @ M @ P for M in ms)]
+        P, _, _, ms = invariant_split(ms, Subspace(n, joint.basis.col_matrix(0)))
         g = g @ block([[Matrix.identity(t), Matrix.zeros(t, n)],
                        [Matrix.zeros(n, t), P]])
     ginv = inverse(g)

@@ -16,6 +16,9 @@ Rationals are always the canonical "p/q" strings (never floats), so
 serialization round-trips bit-exactly.  Approximate values (the --float
 eigenvalue fallback) only ever appear in CLI *reports*, never in
 instance documents.
+
+A file that is not UTF-8 and an integer literal over 4300 digits
+(Python's int conversion limit) are malformed, like invalid JSON.
 """
 
 from __future__ import annotations
@@ -124,9 +127,11 @@ def dumps(inst: Instance) -> str:
 
 def loads(text: str) -> Instance:
     try:
-        return from_document(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid JSON: {exc}") from exc
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:  # bad JSON or UTF-8, an int over 4300 digits
+            raise DocumentError(f"invalid JSON: {exc}") from exc
+        return from_document(doc)
     except RecursionError:  # json.loads or repr of a deeply nested value
         raise DocumentError("document is nested too deeply") from None
 
@@ -144,6 +149,6 @@ def read_file(path) -> Instance:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     return loads(text)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import DimensionMismatch, NonSquareMatrix
+from .errors import DimensionMismatch, NonSquareMatrix, check_invariant
 from .field import ONE, QI, ZERO, Rat, qi
 
 
@@ -77,7 +77,12 @@ class Matrix:
         return list(self.entries[i * self.cols:(i + 1) * self.cols])
 
     def col_matrix(self, j: int) -> "Matrix":
-        return Matrix(self.rows, 1, [self[i, j] for i in range(self.rows)])
+        return self.submatrix(range(self.rows), [j])
+
+    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
+        """The entries at the given rows and columns, in the order given."""
+        return Matrix(len(rows), len(cols),
+                      [self.entries[i * self.cols + j] for i in rows for j in cols])
 
     # -- arithmetic -----------------------------------------------------
 
@@ -365,13 +370,8 @@ class Subspace:
     def from_span(cls, columns: Matrix) -> "Subspace":
         """Canonicalize the span of the given columns."""
         R, pivots = rref(columns.transpose())
-        rows = [R.row_list(i) for i in range(len(pivots))]
-        if rows:
-            basis = Matrix(len(rows), columns.rows,
-                           [x for r in rows for x in r]).transpose()
-        else:
-            basis = Matrix.zeros(columns.rows, 0)
-        return cls(columns.rows, basis)
+        return cls(columns.rows,
+                   R.submatrix(range(len(pivots)), range(R.cols)).transpose())
 
     @property
     def dim(self) -> int:
@@ -425,10 +425,25 @@ def basis_extension(space: Subspace) -> Matrix:
     pivot_rows = {next(i for i in range(n) if not B[i, j].is_zero())
                   for j in range(space.dim)}
     others = [j for j in range(n) if j not in pivot_rows]
-    unit_cols = [Matrix.column([ONE if i == j else ZERO for i in range(n)])
-                 for j in others]
-    pieces = [space.basis] + unit_cols
-    return hstack(pieces) if space.dim + len(others) > 0 else Matrix.zeros(n, 0)
+    return hstack([B, Matrix.identity(n).submatrix(range(n), others)])
+
+
+def invariant_split(mats: Sequence[Matrix], space: Subspace):
+    """Change basis so that a subspace invariant under every M comes first.
+
+    Returns ``(P, P^-1, tops, bottoms)`` with P = basis_extension(space):
+    each P^-1 M P is block upper triangular, and ``tops`` and ``bottoms``
+    hold its diagonal blocks, M on the subspace and M on the quotient.
+    """
+    P = basis_extension(space)
+    Pinv = inverse(P)
+    check_invariant(Pinv is not None, "basis extension is singular")
+    head, tail = range(space.dim), range(space.dim, space.ambient_dim)
+    conj = [Pinv @ M @ P for M in mats]
+    check_invariant(all(C.submatrix(tail, head).is_zero() for C in conj),
+                    "split subspace is not invariant")
+    return (P, Pinv, [C.submatrix(head, head) for C in conj],
+            [C.submatrix(tail, tail) for C in conj])
 
 
 def kernel_basis(M: Matrix) -> Subspace:
@@ -441,8 +456,7 @@ def kernel_basis(M: Matrix) -> Subspace:
     leading coordinate, they are the reduced column echelon basis.
     """
     n = M.cols
-    R, pivots = rref(Matrix(M.rows, n, [M[i, n - 1 - j] for i in range(M.rows)
-                                        for j in range(n)]))
+    R, pivots = rref(M.submatrix(range(M.rows), range(n - 1, -1, -1)))
     cols = []
     for f in reversed([j for j in range(n) if j not in pivots]):
         v = [ZERO] * n

@@ -5,8 +5,10 @@ A tuple (a1, a2, b, c) with a_i in End(W), b: C^r -> W, c: W -> C^r and
 is a framed torsion-free sheaf of rank r and charge k = dim W.  This
 module implements the tuple calculus: validation, the GL(W) action,
 special subspaces and nondegeneracy, pointwise evaluation of the monad
-maps, reduction to a nondegenerate part plus a point multiset, and the
-charge-at-the-origin test (its one copy: stratify and trivialize call it).
+maps, reduction to a nondegenerate part plus a point multiset (two
+splits, along the maximal c-special and the minimal b-special subspace),
+and the charge-at-the-origin test (its one copy: stratify and trivialize
+call it).
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from typing import List, NamedTuple, Optional, Tuple
 from .closure import invariant_closure, max_invariant_in_kernel, nilpotency_index
 from .eigen import _joint_key, joint_spectrum
 from .errors import (DimensionMismatch, IntegrabilityViolation, InvalidPoint,
-                     SingularGroupElement, check_invariant)
+                     SingularGroupElement)
 from .field import QI, qi
-from .matrix import (Matrix, Subspace, basis_extension, column_space, hstack,
+from .matrix import (Matrix, Subspace, column_space, hstack, invariant_split,
                      inverse, rank, vstack)
 from .polymat import PolyMatrix, linear_polymatrix, poly_matmul
 
@@ -203,39 +205,31 @@ class DUPoint:
         return self.l + len(self.points)
 
 
-def _sub(M: Matrix, r0: int, r1: int, c0: int, c1: int) -> Matrix:
-    return Matrix(r1 - r0, c1 - c0,
-                  [M[i, j] for i in range(r0, r1) for j in range(c0, c1)])
-
-
-def _split_top(m: MonadDataP2, V: Subspace):
-    """Conjugate so V occupies the first coordinates and cut into blocks.
-
-    Returns ((top blocks a1, a2 on V), (bottom blocks on W/V), the
-    transformed b, c) - callers decide which side is kept.
-    """
-    g = basis_extension(V)
-    ginv = inverse(g)
-    check_invariant(ginv is not None, "basis extension is singular")
-    d, k = V.dim, m.k
-    na1, na2 = ginv @ m.a1 @ g, ginv @ m.a2 @ g
-    nb, nc = ginv @ m.b, m.c @ g
-    # invariance of V makes the lower-left blocks vanish
-    check_invariant(_sub(na1, d, k, 0, d).is_zero()
-                    and _sub(na2, d, k, 0, d).is_zero(),
-                    "split subspace is not invariant")
-    top = (_sub(na1, 0, d, 0, d), _sub(na2, 0, d, 0, d))
-    bottom = (_sub(na1, d, k, d, k), _sub(na2, d, k, d, k))
-    return top, bottom, nb, nc, d
+def _split(m: MonadDataP2, V: Subspace) -> Tuple[MonadDataP2, MonadDataP2]:
+    """The tuples that m induces on an (a1, a2)-invariant V and on W/V:
+    b cut to its V- and W/V-coordinates, c to its two restrictions."""
+    P, Pinv, (t1, t2), (q1, q2) = invariant_split([m.a1, m.a2], V)
+    nb, nc = Pinv @ m.b, m.c @ P
+    head, tail, frame = range(V.dim), range(V.dim, m.k), range(m.r)
+    return (MonadDataP2(t1, t2, nb.submatrix(head, frame), nc.submatrix(frame, head)),
+            MonadDataP2(q1, q2, nb.submatrix(tail, frame), nc.submatrix(frame, tail)))
 
 
 def canonical_reduction(m: MonadDataP2, eigen_mode: str = "exact") -> DUPoint:
     """Pass to the completely reducible orbit closure and read off its data.
 
-    Repeatedly splits off a maximal c-special subspace, then a minimal
-    b-special one, zeroing the coupling blocks; the survivor is the
-    nondegenerate reduced tuple and the discarded commuting diagonal
-    blocks contribute their joint eigenvalue pairs as plane points.
+    Two splits reach it.  First the maximal c-special subspace V_c is
+    split off and W/V_c kept; then, of what is left, the minimal
+    b-special subspace V_b is kept and the quotient split off.  The
+    survivor is the nondegenerate reduced tuple.  c vanishes on the first
+    discarded block and b on the second, so for a valid tuple a1 and a2
+    commute on both; their joint eigenvalue pairs are the plane points.
+
+    Nothing splits after that, for any raw tuple:
+    - a c-special subspace of W/V_c has a c-special preimage in W, which
+      lies inside V_c; so W/V_c has none but 0;
+    - inside V_b the invariant closure of Im b is V_b itself, and a
+      c-special subspace of V_b would be c-special in W/V_c, so is 0.
 
     Pairs come from :func:`eigen.joint_spectrum`: eigen_mode "exact"
     raises IrrationalSpectrum for a block with spectrum outside Q(i);
@@ -243,36 +237,21 @@ def canonical_reduction(m: MonadDataP2, eigen_mode: str = "exact") -> DUPoint:
     """
     if eigen_mode not in ("exact", "float"):
         raise ValueError("eigen_mode must be 'exact' or 'float'")
-    delta_blocks: List[Tuple[Matrix, Matrix]] = []
-    current = m
-    while True:
-        Vc = max_c_special(current)
-        if not Vc.is_zero():
-            top, bottom, nb, nc, d = _split_top(current, Vc)
-            k = current.k
-            # discard the c-special block (eigenvalue points), keep the rest
-            delta_blocks.append(top)
-            current = MonadDataP2(bottom[0], bottom[1],
-                                  _sub(nb, d, k, 0, current.r),
-                                  _sub(nc, 0, current.r, d, k))
-            continue
-        Vb = min_b_special(current)
-        if not Vb.is_full():
-            top, bottom, nb, nc, d = _split_top(current, Vb)
-            k = current.k
-            # keep the b-special block, discard the induced quotient action
-            delta_blocks.append(bottom)
-            current = MonadDataP2(top[0], top[1],
-                                  _sub(nb, 0, d, 0, current.r),
-                                  _sub(nc, 0, current.r, 0, d))
-            continue
-        break
+    dropped: List[MonadDataP2] = []
+    Vc = max_c_special(m)
+    if not Vc.is_zero():
+        special, m = _split(m, Vc)
+        dropped.append(special)
+    Vb = min_b_special(m)
+    if not Vb.is_full():
+        m, quotient = _split(m, Vb)
+        dropped.append(quotient)
     approx = eigen_mode == "float"
-    points = sorted((p for f1, f2 in delta_blocks
-                     for p in joint_spectrum([f1, f2], approx)),
+    points = sorted((p for t in dropped
+                     for p in joint_spectrum([t.a1, t.a2], approx)),
                     key=_joint_key)
     approx = approx and bool(points)
-    return DUPoint(reduced=current, points=tuple(points), approx=approx)
+    return DUPoint(reduced=m, points=tuple(points), approx=approx)
 
 
 class Concentration(NamedTuple):

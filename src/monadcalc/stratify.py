@@ -51,11 +51,16 @@ def _failing_words(m: MonadDataP2, max_len: int) -> Iterator[Tuple[int, ...]]:
 
     Breadth-first, so the shortest come first and ties break
     lexicographically (1 before 2).  Each word's vector is built from its
-    parent's, and only as far as the caller keeps asking.
+    parent's, and only as far as the caller keeps asking.  A zero vector
+    is not extended, since its extensions are zero; input whose vectors
+    never vanish still costs exponentially many words in max_len, e.g.
+    c = 0, a1 = E12 + E23 and a2 = E21 + E32 (k = 3).
     """
     queue = deque([((), m.b)])
     while queue:
         word, v = queue.popleft()
+        if v.is_zero():
+            continue
         if not (m.c @ v).is_zero():
             yield word
         if len(word) < max_len:
@@ -91,7 +96,8 @@ def classify_s0_oracle(mt: MonadDataBlowup, max_len: int) -> bool:
 
     With max_len >= 2k this is equivalent to the closure classifier,
     since the invariant closure of a k-dimensional space stabilizes in
-    at most k generator applications.
+    at most k generator applications.  On valid S0 input every word of
+    length k or more vanishes on d b, so max_len costs little beyond k.
     """
     m = pushforward(mt)
     if nilpotency_index(m.a1) is None or nilpotency_index(m.a2) is None:

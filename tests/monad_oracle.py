@@ -1,18 +1,22 @@
-"""Hand-written coefficient forms of the monad maps: a test oracle.
+"""Earlier forms of the monad maps and of canonical reduction: test oracles.
 
 Before the maps were defined once, as functions of raw coordinates, the
 blowup maps were evaluated from one coefficient matrix per monomial and
 both symbolic products were built from hand-written coefficient
 dictionaries; the fiber comparison projected with an explicit 0/1
-matrix.  Those paths are kept here, as they were, so that the direct
-evaluators can be compared against them.
+matrix.  Canonical reduction was a fixed-point loop that recomputed both
+special subspaces after every split.  Those paths are kept here, as they
+were, so that the current code can be compared against them.
 """
 
 from monadcalc.blowup import BlowupPoint
+from monadcalc.eigen import _joint_key, joint_spectrum
+from monadcalc.errors import check_invariant
 from monadcalc.field import ONE, ZERO
-from monadcalc.matrix import (Matrix, column_space, hstack, kernel_basis,
-                              rank, solve, vstack)
-from monadcalc.p2 import evaluate_A, evaluate_B
+from monadcalc.matrix import (Matrix, basis_extension, column_space, hstack,
+                              inverse, kernel_basis, rank, solve, vstack)
+from monadcalc.p2 import (DUPoint, MonadDataP2, evaluate_A, evaluate_B,
+                          max_c_special, min_b_special)
 from monadcalc.polymat import poly_matmul
 
 
@@ -153,3 +157,69 @@ def fiber_projection_check(mt, p: BlowupPoint) -> bool:
     ann = column_space(A).annihilator()
     cond = ann.basis.transpose() @ (P @ Kt.basis)
     return cond.cols - rank(cond) == rank(At)
+
+
+# -- canonical reduction as a fixed-point loop ---------------------------
+
+def _sub(M: Matrix, r0: int, r1: int, c0: int, c1: int) -> Matrix:
+    return Matrix(r1 - r0, c1 - c0,
+                  [M[i, j] for i in range(r0, r1) for j in range(c0, c1)])
+
+
+def _split_top(m: MonadDataP2, V):
+    """Conjugate so V occupies the first coordinates and cut into blocks.
+
+    Returns ((top blocks a1, a2 on V), (bottom blocks on W/V), the
+    transformed b, c) - callers decide which side is kept.
+    """
+    g = basis_extension(V)
+    ginv = inverse(g)
+    check_invariant(ginv is not None, "basis extension is singular")
+    d, k = V.dim, m.k
+    na1, na2 = ginv @ m.a1 @ g, ginv @ m.a2 @ g
+    nb, nc = ginv @ m.b, m.c @ g
+    # invariance of V makes the lower-left blocks vanish
+    check_invariant(_sub(na1, d, k, 0, d).is_zero()
+                    and _sub(na2, d, k, 0, d).is_zero(),
+                    "split subspace is not invariant")
+    top = (_sub(na1, 0, d, 0, d), _sub(na2, 0, d, 0, d))
+    bottom = (_sub(na1, d, k, d, k), _sub(na2, d, k, d, k))
+    return top, bottom, nb, nc, d
+
+
+def canonical_reduction(m: MonadDataP2, eigen_mode: str = "exact") -> DUPoint:
+    """Split off a maximal c-special subspace, else a minimal b-special
+    one, until neither exists; then read the points off the discarded
+    blocks."""
+    if eigen_mode not in ("exact", "float"):
+        raise ValueError("eigen_mode must be 'exact' or 'float'")
+    delta_blocks = []
+    current = m
+    while True:
+        Vc = max_c_special(current)
+        if not Vc.is_zero():
+            top, bottom, nb, nc, d = _split_top(current, Vc)
+            k = current.k
+            # discard the c-special block (eigenvalue points), keep the rest
+            delta_blocks.append(top)
+            current = MonadDataP2(bottom[0], bottom[1],
+                                  _sub(nb, d, k, 0, current.r),
+                                  _sub(nc, 0, current.r, d, k))
+            continue
+        Vb = min_b_special(current)
+        if not Vb.is_full():
+            top, bottom, nb, nc, d = _split_top(current, Vb)
+            k = current.k
+            # keep the b-special block, discard the induced quotient action
+            delta_blocks.append(bottom)
+            current = MonadDataP2(top[0], top[1],
+                                  _sub(nb, 0, d, 0, current.r),
+                                  _sub(nc, 0, current.r, 0, d))
+            continue
+        break
+    approx = eigen_mode == "float"
+    points = sorted((p for f1, f2 in delta_blocks
+                     for p in joint_spectrum([f1, f2], approx)),
+                    key=_joint_key)
+    approx = approx and bool(points)
+    return DUPoint(reduced=current, points=tuple(points), approx=approx)

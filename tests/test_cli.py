@@ -88,6 +88,30 @@ def test_long_scalar_is_echoed_in_part(tmp_path, capsys):
     assert len(_assert_one_error_line(capsys)) < 500
 
 
+def _malformed_bytes(tmp_path):
+    """A document that is not UTF-8 and one with a 5000-digit integer."""
+    (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{\x00}\x00")
+    (tmp_path / "bigint.json").write_text('{"k": ' + "1" * 5000 + "}")
+    return [tmp_path / "utf16.json", tmp_path / "bigint.json"]
+
+
+def test_validate_malformed_bytes_is_one_error_line(tmp_path, capsys):
+    for path in _malformed_bytes(tmp_path):
+        assert main(["validate", str(path)]) == EXIT_IO
+        _assert_one_error_line(capsys)
+
+
+def test_batch_reports_malformed_bytes_as_parse_errors(tmp_path, capsys):
+    names = [p.name for p in _malformed_bytes(tmp_path)]
+    _write(tmp_path, "ok.json", "blowup_zero_d", 2, 1)
+    assert main(["batch", str(tmp_path), "--jobs", "1"]) == EXIT_IO
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[-1] == "summary: 1 valid, 0 invalid, 2 errors in 3 files"
+    by_file = {r["file"]: r for r in map(json.loads, lines[:-1])}
+    assert by_file["ok.json"]["status"] == "valid"
+    assert all(by_file[n]["status"] == "parse_error" for n in names)
+
+
 # -- classify ------------------------------------------------------------
 
 def test_classify_with_oracle(tmp_path, capsys):
@@ -97,6 +121,26 @@ def test_classify_with_oracle(tmp_path, capsys):
     assert rep["is_s0"] is True
     assert rep["oracle"] is True and rep["oracle_agrees"] is True
     assert rep["nilpotency"] == {"da1": 1, "da2": 1}
+
+
+def test_classify_oracle_on_s0_input_needs_few_products(tmp_path, capsys,
+                                                       monkeypatch):
+    """The word oracle drops words whose vector is zero: on S0 input,
+    where every word vanishes, length 40 costs a handful of products."""
+    path = _write(tmp_path, "mt.json", "blowup_zero_d", 2, 1)
+    products = []
+    matmul = Matrix.__matmul__
+
+    def budgeted(self, other):
+        products.append(None)
+        if len(products) > 10_000:
+            raise RuntimeError("product budget exhausted")
+        return matmul(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", budgeted)
+    assert main(["classify", path, "--oracle-maxlen", "40"]) == EXIT_OK
+    rep = _last_json(capsys)
+    assert rep["oracle"] is True and rep["oracle_agrees"] is True
 
 
 def test_classify_oracle_length_must_be_nonnegative(tmp_path, capsys):

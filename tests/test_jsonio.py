@@ -125,6 +125,17 @@ def test_rejects_hostile_documents():
     assert len(str(exc.value)) < 200
 
 
+def test_rejects_bytes_that_are_not_utf8_and_overlong_integers(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    with pytest.raises(DocumentError, match="cannot read"):
+        jsonio.read_file(path)
+    with pytest.raises(DocumentError, match="invalid JSON"):
+        jsonio.loads(b'{"k": "\xff"}')
+    with pytest.raises(DocumentError, match="4300"):
+        jsonio.loads('{"k": ' + "1" * 5000 + "}")
+
+
 def test_accepts_signed_unreduced_rationals():
     doc = jsonio.to_document(_p2())
     doc["matrices"]["a1"][0][0] = {"re": "-2/4", "im": "0/7"}
