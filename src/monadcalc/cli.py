@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import jsonio
 from .blowup import MonadDataBlowup, validate
@@ -200,6 +199,9 @@ def cmd_batch(args) -> int:
     # a fork pool starts all its workers up front: never more than documents
     jobs = min(args.jobs or os.cpu_count() or 1, len(files))
     if jobs > 1:
+        # imported here: the pool's modules would slow every process's start
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_process_one, files))
     else:

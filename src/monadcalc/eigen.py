@@ -1,6 +1,10 @@
 """Exact spectra of commuting families: characteristic polynomials,
 eigenvalues in Q(i), joint spectra and simultaneous triangularization.
 
+Characteristic polynomials are division-free: Berkowitz's algorithm runs
+on the Gaussian-integer numerators of a matrix over one common
+denominator D, and coefficient i is divided by D^i once, at the end.
+
 Roots in Q(i) are found with Gaussian-integer arithmetic alone.
 Substituting t = s/D, with D the common denominator of the coefficients,
 turns a monic f into a monic F over Z[i]; since Z[i] is integrally closed,
@@ -35,18 +39,44 @@ from .matrix import (Gauss, Matrix, Subspace, block, inverse, invariant_split,
 
 
 def char_poly(M: Matrix) -> List[QI]:
-    """Coefficients [1, c1, ..., ck] of det(t*I - M) (Faddeev-LeVerrier)."""
+    """Coefficients [1, c1, ..., ck] of det(t*I - M).
+
+    Berkowitz's division-free algorithm over Z[i]: M = N / D with N the
+    Gaussian-integer numerators over one common denominator D.  Bordering
+    the leading r x r block A of N by the row R, the column C and the
+    corner a multiplies det(t - A) by the Toeplitz matrix of
+    1, -a, -R C, -R A C, ..., -R A^(r-1) C.  Coefficient i of det(t - N)
+    is D^i times c_i, and is divided once, at the end.
+    """
     if not M.is_square():
         raise NonSquareMatrix("characteristic polynomial needs a square matrix")
     k = M.rows
-    coeffs = [ONE]
-    N = Matrix.identity(k)
-    for i in range(1, k + 1):
-        MN = M @ N
-        c = -(MN.trace() / QI(i))
-        coeffs.append(c)
-        N = MN + Matrix.identity(k).scale(c)
-    return coeffs
+    D = lcm(*(q.denominator for x in M.entries for q in (x.re, x.im)))
+    N = [(x.re.numerator * (D // x.re.denominator),
+          x.im.numerator * (D // x.im.denominator)) for x in M.entries]
+    P = [(1, 0)]  # det(t - A) for the leading r x r block A of N
+    for r in range(k):
+        A = [N[i * k:i * k + r] for i in range(r)]
+        R = N[r * k:r * k + r]
+        a = N[r * k + r]
+        column = [(1, 0), (-a[0], -a[1])]
+        v = [N[i * k + r] for i in range(r)]  # A^j C
+        for j in range(r):
+            if j:
+                v = [_gdot(row, v) for row in A]
+            x, y = _gdot(R, v)
+            column.append((-x, -y))
+        P = [_gdot(P, column[j::-1]) for j in range(r + 2)]
+    return _over_qi(P, D)
+
+
+def _gdot(xs: Sequence[Gauss], ys: Sequence[Gauss]) -> Gauss:
+    """sum x y over the pairs of xs and ys, as far as the shorter goes."""
+    re = im = 0
+    for (a, b), (c, d) in zip(xs, ys):
+        re += a * c - b * d
+        im += a * d + b * c
+    return re, im
 
 
 def _gmul(x: Gauss, y: Gauss) -> Gauss:

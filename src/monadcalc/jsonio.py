@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from typing import Union
 
 from .blowup import MonadDataBlowup
@@ -47,15 +48,31 @@ def _qi_to_obj(v: QI) -> dict:
     return {"re": v.re_str(), "im": v.im_str()}
 
 
+def _too_many_digits() -> str:
+    """Python's int() conversion limit, in words a document's author can act on."""
+    return f"an integer has more than {sys.get_int_max_str_digits()} digits"
+
+
+def _parse_int(text: str) -> int:
+    """json's integer literal hook: int(), with our words at the digit limit."""
+    try:
+        return int(text)
+    except ValueError:
+        raise DocumentError(f"invalid JSON: {_too_many_digits()}") from None
+
+
 def _qi_from_obj(obj) -> QI:
     if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
         raise DocumentError(f"bad scalar entry {obj!r:.{_ECHO_CHARS}}")
     if not all(isinstance(v, str) and _RATIONAL.fullmatch(v) for v in obj.values()):
         raise DocumentError(f"bad rational string in {obj!r:.{_ECHO_CHARS}}: want 'p/q'")
-    try:  # fails on a zero denominator or more digits than int() accepts
+    try:
         return QI.parse(obj["re"], obj["im"])
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise DocumentError(f"bad rational string in {obj!r:.{_ECHO_CHARS}}: {exc}") from exc
+    except ValueError:  # the strings match: more digits than int() accepts
+        raise DocumentError(f"bad rational string in {obj!r:.{_ECHO_CHARS}}: "
+                            f"{_too_many_digits()}") from None
 
 
 def _matrix_to_obj(M: Matrix) -> list:
@@ -128,8 +145,8 @@ def dumps(inst: Instance) -> str:
 def loads(text: str) -> Instance:
     try:
         try:
-            doc = json.loads(text)
-        except ValueError as exc:  # bad JSON or UTF-8, an int over 4300 digits
+            doc = json.loads(text, parse_int=_parse_int)
+        except ValueError as exc:  # bad JSON or UTF-8
             raise DocumentError(f"invalid JSON: {exc}") from exc
         return from_document(doc)
     except RecursionError:  # json.loads or repr of a deeply nested value

@@ -1,12 +1,15 @@
-"""Reference elimination over Q(i): Gauss-Jordan on ``QI`` entries.
+"""Reference linear algebra over Q(i), on ``QI`` entries.
 
-This is the elimination kernel the package used before its fraction-free
-Z[i] kernel, kept as the oracle that ``tests/test_matrix_oracle.py``
-compares ``rref``, ``rank``, ``solve``, ``inverse``, ``kernel_basis`` and
-``basis_extension`` against.
+Gauss-Jordan elimination is the kernel the package used before its
+fraction-free Z[i] kernel, kept as the oracle that
+``tests/test_matrix_oracle.py`` compares ``rref``, ``rank``, ``solve``,
+``inverse``, ``kernel_basis`` and ``basis_extension`` against.
+Faddeev-LeVerrier is the characteristic polynomial the package computed
+before Berkowitz's division-free algorithm over Z[i], kept as the oracle
+that ``tests/test_char_poly_oracle.py`` compares ``char_poly`` against.
 """
 
-from monadcalc.field import ONE, ZERO
+from monadcalc.field import ONE, QI, ZERO
 from monadcalc.matrix import Matrix, Subspace, hstack
 
 
@@ -104,3 +107,16 @@ def basis_extension(space):
                  for j in others]
     pieces = [space.basis] + unit_cols
     return hstack(pieces) if space.dim + len(others) > 0 else Matrix.zeros(n, 0)
+
+
+def char_poly(M):
+    """Coefficients [1, c1, ..., ck] of det(t*I - M) (Faddeev-LeVerrier)."""
+    k = M.rows
+    coeffs = [ONE]
+    N = Matrix.identity(k)
+    for i in range(1, k + 1):
+        MN = M @ N
+        c = -(MN.trace() / QI(i))
+        coeffs.append(c)
+        N = MN + Matrix.identity(k).scale(c)
+    return coeffs

@@ -1,5 +1,6 @@
 """The command-line contract: subcommands, exit codes, determinism."""
 
+import concurrent.futures
 import json
 import os
 import pathlib
@@ -99,6 +100,21 @@ def test_validate_malformed_bytes_is_one_error_line(tmp_path, capsys):
     for path in _malformed_bytes(tmp_path):
         assert main(["validate", str(path)]) == EXIT_IO
         _assert_one_error_line(capsys)
+
+
+def test_digit_limit_is_reported_in_our_words(tmp_path, capsys):
+    """Python's advice to raise the limit is no use to a CLI user: the
+    error line says the value has too many digits, as a JSON literal and
+    inside a "p/q" string."""
+    doc = jsonio.to_document(generate(GenSpec(k=1, r=2, seed=0,
+                                              family="charge_one")))
+    doc["matrices"]["a1"][0][0]["im"] = "-1/" + "7" * 5000
+    (tmp_path / "scalar.json").write_text(json.dumps(doc))
+    for path in _malformed_bytes(tmp_path)[1:] + [tmp_path / "scalar.json"]:
+        assert main(["validate", str(path)]) == EXIT_IO
+        line = _assert_one_error_line(capsys)
+        assert "more than 4300 digits" in line
+        assert "set_int_max_str_digits" not in line
 
 
 def test_batch_reports_malformed_bytes_as_parse_errors(tmp_path, capsys):
@@ -343,7 +359,8 @@ def test_batch_clamps_jobs_to_document_count(tmp_path, capsys, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    # cmd_batch imports the pool class when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     _write(tmp_path, "a.json", "blowup_zero_d", 2, 1, seed=1)
     _write(tmp_path, "b.json", "blowup_zero_d", 2, 1, seed=2)
     assert main(["batch", str(tmp_path), "--jobs", "64"]) == EXIT_OK

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -91,6 +94,17 @@ def test_numpy_only_in_the_float_roots_and_sympy_nowhere():
                     path.name, where) != ("eigen.py", "_complex_roots")):
                 found.append(f"{path.name}:{line} {name}")
     assert found == []
+
+
+def test_cli_starts_without_the_process_pool():
+    """Only ``batch --jobs`` above 1 loads concurrent.futures and
+    multiprocessing; every other command starts without them."""
+    probe = ("import sys, monadcalc.cli; print(sorted(m for m in sys.modules"
+             " if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_check_invariant_raises_a_domain_error():
