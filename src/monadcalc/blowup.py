@@ -34,7 +34,7 @@ from .errors import (DimensionMismatch, IntegrabilityViolation, InvalidPoint,
 from .field import qi
 from .matrix import (Matrix, block, column_space, hstack, inverse,
                      kernel_basis, rank, solve)
-from .p2 import ProjectivePoint, _fiber_dim, evaluate_A, evaluate_B
+from .p2 import ProjectivePoint, _fiber_dim, monad_maps
 from .polymat import PolyMatrix, linear_polymatrix, poly_matmul
 
 
@@ -199,7 +199,7 @@ def fiber_projection_check(mt: MonadDataBlowup, p: BlowupPoint) -> bool:
         raise PointOnExceptionalLine("fiber comparison needs x1, x2 not both 0")
     m = pushforward(mt)
     At, Bt = evaluate_A_blowup(mt, p), evaluate_B_blowup(mt, p)
-    A, B = evaluate_A(m, p.x), evaluate_B(m, p.x)
+    _, _, A, B = monad_maps(m, p.x)
     # forgetting the W0 blocks keeps the rows of W1, W1 and C^r
     keep = [*range(mt.k, 2 * mt.k), *range(3 * mt.k, 4 * mt.k + mt.r)]
     Kt = kernel_basis(Bt)

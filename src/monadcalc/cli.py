@@ -3,7 +3,7 @@
 Exit codes are a stable contract:
   0  success
   1  I/O, JSON or document-shape error (including wrong document kind
-     and an output file that cannot be written)
+     and an output file that cannot be written), or memory exhausted
   2  domain invalidity (integrability/surjectivity violation, infeasible
      generator spec, irrational spectrum in exact mode, ...)
 """
@@ -290,6 +290,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except DocumentError as exc:  # a document that cannot be read or written
         return _fail_io(str(exc))
+    except MemoryError:  # e.g. a generator spec with a huge k
+        return _fail_io(f"out of memory in {args.command}")
     except MonadcalcError as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)})
         return EXIT_DOMAIN

@@ -133,26 +133,37 @@ def is_nondegenerate(m: MonadDataP2) -> bool:
 
 # -- pointwise monad maps ----------------------------------------------
 
-def evaluate_A(m: MonadDataP2, p: ProjectivePoint) -> Matrix:
-    """The (2k+r) x k monad map A at p: rows (x1 - a1 x3; x2 - a2 x3; c x3)."""
+class MonadMaps(NamedTuple):
+    """The monad maps at a point and the pencil blocks they share.
+
+    P1 = x1 - x3 a1 and P2 = x2 - x3 a2; A = (P1; P2; c x3) and
+    B = (-P2 | P1 | b x3).
+    """
+
+    P1: Matrix
+    P2: Matrix
+    A: Matrix
+    B: Matrix
+
+
+def monad_maps(m: MonadDataP2, p: ProjectivePoint) -> MonadMaps:
+    """A(p) and B(p) from one evaluation of the pencil at p."""
     x1, x2, x3 = p.coords()
     eye = Matrix.identity(m.k)
-    return vstack([
-        eye.scale(x1) - m.a1.scale(x3),
-        eye.scale(x2) - m.a2.scale(x3),
-        m.c.scale(x3),
-    ])
+    P1 = eye.scale(x1) - m.a1.scale(x3)
+    P2 = eye.scale(x2) - m.a2.scale(x3)
+    return MonadMaps(P1, P2, vstack([P1, P2, m.c.scale(x3)]),
+                     hstack([-P2, P1, m.b.scale(x3)]))
+
+
+def evaluate_A(m: MonadDataP2, p: ProjectivePoint) -> Matrix:
+    """The (2k+r) x k monad map A at p: rows (x1 - a1 x3; x2 - a2 x3; c x3)."""
+    return monad_maps(m, p).A
 
 
 def evaluate_B(m: MonadDataP2, p: ProjectivePoint) -> Matrix:
     """The k x (2k+r) monad map B at p: (-x2 + a2 x3 | x1 - a1 x3 | b x3)."""
-    x1, x2, x3 = p.coords()
-    eye = Matrix.identity(m.k)
-    return hstack([
-        eye.scale(-x2) + m.a2.scale(x3),
-        eye.scale(x1) - m.a1.scale(x3),
-        m.b.scale(x3),
-    ])
+    return monad_maps(m, p).B
 
 
 # the unit points, at which A and B take their coefficient matrices
@@ -166,14 +177,16 @@ def symbolic_monad_product(m: MonadDataP2) -> PolyMatrix:
     For every raw tuple this equals ([a1, a2] + b c) * x3^2; all other
     monomial coefficients cancel identically.
     """
-    return poly_matmul(linear_polymatrix([evaluate_B(m, p) for p in _UNITS]),
-                       linear_polymatrix([evaluate_A(m, p) for p in _UNITS]))
+    maps = [monad_maps(m, p) for p in _UNITS]
+    return poly_matmul(linear_polymatrix([mp.B for mp in maps]),
+                       linear_polymatrix([mp.A for mp in maps]))
 
 
 def fiber_dimension(m: MonadDataP2, p: ProjectivePoint) -> int:
     """dim Ker B(p) - rank A(p); equals r wherever the monad maps have
     maximal rank."""
-    return _fiber_dim(evaluate_A(m, p), evaluate_B(m, p))
+    mp = monad_maps(m, p)
+    return _fiber_dim(mp.A, mp.B)
 
 
 def _fiber_dim(A: Matrix, B: Matrix) -> int:

@@ -7,11 +7,27 @@ two charts U1 = {x1 != 0}, U2 = {x2 != 0}, the full-rank frame matrices,
 and the exact transition solution on the overlap.
 
 Concentration is checked once per public call, through
-:func:`p2.is_concentrated_at_origin`; the private builders assume it.
-They treat all r framing indices at once: the sections at a point are
-the columns of one (2k+r) x r matrix and the transition data the columns
-of one k x r matrix, so the per-index helpers are column extractions and
-:func:`verify_trivialization` checks every identity as a matrix identity.
+:func:`p2.is_concentrated_at_origin`; the private builder assumes it.
+It works at the normalized projective point q = [x1 : x2 : x3], on the
+pencil blocks P1 = x1 - x3 a1 and P2 = x2 - x3 a2, which are the first
+two blocks of A(q) = (P1; P2; c x3) and, as (-P2 | P1 | b x3), of B(q).
+They are invertible wherever x1 resp. x2 is nonzero, because a1 and a2
+are nilpotent.  With w = P2^-1 b and u = P1^-1 [b | w] = [u_b | u_w]:
+
+  U2 sections    (x3 w, 0, 1)       where x2 != 0
+  U1 sections    (0, -x3 u_b, 1)    where x1 != 0
+  transition     xi1 = x3 u_w       on the overlap
+
+Rescaling q leaves x3 w and x3 u_b unchanged, so the sections equal the
+chart closed forms (see :func:`section_s1`, :func:`section_s2`); on the
+overlap the normalized q reads [1 : alpha2 : alpha3], so xi1 equals the
+closed form of :func:`transition_xi`.  A point thus costs two solves:
+no resolvent inverse, and no frame rebuilt in the other chart's
+coordinates.  All r framing indices are treated at once: the sections
+at a point are the columns of one (2k+r) x r matrix and the transition
+data the columns of one k x r matrix, so the per-index helpers are
+column extractions and :func:`verify_trivialization` checks every
+identity as a matrix identity.
 
 Block convention: a kernel vector is (first W block, second W block,
 C^r block) in the column order of B, so the b-dependent part of the U1
@@ -22,14 +38,14 @@ see the tests for the k=1 witness).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (InvalidPoint, MonadcalcError, OverlapViolation,
                      check_invariant)
 from .field import ONE, QI, qi
-from .matrix import Matrix, hstack, inverse, rank, solve, vstack
-from .p2 import (MonadDataP2, ProjectivePoint, evaluate_A, evaluate_B,
-                 is_concentrated_at_origin)
+from .matrix import Matrix, hstack, rank, solve, vstack
+from .p2 import (MonadDataP2, ProjectivePoint, is_concentrated_at_origin,
+                 monad_maps)
 
 
 class NotConcentrated(MonadcalcError):
@@ -71,27 +87,52 @@ def _check_index(m: MonadDataP2, i: int):
         raise IndexError(f"framing index {i} outside 1..{m.r}")
 
 
-def _frame(m: MonadDataP2, p: ChartPoint) -> Tuple[Matrix, Matrix]:
-    """The chart resolvent R and all r sections at p as the columns of one
-    (2k+r) x r matrix: U1 (0, -alpha3 R b, 1), U2 (beta3 R b, 0, 1).
+class _Frames(NamedTuple):
+    """The monad maps and the frame data at one projective point.
 
-    R = (1 - t a)^-1 with (a, t) = (a1, alpha3) on U1 and (a2, beta3) on
-    U2; it exists for every t since a is nilpotent.
+    S1 (the U1 sections) is None where x1 = 0, S2 (the U2 sections)
+    where x2 = 0, and xi1 (the transition) off the overlap U1 ∩ U2.
     """
-    t, on_u1 = p.coord_b, p.chart == "U1"
-    R = inverse(Matrix.identity(m.k) - (m.a1 if on_u1 else m.a2).scale(t))
-    check_invariant(R is not None, "resolvent of a nilpotent matrix is singular")
-    Rb, zero = R @ m.b, Matrix.zeros(m.k, m.r)
-    w = [zero, Rb.scale(-t)] if on_u1 else [Rb.scale(t), zero]
-    return R, vstack(w + [Matrix.identity(m.r)])
+
+    A: Matrix
+    B: Matrix
+    S1: Optional[Matrix]
+    S2: Optional[Matrix]
+    xi1: Optional[Matrix]
+
+    def sections(self, chart: str) -> Matrix:
+        return self.S1 if chart == "U1" else self.S2
 
 
-def _transition(m: MonadDataP2, R1: Matrix, alpha2: QI, alpha3: QI) -> Matrix:
-    """xi1 for all r framing indices: alpha3 R1 (alpha2 - alpha3 a2)^-1 b,
-    with R1 the U1 resolvent at alpha3."""
-    shifted_b = solve(Matrix.identity(m.k).scale(alpha2) - m.a2.scale(alpha3), m.b)
-    check_invariant(shifted_b is not None, "alpha2 - alpha3 a2 is singular")
-    return (R1 @ shifted_b).scale(alpha3)
+def _solve_block(P: Matrix, rhs: Matrix) -> Matrix:
+    X = solve(P, rhs)
+    check_invariant(X is not None, "a pencil block of nilpotent data is singular")
+    return X
+
+
+def _frames(m: MonadDataP2, q: ProjectivePoint) -> _Frames:
+    """Every frame at q, all r framing indices at once, from two solves.
+
+    w = P2^-1 b where x2 != 0 and u = P1^-1 [b | w] = [u_b | u_w] where
+    x1 != 0 give the U2 sections (x3 w, 0, 1), the U1 sections
+    (0, -x3 u_b, 1) and, on the overlap, xi1 = x3 u_w.
+    """
+    x1, x2, x3 = q.coords()
+    k, r = m.k, m.r
+    P1, P2, A, B = monad_maps(m, q)
+    zero, eye = Matrix.zeros(k, r), Matrix.identity(r)
+    S1 = S2 = xi1 = None
+    rhs = m.b
+    if not x2.is_zero():
+        w = _solve_block(P2, m.b)
+        S2 = vstack([w.scale(x3), zero, eye])
+        rhs = hstack([m.b, w])
+    if not x1.is_zero():
+        u = _solve_block(P1, rhs)
+        S1 = vstack([zero, u.submatrix(range(k), range(r)).scale(-x3), eye])
+        if S2 is not None:
+            xi1 = u.submatrix(range(k), range(r, 2 * r)).scale(x3)
+    return _Frames(A, B, S1, S2, xi1)
 
 
 def _section(m: MonadDataP2, i: int, p: ChartPoint, chart: str) -> Matrix:
@@ -99,7 +140,7 @@ def _section(m: MonadDataP2, i: int, p: ChartPoint, chart: str) -> Matrix:
     _check_index(m, i)
     if p.chart != chart:
         raise InvalidPoint(f"section_s{chart[1]} is defined on {chart} chart points")
-    return _frame(m, p)[1].col_matrix(i - 1)
+    return _frames(m, p.projective()).sections(chart).col_matrix(i - 1)
 
 
 def section_s1(m: MonadDataP2, i: int, p: ChartPoint) -> Matrix:
@@ -119,7 +160,8 @@ def frame_matrix(m: MonadDataP2, p: ChartPoint) -> Matrix:
     of that block (a1 nilpotent) forces maximal rank at every chart point.
     """
     _require_concentrated(m)
-    return hstack([evaluate_A(m, p.projective()), _frame(m, p)[1]])
+    f = _frames(m, p.projective())
+    return hstack([f.A, f.sections(p.chart)])
 
 
 def transition_xi(m: MonadDataP2, i: int, alpha2: QI, alpha3: QI) -> Tuple[Matrix, Matrix]:
@@ -134,9 +176,8 @@ def transition_xi(m: MonadDataP2, i: int, alpha2: QI, alpha3: QI) -> Tuple[Matri
     alpha2, alpha3 = qi(alpha2), qi(alpha3)
     if alpha2.is_zero():
         raise OverlapViolation("alpha2 = 0 lies outside U1 ∩ U2")
-    R1 = _frame(m, ChartPoint("U1", alpha2, alpha3))[0]
-    return (_transition(m, R1, alpha2, alpha3).col_matrix(i - 1),
-            Matrix.identity(m.r).col_matrix(i - 1))
+    xi1 = _frames(m, ChartPoint("U1", alpha2, alpha3).projective()).xi1
+    return xi1.col_matrix(i - 1), Matrix.identity(m.r).col_matrix(i - 1)
 
 
 def default_sample_points(n: int, seed: int = 11) -> List[ChartPoint]:
@@ -161,40 +202,37 @@ def verify_trivialization(m: MonadDataP2,
     """Exact verification of the trivialization identities on samples.
 
     Concentration is checked once, here.  At each sample point all r
-    sections lie in Ker B and the frame [A | sections] has full column
-    rank; on the overlap the transition identity s2 - s1 = A xi1 holds
-    with c xi1 = 0 and (xi1, xi2) matching an independent generic linear
-    solve of frame_U1 . xi = s2.  Each identity is checked for all r
-    framing indices at once, one chart resolvent and one transition
-    solve per point.
+    sections of its chart lie in Ker B and the frame [A | sections] has
+    full column rank; on the overlap the transition identity
+    s2 - s1 = A xi1 holds with c xi1 = 0 and (xi1, xi2) matching an
+    independent generic linear solve of frame_U1 . xi = s2.  Each
+    identity is checked for all r framing indices at once, from one
+    evaluation of the monad maps and two block solves per point.
+
+    Raises ValueError when there is no point to check: n_samples < 1
+    without sample_points, or an empty sample_points.
     """
+    if sample_points is None:
+        if n_samples < 1:
+            raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+        sample_points = default_sample_points(n_samples)
+    elif not sample_points:
+        raise ValueError("sample_points is empty")
     _require_concentrated(m)
     if m.k == 0 and m.r == 0:
         return True
-    if sample_points is None:
-        sample_points = default_sample_points(n_samples)
     for p in sample_points:
-        q = p.projective()
-        A = evaluate_A(m, q)
-        R, S = _frame(m, p)
-        F = hstack([A, S])
-        if not (evaluate_B(m, q) @ S).is_zero() or rank(F) != m.k + m.r:
+        f = _frames(m, p.projective())
+        S = f.sections(p.chart)
+        F = hstack([f.A, S])
+        if not (f.B @ S).is_zero() or rank(F) != m.k + m.r:
             return False
-        # q is normalized, so on U1 it reads [1 : alpha2 : alpha3]
-        x1, alpha2, alpha3 = q.coords()
-        if x1.is_zero() or alpha2.is_zero():
+        if f.xi1 is None:
             continue  # off the overlap U1 ∩ U2
-        if p.chart == "U1":
-            R1, S1, F1 = R, S, F
-            beta1 = alpha2.inverse()
-            S2 = _frame(m, ChartPoint("U2", beta1, alpha3 * beta1))[1]
-        else:
-            R1, S1 = _frame(m, ChartPoint("U1", alpha2, alpha3))
-            S2, F1 = S, hstack([A, S1])
-        xi1 = _transition(m, R1, alpha2, alpha3)
-        if not ((S2 - S1 - A @ xi1).is_zero() and (m.c @ xi1).is_zero()):
+        if not ((f.S2 - f.S1 - f.A @ f.xi1).is_zero() and
+                (m.c @ f.xi1).is_zero()):
             return False
-        generic = solve(F1, S2)
-        if generic is None or generic != vstack([xi1, Matrix.identity(m.r)]):
+        generic = solve(F if p.chart == "U1" else hstack([f.A, f.S1]), f.S2)
+        if generic is None or generic != vstack([f.xi1, Matrix.identity(m.r)]):
             return False
     return True

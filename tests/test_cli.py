@@ -295,6 +295,23 @@ def test_generate_infeasible(tmp_path, capsys):
 
 # -- batch ---------------------------------------------------------------
 
+def test_generate_out_of_memory_is_one_error_line(tmp_path, capsys,
+                                                  monkeypatch):
+    def exhausted(spec):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "generate", exhausted)
+    out = tmp_path / "huge.json"
+    assert main(["generate", str(out), "--family", "commuting_points",
+                 "--k", "100000", "--r", "1"]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "out of memory in generate"}
+    assert not out.exists()
+
+
 def test_batch_mixed_directory(tmp_path, capsys):
     _write(tmp_path, "ok1.json", "blowup_zero_d", 2, 1)
     _write(tmp_path, "ok2.json", "commuting_points", 2, 1)

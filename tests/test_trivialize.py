@@ -123,8 +123,23 @@ def test_verify_trivialization_families():
 
 def test_verify_trivialization_handles_u2_points():
     m = generate(GenSpec(k=2, r=2, seed=5, family="block_concentrated"))
-    pts = [ChartPoint("U2", qi(3), qi(1)), ChartPoint("U2", ZERO, ONE)]
+    # U2 points on and off the overlap ([0:1:1] and [0:1:0] have beta1 = 0),
+    # and U1 points off the overlap (alpha2 = 0) and with alpha3 = 0
+    pts = [ChartPoint("U2", qi(3), qi(1)), ChartPoint("U2", ZERO, ONE),
+           ChartPoint("U2", ZERO, ZERO), ChartPoint("U2", qi(2), ZERO),
+           ChartPoint("U1", ZERO, qi(2)), ChartPoint("U1", ZERO, ZERO),
+           ChartPoint("U1", qi(-1, 1), ZERO)]
     assert verify_trivialization(m, sample_points=pts)
+    for p in pts:
+        assert verify_trivialization(m, sample_points=[p])
+
+
+@pytest.mark.parametrize("kwargs", [{"n_samples": 0}, {"n_samples": -5},
+                                    {"sample_points": []}])
+def test_verify_needs_a_point_to_check(kwargs):
+    m = generate(GenSpec(k=2, r=1, seed=5, family="block_concentrated"))
+    with pytest.raises(ValueError):
+        verify_trivialization(m, **kwargs)
 
 
 def test_verify_checks_concentration_once(monkeypatch):
@@ -163,29 +178,50 @@ def _closed_form_column(m, p, i):
     return vstack([w.scale(t), zero, e])
 
 
+# chart points on and off the overlap: alpha2 = 0, alpha3 = 0, [0:1:0]
+# (beta1 = beta3 = 0) and beta1 = 0
+_EDGE_POINTS = [
+    ChartPoint("U1", ZERO, qi(2)), ChartPoint("U1", ZERO, ZERO),
+    ChartPoint("U1", qi(-1, 1), ZERO), ChartPoint("U2", qi(3), qi(1)),
+    ChartPoint("U2", ZERO, ONE), ChartPoint("U2", ZERO, ZERO),
+    ChartPoint("U2", qi("1/2", 1), qi(-2)), ChartPoint("U2", qi(2), ZERO)]
+
+
 def test_frame_columns_match_per_index_helpers():
-    pts = default_sample_points(5) + [
-        ChartPoint("U2", qi(3), qi(1)), ChartPoint("U2", ZERO, ONE),
-        ChartPoint("U2", qi("1/2", 1), qi(-2))]
+    pts = default_sample_points(5) + _EDGE_POINTS
     for m in family_instances("block_concentrated", 6, seed=73):
         for p in pts:
-            S = trivialize._frame(m, p)[1]
+            q = p.projective()
+            x1, x2, x3 = q.coords()
+            f = trivialize._frames(m, q)
+            assert (f.S1 is None) == x1.is_zero()
+            assert (f.S2 is None) == x2.is_zero()
+            S = f.sections(p.chart)
             assert (S.rows, S.cols) == (2 * m.k + m.r, m.r)
             helper = section_s1 if p.chart == "U1" else section_s2
             for i in range(1, m.r + 1):
                 assert S.col_matrix(i - 1) == helper(m, i, p)
                 assert S.col_matrix(i - 1) == _closed_form_column(m, p, i)
-            assert frame_matrix(m, p) == hstack([evaluate_A(m, p.projective()), S])
-            if p.chart != "U1" or p.coord_a.is_zero():
+                # the other chart's sections, against its closed form
+                if p.chart == "U2" and f.S1 is not None:
+                    u1 = ChartPoint("U1", x2 / x1, x3 / x1)
+                    assert f.S1.col_matrix(i - 1) == _closed_form_column(m, u1, i)
+                if p.chart == "U1" and f.S2 is not None:
+                    u2 = ChartPoint("U2", x1 / x2, x3 / x2)
+                    assert f.S2.col_matrix(i - 1) == _closed_form_column(m, u2, i)
+            assert frame_matrix(m, p) == hstack([evaluate_A(m, q), S])
+            assert (f.A, f.B) == (evaluate_A(m, q), evaluate_B(m, q))
+            assert (f.xi1 is None) == (x1.is_zero() or x2.is_zero())
+            if f.xi1 is None:
                 continue
-            a2c, a3c = p.coord_a, p.coord_b
-            X = trivialize._transition(m, trivialize._frame(m, p)[0], a2c, a3c)
+            # q is normalized, so on the overlap it reads [1 : alpha2 : alpha3]
+            a2c, a3c = x2, x3
             shifted = inverse(Matrix.identity(m.k).scale(a2c) - m.a2.scale(a3c))
             R1 = inverse(Matrix.identity(m.k) - m.a1.scale(a3c))
             for i in range(1, m.r + 1):
                 xi1, xi2 = transition_xi(m, i, a2c, a3c)
                 e = Matrix.identity(m.r).col_matrix(i - 1)
-                assert X.col_matrix(i - 1) == xi1
+                assert f.xi1.col_matrix(i - 1) == xi1
                 assert xi1 == (R1 @ shifted @ m.b @ e).scale(a3c)
                 assert xi2 == e
 
@@ -193,14 +229,50 @@ def test_frame_columns_match_per_index_helpers():
 def test_verify_rejects_a_broken_frame(monkeypatch):
     """The identity checks still fire when the sections are wrong."""
     m = generate(GenSpec(k=3, r=2, seed=6, family="block_concentrated"))
-    real = trivialize._frame
+    real = trivialize._frames
 
-    def broken_frame(m_, p):
-        R, S = real(m_, p)
-        if p.chart == "U2":  # double the C^r block of every U2 section
-            S = S + vstack([Matrix.zeros(S.rows - m_.r, S.cols),
-                            Matrix.identity(m_.r)])
-        return R, S
+    def broken_frames(m_, q):
+        f = real(m_, q)
+        if f.S2 is None:
+            return f
+        # double the C^r block of every U2 section
+        return f._replace(S2=f.S2 + vstack([Matrix.zeros(2 * m_.k, m_.r),
+                                            Matrix.identity(m_.r)]))
 
-    monkeypatch.setattr(trivialize, "_frame", broken_frame)
+    monkeypatch.setattr(trivialize, "_frames", broken_frames)
     assert not verify_trivialization(m, n_samples=4)
+    u2 = [ChartPoint("U2", qi(3), qi(1))]  # checked through its own frame
+    assert not verify_trivialization(m, sample_points=u2)
+
+
+def test_verify_operation_counts(monkeypatch):
+    """Per default point (all on the overlap): no inverse, three products
+    (B S, A xi1, c xi1), three solves (two blocks and the generic check)
+    and one rank."""
+    counts = {"inverse": 0, "matmul": 0, "solve": 0, "rank": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    pts = default_sample_points(10)
+    assert all(not p.coord_a.is_zero() for p in pts)
+    for name in ("solve", "rank"):
+        monkeypatch.setattr(trivialize, name,
+                            counting(name, getattr(trivialize, name)))
+    monkeypatch.setattr(trivialize, "inverse", counting("inverse", inverse),
+                        raising=False)
+    monkeypatch.setattr(Matrix, "__matmul__",
+                        counting("matmul", Matrix.__matmul__))
+    # the instances are concentrated by construction; the check's own
+    # products are not counted here
+    monkeypatch.setattr(trivialize, "is_concentrated_at_origin", lambda m_: True)
+    for m in family_instances("block_concentrated", 4, seed=74):
+        for name in counts:
+            counts[name] = 0
+        assert verify_trivialization(m, sample_points=pts)
+        n = len(pts)
+        assert counts == {"inverse": 0, "matmul": 3 * n, "solve": 3 * n,
+                          "rank": n}
