@@ -34,26 +34,26 @@ from .closure import is_nilpotent
 from .errors import (DimensionMismatch, FloatOverflow, IrrationalSpectrum,
                      NonCommuting, NonSquareMatrix, check_invariant)
 from .field import ONE, QI, ZERO, Rat
-from .matrix import (Gauss, Matrix, Subspace, block, inverse, invariant_split,
-                     kernel_basis, vstack)
+from .matrix import (Gauss, Matrix, Subspace, _ZiMatrix, block, inverse,
+                     invariant_split, kernel_basis, vstack)
 
 
 def char_poly(M: Matrix) -> List[QI]:
     """Coefficients [1, c1, ..., ck] of det(t*I - M).
 
     Berkowitz's division-free algorithm over Z[i]: M = N / D with N the
-    Gaussian-integer numerators over one common denominator D.  Bordering
-    the leading r x r block A of N by the row R, the column C and the
-    corner a multiplies det(t - A) by the Toeplitz matrix of
-    1, -a, -R C, -R A C, ..., -R A^(r-1) C.  Coefficient i of det(t - N)
-    is D^i times c_i, and is divided once, at the end.
+    Gaussian-integer numerators over one common denominator D (the
+    integer form ``matrix._ZiMatrix``).  Bordering the leading r x r
+    block A of N by the row R, the column C and the corner a multiplies
+    det(t - A) by the Toeplitz matrix of 1, -a, -R C, -R A C, ...,
+    -R A^(r-1) C.  Coefficient i of det(t - N) is D^i times c_i, and is
+    divided once, at the end.
     """
     if not M.is_square():
         raise NonSquareMatrix("characteristic polynomial needs a square matrix")
     k = M.rows
-    D = lcm(*(q.denominator for x in M.entries for q in (x.re, x.im)))
-    N = [(x.re.numerator * (D // x.re.denominator),
-          x.im.numerator * (D // x.im.denominator)) for x in M.entries]
+    Z = _ZiMatrix.of(M)
+    N, D = Z.nums, Z.den
     P = [(1, 0)]  # det(t - A) for the leading r x r block A of N
     for r in range(k):
         A = [N[i * k:i * k + r] for i in range(r)]

@@ -6,13 +6,17 @@ subspaces is equality of their basis matrices.
 
 Entries are Gaussian rationals in and Gaussian rationals out.  In
 between, elimination (rref, rank, solve, inverse, and the kernels and
-spans built on them) is fraction-free over Z[i]; products, powers and
-traces work on the ``QI`` entries directly.
+spans built on them) is fraction-free over Z[i].  ``Matrix`` products,
+powers and traces work on the ``QI`` entries directly.  The private
+integer form ``_ZiMatrix`` (Gaussian-integer numerators over one integer
+denominator) runs chains of products, stacks and solves without ``QI``
+arithmetic; ``_clear`` is the one place where denominators are cleared.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NonSquareMatrix, check_invariant
@@ -231,18 +235,25 @@ def block(rows_of_blocks: Sequence[Sequence[Matrix]]) -> Matrix:
 Gauss = Tuple[int, int]
 
 
+def _clear(entries: Sequence[QI]) -> Tuple[List[Gauss], int]:
+    """The Gaussian-integer numerators of ``entries`` over their least
+    common denominator, and that denominator.
+
+    Reads only ``numerator`` and ``denominator`` of the rational parts, so
+    either ``field.Rat`` type works.
+    """
+    den = lcm(*(q.denominator for x in entries for q in (x.re, x.im)))
+    return [(x.re.numerator * (den // x.re.denominator),
+             x.im.numerator * (den // x.im.denominator))
+            for x in entries], den
+
+
 def _gauss_rows(*mats: Matrix) -> List[List[Gauss]]:
     """The rows of the horizontal concatenation of ``mats``, each scaled
     to Gaussian integers by its own common denominator."""
-    out = []
-    for i in range(mats[0].rows):
-        row = [x for M in mats
-               for x in M.entries[i * M.cols:(i + 1) * M.cols]]
-        den = lcm(*(q.denominator for x in row for q in (x.re, x.im)))
-        out.append([(x.re.numerator * (den // x.re.denominator),
-                     x.im.numerator * (den // x.im.denominator))
-                    for x in row])
-    return out
+    return [_clear([x for M in mats
+                    for x in M.entries[i * M.cols:(i + 1) * M.cols]])[0]
+            for i in range(mats[0].rows)]
 
 
 def _eliminate(rows: List[List[Gauss]]) -> Tuple[Gauss, Tuple[int, ...]]:
@@ -346,6 +357,148 @@ def inverse(A: Matrix) -> Optional[Matrix]:
         raise NonSquareMatrix("inverse needs a square matrix")
     # A X = I is inconsistent exactly when A is singular
     return _solve(A, Matrix.identity(A.rows))
+
+
+class _ZiMatrix:
+    """A matrix as Gaussian-integer numerators over one positive integer
+    denominator, in lowest terms, so equal matrices have equal forms.
+
+    ``nums`` is the row-major list of (re, im) pairs.  Products, stacks
+    and linear combinations cost integer arithmetic and one gcd per
+    result; rank and solve eliminate the numerators with ``_eliminate``.
+    ``of`` and ``matrix`` convert from and to ``Matrix``.
+    """
+
+    __slots__ = ("rows", "cols", "nums", "den")
+
+    def __init__(self, rows: int, cols: int, nums: List[Gauss], den: int = 1):
+        g = gcd(den, *chain.from_iterable(nums))
+        if g != 1:
+            nums = [(a // g, b // g) for a, b in nums]
+            den //= g
+        self.rows, self.cols, self.nums, self.den = rows, cols, nums, den
+
+    @classmethod
+    def of(cls, M: Matrix) -> "_ZiMatrix":
+        return cls(M.rows, M.cols, *_clear(M.entries))
+
+    @classmethod
+    def zeros(cls, rows: int, cols: int) -> "_ZiMatrix":
+        return cls(rows, cols, [(0, 0)] * (rows * cols))
+
+    @classmethod
+    def identity(cls, n: int) -> "_ZiMatrix":
+        return cls(n, n, [(1, 0) if i == j else (0, 0)
+                          for i in range(n) for j in range(n)])
+
+    def matrix(self) -> Matrix:
+        d = self.den
+        return Matrix(self.rows, self.cols,
+                      [QI(Rat(a, d), Rat(b, d)) if a or b else ZERO
+                       for a, b in self.nums])
+
+    def _rows(self) -> List[List[Gauss]]:
+        c = self.cols
+        return [self.nums[i * c:(i + 1) * c] for i in range(self.rows)]
+
+    def _over(self, den: int) -> List[Gauss]:
+        """The numerators over ``den``, a multiple of the denominator."""
+        s = den // self.den
+        return self.nums if s == 1 else [(s * a, s * b) for a, b in self.nums]
+
+    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "_ZiMatrix":
+        return _ZiMatrix(len(rows), len(cols),
+                         [self.nums[i * self.cols + j] for i in rows for j in cols],
+                         self.den)
+
+    def scale(self, g: Gauss, e: int = 1) -> "_ZiMatrix":
+        """g / e times the matrix, for a Gaussian integer g and an integer e > 0."""
+        gr, gi = g
+        return _ZiMatrix(self.rows, self.cols,
+                         [(gr * a - gi * b, gr * b + gi * a) for a, b in self.nums],
+                         self.den * e)
+
+    def __neg__(self) -> "_ZiMatrix":
+        return _ZiMatrix(self.rows, self.cols,
+                         [(-a, -b) for a, b in self.nums], self.den)
+
+    def __sub__(self, other: "_ZiMatrix") -> "_ZiMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionMismatch(
+                f"shape {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+        den = lcm(self.den, other.den)
+        return _ZiMatrix(self.rows, self.cols,
+                         [(a - c, b - d) for (a, b), (c, d)
+                          in zip(self._over(den), other._over(den))], den)
+
+    def __matmul__(self, other: "_ZiMatrix") -> "_ZiMatrix":
+        if self.cols != other.rows:
+            raise DimensionMismatch(
+                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        p = other.cols
+        columns = [other.nums[j::p] for j in range(p)]
+        out = []
+        for row in self._rows():
+            for col in columns:
+                re = im = 0
+                for (a, b), (c, d) in zip(row, col):
+                    re += a * c - b * d
+                    im += a * d + b * c
+                out.append((re, im))
+        return _ZiMatrix(self.rows, p, out, self.den * other.den)
+
+    @staticmethod
+    def hstack(mats: Sequence["_ZiMatrix"]) -> "_ZiMatrix":
+        rows = mats[0].rows
+        if any(M.rows != rows for M in mats):
+            raise DimensionMismatch("hstack with differing row counts")
+        den = lcm(*(M.den for M in mats))
+        parts = [(M._over(den), M.cols) for M in mats]
+        return _ZiMatrix(rows, sum(c for _, c in parts),
+                         [x for i in range(rows) for nums, c in parts
+                          for x in nums[i * c:(i + 1) * c]], den)
+
+    @staticmethod
+    def vstack(mats: Sequence["_ZiMatrix"]) -> "_ZiMatrix":
+        cols = mats[0].cols
+        if any(M.cols != cols for M in mats):
+            raise DimensionMismatch("vstack with differing column counts")
+        den = lcm(*(M.den for M in mats))
+        return _ZiMatrix(sum(M.rows for M in mats), cols,
+                         [x for M in mats for x in M._over(den)], den)
+
+    def is_zero(self) -> bool:
+        return not any(a or b for a, b in self.nums)
+
+    def __eq__(self, other):
+        if not isinstance(other, _ZiMatrix):
+            return NotImplemented
+        return (self.rows, self.cols, self.den, self.nums) == \
+            (other.rows, other.cols, other.den, other.nums)
+
+    __hash__ = None
+
+    def rank(self) -> int:
+        return len(_eliminate(self._rows())[1])
+
+    def solve(self, B: "_ZiMatrix") -> Tuple[int, Optional["_ZiMatrix"]]:
+        """The rank of this matrix A and a particular solution X of
+        A X = B (None if there is none), from one elimination of [A | B]:
+        the pivots left of the B block give the rank, a pivot inside it
+        means inconsistency, and the pivot rows give X."""
+        if self.rows != B.rows:
+            raise DimensionMismatch("solve with mismatched row counts")
+        n = self.cols
+        rows = _ZiMatrix.hstack([self, B])._rows()
+        (dr, di), pivots = _eliminate(rows)
+        rank = sum(p < n for p in pivots)
+        if rank < len(pivots):
+            return rank, None
+        X = [[(0, 0)] * B.cols for _ in range(n)]
+        for row, p in zip(rows, pivots):  # row / d = row * conj(d) / |d|^2
+            X[p] = [(a * dr + b * di, b * dr - a * di) for a, b in row[n:]]
+        return rank, _ZiMatrix(n, B.cols, [x for r in X for x in r],
+                               dr * dr + di * di)
 
 
 # -- subspaces ----------------------------------------------------------

@@ -5,24 +5,25 @@ A tuple (a1, a2, b, c) with a_i in End(W), b: C^r -> W, c: W -> C^r and
 is a framed torsion-free sheaf of rank r and charge k = dim W.  This
 module implements the tuple calculus: validation, the GL(W) action,
 special subspaces and nondegeneracy, pointwise evaluation of the monad
-maps, reduction to a nondegenerate part plus a point multiset (two
-splits, along the maximal c-special and the minimal b-special subspace),
-and the charge-at-the-origin test (its one copy: stratify and trivialize
-call it).
+maps (once, on Gaussian-integer numerators, in ``_pencil``; the public
+evaluators are its ``Matrix`` view), reduction to a nondegenerate part
+plus a point multiset (two splits, along the maximal c-special and the
+minimal b-special subspace), and the charge-at-the-origin test (its one
+copy: stratify and trivialize call it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .closure import invariant_closure, max_invariant_in_kernel, nilpotency_index
 from .eigen import _joint_key, joint_spectrum
 from .errors import (DimensionMismatch, IntegrabilityViolation, InvalidPoint,
                      SingularGroupElement)
 from .field import QI, qi
-from .matrix import (Matrix, Subspace, column_space, hstack, invariant_split,
-                     inverse, rank, vstack)
+from .matrix import (Gauss, Matrix, Subspace, _clear, _ZiMatrix, column_space,
+                     invariant_split, inverse, rank)
 from .polymat import PolyMatrix, linear_polymatrix, poly_matmul
 
 
@@ -137,7 +138,8 @@ class MonadMaps(NamedTuple):
     """The monad maps at a point and the pencil blocks they share.
 
     P1 = x1 - x3 a1 and P2 = x2 - x3 a2; A = (P1; P2; c x3) and
-    B = (-P2 | P1 | b x3).
+    B = (-P2 | P1 | b x3).  :func:`monad_maps` holds them as ``Matrix``
+    values, ``_pencil`` as Gaussian-integer forms (``matrix._ZiMatrix``).
     """
 
     P1: Matrix
@@ -146,14 +148,37 @@ class MonadMaps(NamedTuple):
     B: Matrix
 
 
+class _ZiTuple(NamedTuple):
+    """a1, a2, b and c as Gaussian-integer forms (``matrix._ZiMatrix``),
+    converted once for any number of points."""
+
+    a1: _ZiMatrix
+    a2: _ZiMatrix
+    b: _ZiMatrix
+    c: _ZiMatrix
+
+    @classmethod
+    def of(cls, m: MonadDataP2) -> "_ZiTuple":
+        return cls(*(_ZiMatrix.of(X) for X in (m.a1, m.a2, m.b, m.c)))
+
+
+def _pencil(t: _ZiTuple, x: Sequence[Gauss], e: int) -> MonadMaps:
+    """The pencil and the monad maps at the point with homogeneous
+    coordinates x / e (Gaussian integers x, an integer e > 0), evaluated
+    once on Gaussian-integer numerators: no ``QI`` arithmetic."""
+    x1, x2, x3 = x
+    eye = _ZiMatrix.identity(t.a1.rows)
+    P1 = eye.scale(x1, e) - t.a1.scale(x3, e)
+    P2 = eye.scale(x2, e) - t.a2.scale(x3, e)
+    return MonadMaps(P1, P2, _ZiMatrix.vstack([P1, P2, t.c.scale(x3, e)]),
+                     _ZiMatrix.hstack([-P2, P1, t.b.scale(x3, e)]))
+
+
 def monad_maps(m: MonadDataP2, p: ProjectivePoint) -> MonadMaps:
-    """A(p) and B(p) from one evaluation of the pencil at p."""
-    x1, x2, x3 = p.coords()
-    eye = Matrix.identity(m.k)
-    P1 = eye.scale(x1) - m.a1.scale(x3)
-    P2 = eye.scale(x2) - m.a2.scale(x3)
-    return MonadMaps(P1, P2, vstack([P1, P2, m.c.scale(x3)]),
-                     hstack([-P2, P1, m.b.scale(x3)]))
+    """A(p) and B(p) from one evaluation of the pencil at p: the
+    ``Matrix`` view of ``_pencil``."""
+    return MonadMaps(*(X.matrix() for X in
+                       _pencil(_ZiTuple.of(m), *_clear(p.coords()))))
 
 
 def evaluate_A(m: MonadDataP2, p: ProjectivePoint) -> Matrix:

@@ -8,26 +8,33 @@ and the exact transition solution on the overlap.
 
 Concentration is checked once per public call, through
 :func:`p2.is_concentrated_at_origin`; the private builder assumes it.
-It works at the normalized projective point q = [x1 : x2 : x3], on the
-pencil blocks P1 = x1 - x3 a1 and P2 = x2 - x3 a2, which are the first
-two blocks of A(q) = (P1; P2; c x3) and, as (-P2 | P1 | b x3), of B(q).
-They are invertible wherever x1 resp. x2 is nonzero, because a1 and a2
-are nilpotent.  With w = P2^-1 b and u = P1^-1 [b | w] = [u_b | u_w]:
+It works at a point q = [x1 : x2 : x3], on the pencil blocks
+P1 = x1 - x3 a1 and P2 = x2 - x3 a2, which are the first two blocks of
+A(q) = (P1; P2; c x3) and, as (-P2 | P1 | b x3), of B(q).  They are
+invertible wherever x1 resp. x2 is nonzero, because a1 and a2 are
+nilpotent.  With w = P2^-1 b and u = P1^-1 [b | w] = [u_b | u_w]:
 
   U2 sections    (x3 w, 0, 1)       where x2 != 0
   U1 sections    (0, -x3 u_b, 1)    where x1 != 0
   transition     xi1 = x3 u_w       on the overlap
 
-Rescaling q leaves x3 w and x3 u_b unchanged, so the sections equal the
-chart closed forms (see :func:`section_s1`, :func:`section_s2`); on the
-overlap the normalized q reads [1 : alpha2 : alpha3], so xi1 equals the
-closed form of :func:`transition_xi`.  A point thus costs two solves:
-no resolvent inverse, and no frame rebuilt in the other chart's
-coordinates.  All r framing indices are treated at once: the sections
-at a point are the columns of one (2k+r) x r matrix and the transition
-data the columns of one k x r matrix, so the per-index helpers are
-column extractions and :func:`verify_trivialization` checks every
-identity as a matrix identity.
+Rescaling q by t leaves x3 w and x3 u_b unchanged, scales A and B by t
+and xi1 by 1/t, so every identity that :func:`verify_trivialization`
+checks holds at q exactly when it holds at tq.  The sections equal the
+chart closed forms (see :func:`section_s1`, :func:`section_s2`); at
+[1 : alpha2 : alpha3] xi1 equals the closed form of
+:func:`transition_xi`.  A point thus costs two solves: no resolvent
+inverse, and no frame rebuilt in the other chart's coordinates.  All r
+framing indices are treated at once: the sections at a point are the
+columns of one (2k+r) x r matrix and the transition data the columns of
+one k x r matrix, so the per-index helpers are column extractions and
+:func:`verify_trivialization` checks every identity as a matrix
+identity.
+
+The frames are built, and verified, on Gaussian-integer numerators over
+one integer denominator (``matrix._ZiMatrix``, from ``p2._pencil``):
+between the concentration check and the verdict no ``QI`` value is
+built.  Only the public helpers convert their result to ``Matrix``.
 
 Block convention: a kernel vector is (first W block, second W block,
 C^r block) in the column order of B, so the b-dependent part of the U1
@@ -43,9 +50,9 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .errors import (InvalidPoint, MonadcalcError, OverlapViolation,
                      check_invariant)
 from .field import ONE, QI, qi
-from .matrix import Matrix, hstack, rank, solve, vstack
-from .p2 import (MonadDataP2, ProjectivePoint, is_concentrated_at_origin,
-                 monad_maps)
+from .matrix import Matrix, _clear, _ZiMatrix
+from .p2 import (MonadDataP2, ProjectivePoint, _pencil, _ZiTuple,
+                 is_concentrated_at_origin)
 
 
 class NotConcentrated(MonadcalcError):
@@ -70,10 +77,14 @@ class ChartPoint:
         object.__setattr__(self, "coord_a", qi(self.coord_a))
         object.__setattr__(self, "coord_b", qi(self.coord_b))
 
-    def projective(self) -> ProjectivePoint:
+    def coords(self) -> Tuple[QI, QI, QI]:
+        """Homogeneous coordinates with the chart's coordinate set to 1."""
         if self.chart == "U1":
-            return ProjectivePoint(ONE, self.coord_a, self.coord_b)
-        return ProjectivePoint(self.coord_a, ONE, self.coord_b)
+            return (ONE, self.coord_a, self.coord_b)
+        return (self.coord_a, ONE, self.coord_b)
+
+    def projective(self) -> ProjectivePoint:
+        return ProjectivePoint(*self.coords())
 
 
 def _require_concentrated(m: MonadDataP2):
@@ -88,50 +99,55 @@ def _check_index(m: MonadDataP2, i: int):
 
 
 class _Frames(NamedTuple):
-    """The monad maps and the frame data at one projective point.
+    """The monad maps and the frame data at one point, as Gaussian-integer
+    forms.
 
     S1 (the U1 sections) is None where x1 = 0, S2 (the U2 sections)
     where x2 = 0, and xi1 (the transition) off the overlap U1 ∩ U2.
     """
 
-    A: Matrix
-    B: Matrix
-    S1: Optional[Matrix]
-    S2: Optional[Matrix]
-    xi1: Optional[Matrix]
+    A: _ZiMatrix
+    B: _ZiMatrix
+    S1: Optional[_ZiMatrix]
+    S2: Optional[_ZiMatrix]
+    xi1: Optional[_ZiMatrix]
 
-    def sections(self, chart: str) -> Matrix:
+    def sections(self, chart: str) -> _ZiMatrix:
         return self.S1 if chart == "U1" else self.S2
 
 
-def _solve_block(P: Matrix, rhs: Matrix) -> Matrix:
-    X = solve(P, rhs)
+def _solve_block(P: _ZiMatrix, rhs: _ZiMatrix) -> _ZiMatrix:
+    X = P.solve(rhs)[1]
     check_invariant(X is not None, "a pencil block of nilpotent data is singular")
     return X
 
 
-def _frames(m: MonadDataP2, q: ProjectivePoint) -> _Frames:
-    """Every frame at q, all r framing indices at once, from two solves.
+def _frames(t: _ZiTuple, coords: Sequence[QI]) -> _Frames:
+    """Every frame of the tuple t at [x1 : x2 : x3] = coords, all r
+    framing indices at once, from two solves.
 
     w = P2^-1 b where x2 != 0 and u = P1^-1 [b | w] = [u_b | u_w] where
     x1 != 0 give the U2 sections (x3 w, 0, 1), the U1 sections
     (0, -x3 u_b, 1) and, on the overlap, xi1 = x3 u_w.
     """
-    x1, x2, x3 = q.coords()
-    k, r = m.k, m.r
-    P1, P2, A, B = monad_maps(m, q)
-    zero, eye = Matrix.zeros(k, r), Matrix.identity(r)
+    x, e = _clear(coords)
+    x1, x2, x3 = x
+    b = t.b
+    k, r = b.rows, b.cols
+    P1, P2, A, B = _pencil(t, x, e)
+    zero, eye = _ZiMatrix.zeros(k, r), _ZiMatrix.identity(r)
     S1 = S2 = xi1 = None
-    rhs = m.b
-    if not x2.is_zero():
-        w = _solve_block(P2, m.b)
-        S2 = vstack([w.scale(x3), zero, eye])
-        rhs = hstack([m.b, w])
-    if not x1.is_zero():
+    rhs = b
+    if x2 != (0, 0):
+        w = _solve_block(P2, b)
+        S2 = _ZiMatrix.vstack([w.scale(x3, e), zero, eye])
+        rhs = _ZiMatrix.hstack([b, w])
+    if x1 != (0, 0):
         u = _solve_block(P1, rhs)
-        S1 = vstack([zero, u.submatrix(range(k), range(r)).scale(-x3), eye])
+        S1 = _ZiMatrix.vstack(
+            [zero, -u.submatrix(range(k), range(r)).scale(x3, e), eye])
         if S2 is not None:
-            xi1 = u.submatrix(range(k), range(r, 2 * r)).scale(x3)
+            xi1 = u.submatrix(range(k), range(r, 2 * r)).scale(x3, e)
     return _Frames(A, B, S1, S2, xi1)
 
 
@@ -140,7 +156,8 @@ def _section(m: MonadDataP2, i: int, p: ChartPoint, chart: str) -> Matrix:
     _check_index(m, i)
     if p.chart != chart:
         raise InvalidPoint(f"section_s{chart[1]} is defined on {chart} chart points")
-    return _frames(m, p.projective()).sections(chart).col_matrix(i - 1)
+    S = _frames(_ZiTuple.of(m), p.coords()).sections(chart)
+    return S.submatrix(range(S.rows), [i - 1]).matrix()
 
 
 def section_s1(m: MonadDataP2, i: int, p: ChartPoint) -> Matrix:
@@ -156,12 +173,13 @@ def section_s2(m: MonadDataP2, i: int, p: ChartPoint) -> Matrix:
 def frame_matrix(m: MonadDataP2, p: ChartPoint) -> Matrix:
     """The (2k+r) x (k+r) matrix [A(p) | sections]; full column rank.
 
+    A is taken at the normalized point :meth:`ChartPoint.projective`.
     On U1 this is the display with top block 1 - alpha3 a1; invertibility
     of that block (a1 nilpotent) forces maximal rank at every chart point.
     """
     _require_concentrated(m)
-    f = _frames(m, p.projective())
-    return hstack([f.A, f.sections(p.chart)])
+    f = _frames(_ZiTuple.of(m), p.projective().coords())
+    return _ZiMatrix.hstack([f.A, f.sections(p.chart)]).matrix()
 
 
 def transition_xi(m: MonadDataP2, i: int, alpha2: QI, alpha3: QI) -> Tuple[Matrix, Matrix]:
@@ -176,15 +194,18 @@ def transition_xi(m: MonadDataP2, i: int, alpha2: QI, alpha3: QI) -> Tuple[Matri
     alpha2, alpha3 = qi(alpha2), qi(alpha3)
     if alpha2.is_zero():
         raise OverlapViolation("alpha2 = 0 lies outside U1 ∩ U2")
-    xi1 = _frames(m, ChartPoint("U1", alpha2, alpha3).projective()).xi1
-    return xi1.col_matrix(i - 1), Matrix.identity(m.r).col_matrix(i - 1)
+    xi1 = _frames(_ZiTuple.of(m), (ONE, alpha2, alpha3)).xi1
+    return (xi1.submatrix(range(m.k), [i - 1]).matrix(),
+            Matrix.identity(m.r).col_matrix(i - 1))
 
 
 def default_sample_points(n: int, seed: int = 11) -> List[ChartPoint]:
     """Deterministic small-rational chart points, always including
-    alpha3 = 0 and an overlap point."""
+    alpha3 = 0 and an overlap point.  Raises ValueError for n < 0."""
     import random
 
+    if n < 0:
+        raise ValueError(f"the number of sample points must be nonnegative, got {n}")
     rng = random.Random(seed)
     pts = [ChartPoint("U1", qi(1), qi(0)), ChartPoint("U1", qi(1), qi(1))]
     while len(pts) < n:
@@ -204,10 +225,15 @@ def verify_trivialization(m: MonadDataP2,
     Concentration is checked once, here.  At each sample point all r
     sections of its chart lie in Ker B and the frame [A | sections] has
     full column rank; on the overlap the transition identity
-    s2 - s1 = A xi1 holds with c xi1 = 0 and (xi1, xi2) matching an
-    independent generic linear solve of frame_U1 . xi = s2.  Each
-    identity is checked for all r framing indices at once, from one
-    evaluation of the monad maps and two block solves per point.
+    s2 - s1 = A xi1 holds with c xi1 = 0, and an independent generic
+    solve of the point's frame against the other chart's sections gives
+    (xi1, 1) on U1 (frame_U1 . xi = s2) and (-xi1, 1) on U2
+    (frame_U2 . eta = s1).  Each identity is checked for all r framing
+    indices at once, at the point's chart coordinates (the identities
+    are invariant under rescaling the point), on Gaussian-integer
+    numerators: per point one evaluation of the monad maps, two block
+    solves and one elimination of [A | sections | other sections], which
+    gives the frame's rank and the generic solve together.
 
     Raises ValueError when there is no point to check: n_samples < 1
     without sample_points, or an empty sample_points.
@@ -219,20 +245,27 @@ def verify_trivialization(m: MonadDataP2,
     elif not sample_points:
         raise ValueError("sample_points is empty")
     _require_concentrated(m)
-    if m.k == 0 and m.r == 0:
+    k, r = m.k, m.r
+    if k == 0 and r == 0:
         return True
+    t, eye = _ZiTuple.of(m), _ZiMatrix.identity(r)
     for p in sample_points:
-        f = _frames(m, p.projective())
-        S = f.sections(p.chart)
-        F = hstack([f.A, S])
-        if not (f.B @ S).is_zero() or rank(F) != m.k + m.r:
+        f = _frames(t, p.coords())
+        S, T = (f.S1, f.S2) if p.chart == "U1" else (f.S2, f.S1)
+        if not (f.B @ S).is_zero():
             return False
-        if f.xi1 is None:
-            continue  # off the overlap U1 ∩ U2
+        F = _ZiMatrix.hstack([f.A, S])
+        if f.xi1 is None:  # off the overlap U1 ∩ U2
+            if F.rank() != k + r:
+                return False
+            continue
+        rank, generic = F.solve(T)
+        if rank != k + r:
+            return False
         if not ((f.S2 - f.S1 - f.A @ f.xi1).is_zero() and
-                (m.c @ f.xi1).is_zero()):
+                (t.c @ f.xi1).is_zero()):
             return False
-        generic = solve(F if p.chart == "U1" else hstack([f.A, f.S1]), f.S2)
-        if generic is None or generic != vstack([f.xi1, Matrix.identity(m.r)]):
+        xi = f.xi1 if p.chart == "U1" else -f.xi1
+        if generic is None or generic != _ZiMatrix.vstack([xi, eye]):
             return False
     return True

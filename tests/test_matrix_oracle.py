@@ -4,7 +4,9 @@
 exactly what the same functions built on ``matrix_oracle.rref`` give: on
 random shapes (empty, all-zero, rank-deficient, identity blocks), on
 entries with 200-bit numerators, on every matrix they receive while the
-seeded families run, and on hypothesis-drawn small matrices.
+seeded families run, and on hypothesis-drawn small matrices.  While the
+seeded families run, the rank and solve of the integer form
+``matrix._ZiMatrix`` are checked the same way.
 """
 
 import sys
@@ -91,6 +93,36 @@ def test_random_shapes_match_oracle():
         _assert_all_match(M, _rhs(r_, M))
 
 
+def test_integer_form_matches_qi_arithmetic():
+    """``matrix._ZiMatrix`` converts back exactly, agrees with ``Matrix``
+    on products, differences, scaling and stacks, keeps one form per
+    value, and its rank and solve agree with the oracle."""
+    Z = matrix._ZiMatrix
+    r_ = rng(84)
+    for _ in range(80):
+        rows, cols = r_.randint(0, 6), r_.randint(0, 6)
+        M, N = _random_case(r_, rows, cols), _random_case(r_, rows, cols)
+        P, B = _matrix(r_, cols, r_.randint(0, 3)), _rhs(r_, M)
+        zM = Z.of(M)
+        assert zM.matrix() == M
+        assert (zM @ Z.of(P)).matrix() == M @ P
+        assert (zM - Z.of(N)).matrix() == M - N
+        assert (-zM).matrix() == -M
+        g, e = (r_.randint(-9, 9), r_.randint(-9, 9)), r_.randint(1, 9)
+        assert zM.scale(g, e).matrix() == M.scale(
+            qi(Fraction(g[0], e), Fraction(g[1], e)))
+        assert zM.scale((3, 0), 3) == zM
+        assert (zM == Z.of(N)) == (M == N)
+        assert Z.hstack([zM, Z.of(B)]).matrix() == hstack([M, B])
+        assert Z.vstack([zM, Z.of(N)]).matrix() == matrix.vstack([M, N])
+        assert zM.rank() == oracle.rank(M)
+        r, X = zM.solve(Z.of(B))
+        expected = oracle.solve(M, B)
+        assert r == oracle.rank(M)
+        assert (X is None) == (expected is None)
+        assert X is None or X.matrix() == expected
+
+
 def test_large_entries_match_oracle():
     """200-bit numerators over mixed denominators, Gaussian and real."""
     r_ = rng(81)
@@ -147,8 +179,32 @@ def _recording(monkeypatch, names):
     return seen
 
 
+def _recording_integer_form(monkeypatch, seen):
+    """Record the eliminations of ``matrix._ZiMatrix`` into ``seen`` as
+    the ``rank`` and ``solve`` calls on ``Matrix`` values they stand for."""
+    Z = matrix._ZiMatrix
+    real_rank, real_solve = Z.rank, Z.solve
+
+    def rank_(A):
+        out = real_rank(A)
+        seen.append(("rank", (A.matrix(),), out))
+        return out
+
+    def solve_(A, B):
+        r, X = real_solve(A, B)
+        seen.append(("rank", (A.matrix(),), r))
+        seen.append(("solve", (A.matrix(), B.matrix()),
+                     None if X is None else X.matrix()))
+        return r, X
+
+    monkeypatch.setattr(Z, "rank", rank_)
+    monkeypatch.setattr(Z, "solve", solve_)
+
+
 def test_seeded_family_eliminations_match_oracle(monkeypatch):
     seen = _recording(monkeypatch, ELIMINATION)
+    # trivialization eliminates on the integer form
+    _recording_integer_form(monkeypatch, seen)
     for m in family_instances("block_concentrated", 6, seed=3):
         verify_trivialization(m, n_samples=2)
         canonical_reduction(m)

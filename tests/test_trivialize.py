@@ -3,11 +3,12 @@
 import pytest
 
 from conftest import family_instances
-from monadcalc import p2, trivialize
+from monadcalc import matrix, p2, trivialize
 from monadcalc.errors import InvalidPoint, MonadcalcError, OverlapViolation
-from monadcalc.field import ONE, ZERO, qi
+from monadcalc.field import ONE, QI, ZERO, qi
 from monadcalc.generate import GenSpec, generate
-from monadcalc.matrix import Matrix, hstack, inverse, rank, solve, vstack
+from monadcalc.matrix import (Matrix, _ZiMatrix, hstack, inverse, rank, solve,
+                              vstack)
 from monadcalc.p2 import MonadDataP2, evaluate_A, evaluate_B
 from monadcalc.trivialize import (ChartPoint, NotConcentrated,
                                   default_sample_points, frame_matrix,
@@ -114,6 +115,9 @@ def test_default_sample_points_deterministic():
     pts = default_sample_points(10)
     assert pts == default_sample_points(10)
     assert pts[0].coord_b.is_zero()  # always includes alpha3 = 0
+    assert default_sample_points(0) == []
+    with pytest.raises(ValueError):
+        default_sample_points(-1)
 
 
 def test_verify_trivialization_families():
@@ -193,9 +197,11 @@ def test_frame_columns_match_per_index_helpers():
         for p in pts:
             q = p.projective()
             x1, x2, x3 = q.coords()
-            f = trivialize._frames(m, q)
+            f = trivialize._frames(p2._ZiTuple.of(m), q.coords())
             assert (f.S1 is None) == x1.is_zero()
             assert (f.S2 is None) == x2.is_zero()
+            f = f._replace(**{name: X.matrix() for name, X
+                              in f._asdict().items() if X is not None})
             S = f.sections(p.chart)
             assert (S.rows, S.cols) == (2 * m.k + m.r, m.r)
             helper = section_s1 if p.chart == "U1" else section_s2
@@ -231,13 +237,14 @@ def test_verify_rejects_a_broken_frame(monkeypatch):
     m = generate(GenSpec(k=3, r=2, seed=6, family="block_concentrated"))
     real = trivialize._frames
 
-    def broken_frames(m_, q):
-        f = real(m_, q)
+    def broken_frames(t, coords):
+        f = real(t, coords)
         if f.S2 is None:
             return f
         # double the C^r block of every U2 section
-        return f._replace(S2=f.S2 + vstack([Matrix.zeros(2 * m_.k, m_.r),
-                                            Matrix.identity(m_.r)]))
+        S2 = f.S2.matrix() + vstack([Matrix.zeros(2 * m.k, m.r),
+                                     Matrix.identity(m.r)])
+        return f._replace(S2=_ZiMatrix.of(S2))
 
     monkeypatch.setattr(trivialize, "_frames", broken_frames)
     assert not verify_trivialization(m, n_samples=4)
@@ -246,10 +253,11 @@ def test_verify_rejects_a_broken_frame(monkeypatch):
 
 
 def test_verify_operation_counts(monkeypatch):
-    """Per default point (all on the overlap): no inverse, three products
-    (B S, A xi1, c xi1), three solves (two blocks and the generic check)
-    and one rank."""
-    counts = {"inverse": 0, "matmul": 0, "solve": 0, "rank": 0}
+    """After the concentration check, per default point (all on the
+    overlap): three eliminations (the two pencil blocks and one of
+    [A | S1 | S2], which gives the frame's rank and the generic solve),
+    and no Matrix product and no QI value at all."""
+    counts = {"eliminate": 0, "matmul": 0, "qi_mul": 0, "qi_new": 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -259,13 +267,13 @@ def test_verify_operation_counts(monkeypatch):
 
     pts = default_sample_points(10)
     assert all(not p.coord_a.is_zero() for p in pts)
-    for name in ("solve", "rank"):
-        monkeypatch.setattr(trivialize, name,
-                            counting(name, getattr(trivialize, name)))
-    monkeypatch.setattr(trivialize, "inverse", counting("inverse", inverse),
-                        raising=False)
+    monkeypatch.setattr(matrix, "_eliminate",
+                        counting("eliminate", matrix._eliminate))
     monkeypatch.setattr(Matrix, "__matmul__",
                         counting("matmul", Matrix.__matmul__))
+    monkeypatch.setattr(QI, "__mul__", counting("qi_mul", QI.__mul__))
+    monkeypatch.setattr(QI, "__rmul__", counting("qi_mul", QI.__rmul__))
+    monkeypatch.setattr(QI, "__init__", counting("qi_new", QI.__init__))
     # the instances are concentrated by construction; the check's own
     # products are not counted here
     monkeypatch.setattr(trivialize, "is_concentrated_at_origin", lambda m_: True)
@@ -273,6 +281,5 @@ def test_verify_operation_counts(monkeypatch):
         for name in counts:
             counts[name] = 0
         assert verify_trivialization(m, sample_points=pts)
-        n = len(pts)
-        assert counts == {"inverse": 0, "matmul": 3 * n, "solve": 3 * n,
-                          "rank": n}
+        assert counts == {"eliminate": 3 * len(pts), "matmul": 0,
+                          "qi_mul": 0, "qi_new": 0}

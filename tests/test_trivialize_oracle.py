@@ -1,0 +1,85 @@
+"""Trivialization on Gaussian-integer numerators against the Q(i) path
+kept in trivialize_oracle.py: verdicts, and the values of the public
+helpers, on seeded concentrated instances and on raw tuples that are
+concentrated but not integrable."""
+
+import pytest
+
+import trivialize_oracle as oracle
+from conftest import rng
+from monadcalc import trivialize
+from monadcalc.field import ZERO, qi
+from monadcalc.generate import GenSpec, generate, random_invertible
+from monadcalc.matrix import Matrix
+from monadcalc.p2 import (MonadDataP2, act, is_concentrated_at_origin,
+                          is_integrable)
+from monadcalc.trivialize import (ChartPoint, default_sample_points,
+                                  frame_matrix, section_s1, section_s2,
+                                  transition_xi, verify_trivialization)
+from test_trivialize import _EDGE_POINTS
+
+# the default points, U2 points on the overlap, and points off it
+POINTS = (default_sample_points(10)
+          + [ChartPoint("U2", qi(2, 1), qi(-3)),
+             ChartPoint("U2", qi("-5/2"), qi(1, -2))]
+          + _EDGE_POINTS)
+
+
+def _verdicts_match_oracle(monkeypatch, m, points=POINTS):
+    """Compare each point's verdict and every helper's value with the
+    oracle; return the verdicts."""
+    assert is_concentrated_at_origin(m)
+    # checked once above; the helpers would repeat it on every call
+    monkeypatch.setattr(trivialize, "is_concentrated_at_origin", lambda m_: True)
+    verdicts = []
+    for p in points:
+        verdict = verify_trivialization(m, sample_points=[p])
+        assert verdict == oracle.verify(m, [p]), p
+        verdicts.append(verdict)
+        assert frame_matrix(m, p) == oracle.frame_matrix(m, p), p
+        section = section_s1 if p.chart == "U1" else section_s2
+        for i in range(1, m.r + 1):
+            assert section(m, i, p) == oracle.section(m, i, p), (p, i)
+            if p.chart == "U1" and not p.coord_a.is_zero():
+                xi1, _ = transition_xi(m, i, p.coord_a, p.coord_b)
+                assert xi1 == oracle.transition_xi1(m, i, p), (p, i)
+    assert verify_trivialization(m, sample_points=points) == all(verdicts)
+    return verdicts
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+@pytest.mark.parametrize("k", range(7))
+def test_seeded_instances_match_oracle(monkeypatch, k, seed):
+    m = generate(GenSpec(k=k, r=(k + seed) % 3 + 1, seed=140 + 10 * seed + k,
+                         family="block_concentrated"))
+    assert all(_verdicts_match_oracle(monkeypatch, m))
+
+
+def _concentrated_not_integrable(r_, k, r):
+    """Nilpotent a1, a2 (strictly upper triangular, conjugated) and c = 0,
+    so concentrated; redrawn until [a1, a2] != 0."""
+    def entry():
+        return qi(f"{r_.randint(-3, 3)}/{r_.choice((1, 1, 2, 3))}",
+                  r_.choice((0, 0, 1, -2)))
+
+    def strict():
+        return Matrix(k, k, [entry() if j > i else ZERO
+                             for i in range(k) for j in range(k)])
+
+    while True:
+        b = Matrix(k, r, [entry() for _ in range(k * r)])
+        m = act(random_invertible(r_, k),
+                MonadDataP2(strict(), strict(), b, Matrix.zeros(r, k)))
+        if not is_integrable(m):
+            return m
+
+
+def test_raw_concentrated_tuples_match_oracle(monkeypatch):
+    r_ = rng(141)
+    verdicts = []
+    for _ in range(10):
+        m = _concentrated_not_integrable(r_, r_.randint(3, 4), r_.randint(1, 3))
+        verdicts += _verdicts_match_oracle(monkeypatch, m)
+    # the transition identity fails on most overlap points with x3 != 0;
+    # the other points pass
+    assert 0.3 < verdicts.count(False) / len(verdicts) < 0.8
