@@ -27,15 +27,15 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import count
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import List, Sequence, Tuple
 
 from .closure import is_nilpotent
 from .errors import (DimensionMismatch, FloatOverflow, IrrationalSpectrum,
                      NonCommuting, NonSquareMatrix, check_invariant)
 from .field import ONE, QI, ZERO, Rat
-from .matrix import (Gauss, Matrix, Subspace, _ZiMatrix, block, inverse,
-                     invariant_split, kernel_basis, vstack)
+from .matrix import (Gauss, Matrix, Subspace, _ZiMatrix, _clear, _gdot, block,
+                     inverse, invariant_split, kernel_basis, vstack)
 
 
 def char_poly(M: Matrix) -> List[QI]:
@@ -68,15 +68,6 @@ def char_poly(M: Matrix) -> List[QI]:
             column.append((-x, -y))
         P = [_gdot(P, column[j::-1]) for j in range(r + 2)]
     return _over_qi(P, D)
-
-
-def _gdot(xs: Sequence[Gauss], ys: Sequence[Gauss]) -> Gauss:
-    """sum x y over the pairs of xs and ys, as far as the shorter goes."""
-    re = im = 0
-    for (a, b), (c, d) in zip(xs, ys):
-        re += a * c - b * d
-        im += a * d + b * c
-    return re, im
 
 
 def _gmul(x: Gauss, y: Gauss) -> Gauss:
@@ -249,22 +240,25 @@ def _gauss_roots(S: List[Gauss]) -> List[Gauss]:
 
 def _over_gauss(coeffs: Sequence[QI]) -> Tuple[List[Gauss], int]:
     """(F, D) for a monic f over Q(i): t = s / D turns f into the monic F
-    over Z[i], whose Q(i)-roots are Gaussian integers, D times those of f."""
-    D = lcm(*(int(q.denominator) for c in coeffs for q in (c.re, c.im)))
-    F, scale = [], 1
-    for c in coeffs:
-        F.append((int(c.re * scale), int(c.im * scale)))
-        scale *= D
-    return F, D
+    over Z[i], whose Q(i)-roots are Gaussian integers, D times those of f:
+    coefficient m of F is D^m c_m, and ``_clear`` gives D c_m."""
+    N, D = _clear(coeffs)
+    return [(1, 0)] + [(a * D ** m, b * D ** m)
+                       for m, (a, b) in enumerate(N[1:])], D
 
 
 def roots_in_qi(coeffs: Sequence[QI]) -> List[Tuple[QI, int]]:
     """Roots (with multiplicity) of a monic polynomial, all in Q(i).
 
     Raises IrrationalSpectrum when the polynomial does not split over
-    Q(i).  Output is sorted by the deterministic field order.
+    Q(i).  Output is sorted by the deterministic field order.  Raises
+    ValueError for an empty list or a zero leading coefficient.
     """
-    if coeffs and coeffs[0] != ONE:
+    if not coeffs:
+        raise ValueError("a polynomial needs at least one coefficient")
+    if coeffs[0] == 0:
+        raise ValueError("the leading coefficient is zero")
+    if coeffs[0] != ONE:
         coeffs = [c / coeffs[0] for c in coeffs]
     F, D = _over_gauss(coeffs)
     found = [(QI(Rat(a, D), Rat(b, D)), j)
@@ -296,8 +290,7 @@ def _combine(coeffs: Sequence[QI], powers: Sequence[Matrix]) -> Matrix:
 
 
 def _trace_of_product(A: Matrix, B: Matrix) -> QI:
-    n = A.rows
-    return sum((A[i, j] * B[j, i] for i in range(n) for j in range(n)), ZERO)
+    return sum((x * y for x, y in zip(A.entries, B.transpose().entries)), ZERO)
 
 
 def _complex_roots(coeffs) -> List[complex]:

@@ -161,9 +161,9 @@ def _sylvester_solve(rng: random.Random, P: Matrix, Q: Matrix,
             E = Matrix(h1, h2, [ONE if (i == a and j == bb) else ZERO
                                 for i in range(h1) for j in range(h2)])
             img = P @ E - E @ Q
-            cols.append([img[i, j] for i in range(h1) for j in range(h2)])
+            cols.append(img.entries)
     L = Matrix(n, n, [cols[c][rix] for rix in range(n) for c in range(n)])
-    rhs = Matrix.column([Y[i, j] for i in range(h1) for j in range(h2)])
+    rhs = Matrix.column(Y.entries)
     x = solve(L, rhs)
     if x is None:
         return None

@@ -76,7 +76,7 @@ def _qi_from_obj(obj) -> QI:
 
 
 def _matrix_to_obj(M: Matrix) -> list:
-    return [[_qi_to_obj(M[i, j]) for j in range(M.cols)] for i in range(M.rows)]
+    return [[_qi_to_obj(x) for x in M.row_list(i)] for i in range(M.rows)]
 
 
 def _matrix_from_obj(obj, rows: int, cols: int, name: str) -> Matrix:

@@ -4,13 +4,14 @@ Everything is immutable by convention; operations return fresh values.
 Subspaces are stored in reduced column echelon form so that equality of
 subspaces is equality of their basis matrices.
 
-Entries are Gaussian rationals in and Gaussian rationals out.  In
-between, elimination (rref, rank, solve, inverse, and the kernels and
-spans built on them) is fraction-free over Z[i].  ``Matrix`` products,
-powers and traces work on the ``QI`` entries directly.  The private
-integer form ``_ZiMatrix`` (Gaussian-integer numerators over one integer
-denominator) runs chains of products, stacks and solves without ``QI``
-arithmetic; ``_clear`` is the one place where denominators are cleared.
+Entries are Gaussian rationals in and Gaussian rationals out.  ``Matrix``
+products, powers and traces work on the ``QI`` entries directly.  The
+private integer form ``_ZiMatrix`` (Gaussian-integer numerators over one
+integer denominator) runs chains of products, stacks and solves without
+``QI`` arithmetic, and it is the one front end of fraction-free
+elimination over Z[i]: rref, rank, solve and inverse (and the kernels and
+spans built on them) convert to it, eliminate, and convert back.
+``_clear`` is the one place where denominators are cleared.
 """
 
 from __future__ import annotations
@@ -75,7 +76,10 @@ class Matrix:
 
     def __getitem__(self, ij: Tuple[int, int]) -> QI:
         i, j = ij
-        return self.entries[i * self.cols + j]
+        if 0 <= i < self.rows and 0 <= j < self.cols:
+            return self.entries[i * self.cols + j]
+        raise IndexError(
+            f"index ({i}, {j}) out of range for a {self.rows}x{self.cols} matrix")
 
     def row_list(self, i: int) -> List[QI]:
         return list(self.entries[i * self.cols:(i + 1) * self.cols])
@@ -150,17 +154,14 @@ class Matrix:
         return result
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      [self[i, j] for j in range(self.cols)
-                       for i in range(self.rows)])
+        c = self.cols
+        return Matrix(c, self.rows,
+                      [x for j in range(c) for x in self.entries[j::c]])
 
     def trace(self) -> QI:
         if self.rows != self.cols:
             raise NonSquareMatrix("trace needs a square matrix")
-        t = ZERO
-        for i in range(self.rows):
-            t = t + self[i, i]
-        return t
+        return sum(self.entries[::self.cols + 1], ZERO)
 
     # -- predicates -----------------------------------------------------
 
@@ -225,12 +226,14 @@ def block(rows_of_blocks: Sequence[Sequence[Matrix]]) -> Matrix:
 # -- elimination --------------------------------------------------------
 #
 # Gaussian integers a + b i are (a, b) pairs.  Elimination never leaves
-# Z[i]: each row is first cleared to Gaussian integers by its own common
-# denominator (row scaling keeps the RREF), then fraction-free
-# Gauss-Jordan (Bareiss, Math. Comp. 22, 1968) updates every other row as
-# (p * row - f * pivot_row) / d, with p the new pivot and d the previous
-# one; each division is exact.  Only the entries a caller needs are
-# divided back into Q(i).
+# Z[i]: a matrix enters it as the integer form ``_ZiMatrix`` (numerators
+# over one common denominator), and each row is first divided by the gcd
+# of its numerators (row scaling keeps the RREF, and keeps Bareiss's
+# pivots from growing with the other rows' denominators).  Fraction-free
+# Gauss-Jordan (Bareiss, Math. Comp. 22, 1968) then updates every other
+# row as (p * row - f * pivot_row) / d, with p the new pivot and d the
+# previous one; each division is exact.  ``rref``, ``rank``, ``solve``
+# and ``inverse`` convert to the integer form and back.
 
 Gauss = Tuple[int, int]
 
@@ -248,12 +251,13 @@ def _clear(entries: Sequence[QI]) -> Tuple[List[Gauss], int]:
             for x in entries], den
 
 
-def _gauss_rows(*mats: Matrix) -> List[List[Gauss]]:
-    """The rows of the horizontal concatenation of ``mats``, each scaled
-    to Gaussian integers by its own common denominator."""
-    return [_clear([x for M in mats
-                    for x in M.entries[i * M.cols:(i + 1) * M.cols]])[0]
-            for i in range(mats[0].rows)]
+def _gdot(xs: Sequence[Gauss], ys: Sequence[Gauss]) -> Gauss:
+    """sum x y over the pairs of xs and ys, as far as the shorter goes."""
+    re = im = 0
+    for (a, b), (c, d) in zip(xs, ys):
+        re += a * c - b * d
+        im += a * d + b * c
+    return re, im
 
 
 def _eliminate(rows: List[List[Gauss]]) -> Tuple[Gauss, Tuple[int, ...]]:
@@ -262,6 +266,10 @@ def _eliminate(rows: List[List[Gauss]]) -> Tuple[Gauss, Tuple[int, ...]]:
     Returns ``(d, pivots)``: afterwards row r is d times row r of the
     RREF for r < len(pivots), and the rows below are zero.
     """
+    for i, row in enumerate(rows):
+        g = gcd(*chain.from_iterable(row))
+        if g > 1:
+            rows[i] = [(a // g, b // g) for a, b in row]
     nr, nc = len(rows), len(rows[0]) if rows else 0
     pivots = []
     dr, di = 1, 0  # the previous pivot
@@ -299,73 +307,15 @@ def _eliminate(rows: List[List[Gauss]]) -> Tuple[Gauss, Tuple[int, ...]]:
     return (dr, di), tuple(pivots)
 
 
-def _divider(d: Gauss):
-    """x -> x / d in Q(i), for Gaussian integers x and d != 0."""
-    dr, di = d
-    nd = dr * dr + di * di
-
-    def div(x):
-        xr, xi = x
-        if not (xr or xi):
-            return ZERO
-        if x == d:
-            return ONE
-        if di:
-            return QI(Rat(xr * dr + xi * di, nd), Rat(xi * dr - xr * di, nd))
-        return QI(Rat(xr, dr), Rat(xi, dr))
-    return div
-
-
-def rref(M: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns (Gauss-Jordan, exact)."""
-    rows = _gauss_rows(M)
-    d, pivots = _eliminate(rows)
-    div = _divider(d)
-    flat = [div(x) for row in rows[:len(pivots)] for x in row]
-    flat += [ZERO] * ((M.rows - len(pivots)) * M.cols)
-    return Matrix(M.rows, M.cols, flat), pivots
-
-
-def rank(M: Matrix) -> int:
-    return len(_eliminate(_gauss_rows(M))[1])
-
-
-def _solve(A: Matrix, B: Matrix) -> Optional[Matrix]:
-    # shared by solve and inverse; inverse calls this and not solve so that
-    # a traced run counts inverse calls under inverse alone
-    rows = _gauss_rows(A, B)
-    d, pivots = _eliminate(rows)
-    # Any pivot landing in the B-block signals inconsistency.
-    if any(p >= A.cols for p in pivots):
-        return None
-    div = _divider(d)
-    X = [[ZERO] * B.cols for _ in range(A.cols)]
-    for row, p in zip(rows, pivots):
-        X[p] = [div(x) for x in row[A.cols:]]
-    return Matrix(A.cols, B.cols, [x for row in X for x in row])
-
-
-def solve(A: Matrix, B: Matrix) -> Optional[Matrix]:
-    """A particular exact solution X of ``A X = B``, or None if inconsistent."""
-    if A.rows != B.rows:
-        raise DimensionMismatch("solve with mismatched row counts")
-    return _solve(A, B)
-
-
-def inverse(A: Matrix) -> Optional[Matrix]:
-    if not A.is_square():
-        raise NonSquareMatrix("inverse needs a square matrix")
-    # A X = I is inconsistent exactly when A is singular
-    return _solve(A, Matrix.identity(A.rows))
-
-
 class _ZiMatrix:
     """A matrix as Gaussian-integer numerators over one positive integer
     denominator, in lowest terms, so equal matrices have equal forms.
 
     ``nums`` is the row-major list of (re, im) pairs.  Products, stacks
     and linear combinations cost integer arithmetic and one gcd per
-    result; rank and solve eliminate the numerators with ``_eliminate``.
+    result; rank, solve and rref eliminate the numerators with
+    ``_eliminate``, and the module's ``rref``, ``rank``, ``solve`` and
+    ``inverse`` run through them.
     ``of`` and ``matrix`` convert from and to ``Matrix``.
     """
 
@@ -394,8 +344,8 @@ class _ZiMatrix:
     def matrix(self) -> Matrix:
         d = self.den
         return Matrix(self.rows, self.cols,
-                      [QI(Rat(a, d), Rat(b, d)) if a or b else ZERO
-                       for a, b in self.nums])
+                      [ZERO if not (a or b) else ONE if a == d and not b
+                       else QI(Rat(a, d), Rat(b, d)) for a, b in self.nums])
 
     def _rows(self) -> List[List[Gauss]]:
         c = self.cols
@@ -437,14 +387,7 @@ class _ZiMatrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         p = other.cols
         columns = [other.nums[j::p] for j in range(p)]
-        out = []
-        for row in self._rows():
-            for col in columns:
-                re = im = 0
-                for (a, b), (c, d) in zip(row, col):
-                    re += a * c - b * d
-                    im += a * d + b * c
-                out.append((re, im))
+        out = [_gdot(row, col) for row in self._rows() for col in columns]
         return _ZiMatrix(self.rows, p, out, self.den * other.den)
 
     @staticmethod
@@ -490,15 +433,53 @@ class _ZiMatrix:
             raise DimensionMismatch("solve with mismatched row counts")
         n = self.cols
         rows = _ZiMatrix.hstack([self, B])._rows()
-        (dr, di), pivots = _eliminate(rows)
+        d, pivots = _eliminate(rows)
         rank = sum(p < n for p in pivots)
         if rank < len(pivots):
             return rank, None
         X = [[(0, 0)] * B.cols for _ in range(n)]
-        for row, p in zip(rows, pivots):  # row / d = row * conj(d) / |d|^2
-            X[p] = [(a * dr + b * di, b * dr - a * di) for a, b in row[n:]]
-        return rank, _ZiMatrix(n, B.cols, [x for r in X for x in r],
-                               dr * dr + di * di)
+        for row, p in zip(rows, pivots):
+            X[p] = row[n:]
+        return rank, _ZiMatrix._divided(X, B.cols, d)
+
+    def rref(self) -> Tuple["_ZiMatrix", Tuple[int, ...]]:
+        """The reduced row echelon form and its pivot columns."""
+        rows = self._rows()
+        d, pivots = _eliminate(rows)
+        return _ZiMatrix._divided(rows, self.cols, d), pivots
+
+    @staticmethod
+    def _divided(rows: List[List[Gauss]], cols: int, d: Gauss) -> "_ZiMatrix":
+        """The matrix with the given rows divided by the Gaussian integer
+        d != 0: x / d = x conj(d) / |d|^2."""
+        dr, di = d
+        return _ZiMatrix(len(rows), cols, [(a * dr + b * di, b * dr - a * di)
+                                           for row in rows for a, b in row],
+                         dr * dr + di * di)
+
+
+def rref(M: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
+    """Reduced row echelon form and pivot columns (Gauss-Jordan, exact)."""
+    R, pivots = _ZiMatrix.of(M).rref()
+    return R.matrix(), pivots
+
+
+def rank(M: Matrix) -> int:
+    return _ZiMatrix.of(M).rank()
+
+
+def solve(A: Matrix, B: Matrix) -> Optional[Matrix]:
+    """A particular exact solution X of ``A X = B``, or None if inconsistent."""
+    X = _ZiMatrix.of(A).solve(_ZiMatrix.of(B))[1]
+    return None if X is None else X.matrix()
+
+
+def inverse(A: Matrix) -> Optional[Matrix]:
+    if not A.is_square():
+        raise NonSquareMatrix("inverse needs a square matrix")
+    # A X = I is inconsistent exactly when A is singular
+    X = _ZiMatrix.of(A).solve(_ZiMatrix.identity(A.rows))[1]
+    return None if X is None else X.matrix()
 
 
 # -- subspaces ----------------------------------------------------------

@@ -59,10 +59,9 @@ class ProjectivePoint:
 class MonadDataP2:
     """Raw monad tuple on P^2; dimensions are checked, integrability is not.
 
-    Use :func:`validate_p2` (or :meth:`validated`) to enforce the
-    integrability condition; the raw form stays constructible so the
-    validator and the symbolic identities can be exercised on
-    non-integrable tuples.
+    Use :func:`validate_p2` to enforce the integrability condition; the
+    raw form stays constructible so the validator and the symbolic
+    identities can be exercised on non-integrable tuples.
     """
 
     a1: Matrix
@@ -85,10 +84,6 @@ class MonadDataP2:
     @property
     def r(self) -> int:
         return self.b.cols
-
-    @classmethod
-    def validated(cls, a1, a2, b, c) -> "MonadDataP2":
-        return validate_p2(cls(a1, a2, b, c))
 
 
 def integrability_defect(m: MonadDataP2) -> Matrix:

@@ -49,6 +49,15 @@ def test_roots_in_qi():
         roots_in_qi([ONE, ZERO, qi(-2)])  # t^2 - 2
 
 
+def test_roots_in_qi_rejects_bad_coefficient_lists():
+    with pytest.raises(ValueError):
+        roots_in_qi([])
+    with pytest.raises(ValueError):
+        roots_in_qi([0, 1])
+    with pytest.raises(ValueError):
+        roots_in_qi([ZERO, ONE, qi(2)])
+
+
 # -- roots_in_qi against sympy's factorization over QQ_I --------------------
 
 def _oracle_roots(coeffs):

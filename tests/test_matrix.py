@@ -29,6 +29,18 @@ def test_shape_checks():
         Matrix.zeros(2, 3).trace()
 
 
+def test_getitem_checks_both_indices():
+    M = Matrix.from_rows([[1, 2], [3, 4]])
+    assert [M[i, j] for i in range(2) for j in range(2)] == list(M.entries)
+    for i, j in [(0, 2), (1, -3), (-1, 0), (2, 0), (0, -1)]:
+        with pytest.raises(IndexError):
+            M[i, j]
+    with pytest.raises(IndexError):
+        Matrix.zeros(0, 3)[0, 0]
+    T = Matrix.from_rows([[1, 2, 3], [4, 5, 6]]).transpose()
+    assert T == Matrix.from_rows([[1, 4], [2, 5], [3, 6]])
+
+
 def test_arithmetic_round_trip():
     r_ = rng(1)
     A = _random_matrix(r_, 3, 4)

@@ -96,7 +96,7 @@ def test_random_shapes_match_oracle():
 def test_integer_form_matches_qi_arithmetic():
     """``matrix._ZiMatrix`` converts back exactly, agrees with ``Matrix``
     on products, differences, scaling and stacks, keeps one form per
-    value, and its rank and solve agree with the oracle."""
+    value, and its rank, rref and solve agree with the oracle."""
     Z = matrix._ZiMatrix
     r_ = rng(84)
     for _ in range(80):
@@ -116,6 +116,8 @@ def test_integer_form_matches_qi_arithmetic():
         assert Z.hstack([zM, Z.of(B)]).matrix() == hstack([M, B])
         assert Z.vstack([zM, Z.of(N)]).matrix() == matrix.vstack([M, N])
         assert zM.rank() == oracle.rank(M)
+        R, pivots = zM.rref()
+        assert (R.matrix(), pivots) == oracle.rref(M)
         r, X = zM.solve(Z.of(B))
         expected = oracle.solve(M, B)
         assert r == oracle.rank(M)
@@ -144,6 +146,13 @@ def test_large_entries_match_oracle():
         _assert_all_match(M, B)
         n = min(rows, cols)
         _assert_matches_oracle("inverse", (Matrix(n, n, [big() for _ in range(n * n)]),))
+    # one row over 10^20 and the others integral: the common denominator
+    # scales every other row by 10^20 until its gcd is divided out
+    for rows, cols in [(3, 3), (4, 6), (5, 4)]:
+        ints = [qi(r_.randint(-9, 9), r_.randint(-9, 9)) for _ in range(rows * cols)]
+        M = matrix.vstack([Matrix(rows - 1, cols, ints[cols:]), Matrix(1, cols, [
+            qi(Fraction(r_.getrandbits(70) - 2 ** 69, 10 ** 20)) for _ in range(cols)])])
+        _assert_all_match(M, Matrix(rows, 1, ints[:rows]))
 
 
 def test_inconsistent_and_singular_give_none():
