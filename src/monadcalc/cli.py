@@ -20,7 +20,7 @@ from .blowup import MonadDataBlowup, validate
 from .errors import (DocumentError, IntegrabilityViolation, MonadcalcError,
                      SurjectivityViolation)
 from .generate import FAMILIES, GenSpec, generate
-from .jsonio import _matrix_to_obj  # canonical matrix encoding for reports
+from .jsonio import _matrix_to_obj, _qi_to_obj  # canonical encodings for reports
 from .p2 import MonadDataP2, canonical_reduction, validate_p2
 from .stratify import classify_s0, classify_s0_oracle, pushforward
 from .trivialize import NotConcentrated, verify_trivialization
@@ -125,8 +125,7 @@ def _point_obj(p, approx: bool):
     if approx:
         z1, z2 = complex(p[0]), complex(p[1])
         return [[z1.real, z1.imag], [z2.real, z2.imag]]
-    return [{"re": p[0].re_str(), "im": p[0].im_str()},
-            {"re": p[1].re_str(), "im": p[1].im_str()}]
+    return [_qi_to_obj(p[0]), _qi_to_obj(p[1])]
 
 
 def cmd_reduce(args) -> int:

@@ -10,8 +10,8 @@ is a pure function of the seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence, Union
 
 from .blowup import MonadDataBlowup, act2, blowup_defect
 from .errors import InfeasibleSpec
@@ -47,18 +47,14 @@ class GenSpec:
             raise InfeasibleSpec("need k >= 0 and r >= 1")
 
 
-def _rand_rat(rng: random.Random, bound: int):
-    return rng.randint(-bound, bound)
-
-
 def _rand_qi(rng: random.Random, bound: int = DEFAULT_BOUND) -> QI:
     # small denominators keep exact arithmetic cheap; imaginary parts
     # appear half the time
     den = rng.choice((1, 1, 2, 3))
-    re = qi(f"{_rand_rat(rng, bound)}/{den}")
+    re = qi(f"{rng.randint(-bound, bound)}/{den}")
     if rng.random() < 0.5:
         return re
-    return re + QI(0, f"{_rand_rat(rng, bound)}/{den}")
+    return re + QI(0, f"{rng.randint(-bound, bound)}/{den}")
 
 
 def _rand_matrix(rng: random.Random, rows: int, cols: int,
@@ -114,7 +110,15 @@ def _shift(n: int) -> Matrix:
     M = [[ZERO] * n for _ in range(n)]
     for i in range(n - 1):
         M[i][i + 1] = ONE
-    return Matrix.from_rows(M) if n else Matrix.zeros(0, 0)
+    return Matrix.from_rows(M)
+
+
+def _orthogonal_to(rng: random.Random, u: Sequence[QI], j: int) -> List[QI]:
+    """Random v with sum_t u_t v_t = 0: draw, zero v_j, then solve at j (u_j != 0)."""
+    v = [_rand_qi(rng) for _ in u]
+    v[j] = ZERO
+    v[j] = -sum((x * y for x, y in zip(u, v)), ZERO) * u[j].inverse()
+    return v
 
 
 def _charge_one(rng: random.Random, k: int, r: int) -> MonadDataP2:
@@ -130,12 +134,7 @@ def _charge_one(rng: random.Random, k: int, r: int) -> MonadDataP2:
     # c in the kernel of the pairing with b, nonzero
     j = next(t for t in range(r) if not b[0, t].is_zero())
     while True:
-        cv = [_rand_qi(rng) for _ in range(r)]
-        cv[j] = ZERO
-        acc = ZERO
-        for t in range(r):
-            acc = acc + b[0, t] * cv[t]
-        cv[j] = -acc * b[0, j].inverse()
+        cv = _orthogonal_to(rng, b.row_list(0), j)
         if any(not v.is_zero() for v in cv):
             break
     c = Matrix(r, 1, cv)
@@ -155,14 +154,10 @@ def _sylvester_solve(rng: random.Random, P: Matrix, Q: Matrix,
     """Random solution X of P X - X Q = Y (particular + random kernel)."""
     h1, h2 = P.rows, Q.rows
     n = h1 * h2
-    cols = []
-    for a in range(h1):
-        for bb in range(h2):
-            E = Matrix(h1, h2, [ONE if (i == a and j == bb) else ZERO
-                                for i in range(h1) for j in range(h2)])
-            img = P @ E - E @ Q
-            cols.append(img.entries)
-    L = Matrix(n, n, [cols[c][rix] for rix in range(n) for c in range(n)])
+    # row (i, j), column (a, b): the coefficient of X[a, b] in (P X - X Q)[i, j]
+    L = Matrix(n, n, [(P[i, a] if j == b else ZERO) - (Q[b, j] if i == a else ZERO)
+                      for i in range(h1) for j in range(h2)
+                      for a in range(h1) for b in range(h2)])
     rhs = Matrix.column(Y.entries)
     x = solve(L, rhs)
     if x is None:
@@ -187,33 +182,25 @@ def _block_concentrated(rng: random.Random, k: int, r: int) -> MonadDataP2:
     # b1 columns along e_1, c2 rows along e_{h2}^T keeps the coupling solvable
     b1 = Matrix(h1, r, [(_rand_qi(rng) if i == 0 else ZERO)
                         for i in range(h1) for _ in range(r)])
-    if h1 and b1.is_zero():
+    if b1.is_zero():
         b1 = Matrix(h1, r, [ONE if (i == 0 and j == 0) else ZERO
                             for i in range(h1) for j in range(r)])
-    if h2:
-        c2 = Matrix(r, h2, [(_rand_qi(rng) if j == h2 - 1 else ZERO)
-                            for _ in range(r) for j in range(h2)])
-        if c2.is_zero():
-            c2 = Matrix(r, h2, [ONE if (i == 0 and j == h2 - 1) else ZERO
-                                for i in range(r) for j in range(h2)])
-    else:
-        c2 = Matrix.zeros(r, 0)
+    c2 = Matrix(r, h2, [(_rand_qi(rng) if j == h2 - 1 else ZERO)
+                        for _ in range(r) for j in range(h2)])
+    if c2.is_zero():
+        c2 = Matrix(r, h2, [ONE if (i == 0 and j == h2 - 1) else ZERO
+                            for i in range(r) for j in range(h2)])
     R1 = _rand_matrix(rng, h1, h2)
     # a2's diagonal blocks vanish, so integrability reduces to the
     # Sylvester equation J1 R2 - R2 J2' = -b1 c2
-    R2 = _sylvester_solve(rng, J1, J2p, -(b1 @ c2)) if (h1 and h2) else Matrix.zeros(h1, h2)
+    R2 = _sylvester_solve(rng, J1, J2p, -(b1 @ c2))
     if R2 is None:
         # tiny blocks (k = 2) leave no room for the coupling; fall back to
         # a c2 row orthogonal to b1's top row, which always decouples
-        u = [b1[0, t] for t in range(r)]
+        u = b1.row_list(0)
         j = next((t for t in range(r) if not u[t].is_zero()), None)
         if r >= 2 and j is not None:
-            v = [_rand_qi(rng) for _ in range(r)]
-            v[j] = ZERO
-            acc = ZERO
-            for t in range(r):
-                acc = acc + u[t] * v[t]
-            v[j] = -acc * u[j].inverse()
+            v = _orthogonal_to(rng, u, j)
             if all(x.is_zero() for x in v):
                 v[(j + 1) % r] = ONE
                 v[j] = -u[(j + 1) % r] * u[j].inverse()
@@ -225,11 +212,10 @@ def _block_concentrated(rng: random.Random, k: int, r: int) -> MonadDataP2:
         if R2 is None:
             raise InfeasibleSpec("coupling equation unexpectedly unsolvable")
     Z21 = Matrix.zeros(h2, h1)
-    a1 = block([[J1, R1], [Z21, J2p]]) if h2 else J1
-    a2 = block([[Matrix.zeros(h1, h1), R2], [Z21, Matrix.zeros(h2, h2)]]) \
-        if h2 else Matrix.zeros(h1, h1)
-    b = vstack([b1, Matrix.zeros(h2, r)]) if h2 else b1
-    c = hstack([Matrix.zeros(r, h1), c2]) if h2 else Matrix.zeros(r, h1)
+    a1 = block([[J1, R1], [Z21, J2p]])
+    a2 = block([[Matrix.zeros(h1, h1), R2], [Z21, Matrix.zeros(h2, h2)]])
+    b = vstack([b1, Matrix.zeros(h2, r)])
+    c = hstack([Matrix.zeros(r, h1), c2])
     m = MonadDataP2(a1, a2, b, c)
     return act(random_invertible(rng, k), m)
 
@@ -293,11 +279,7 @@ def _invalid_integrability(rng: random.Random, k: int, r: int) -> MonadDataBlowu
                 delta = _rand_nonzero_qi(rng, 4)
                 entries = list(M.entries)
                 entries[i * M.cols + j] = entries[i * M.cols + j] + delta
-                pert = Matrix(M.rows, M.cols, entries)
-                parts = {"a1": mt.a1, "a2": mt.a2, "d": mt.d,
-                         "b": mt.b, "c": mt.c, target: pert}
-                bad = MonadDataBlowup(parts["a1"], parts["a2"], parts["d"],
-                                      parts["b"], parts["c"])
+                bad = replace(mt, **{target: Matrix(M.rows, M.cols, entries)})
                 if not blowup_defect(bad).is_zero():
                     return bad
 

@@ -82,6 +82,9 @@ class Matrix:
             f"index ({i}, {j}) out of range for a {self.rows}x{self.cols} matrix")
 
     def row_list(self, i: int) -> List[QI]:
+        if not 0 <= i < self.rows:
+            raise IndexError(
+                f"row {i} out of range for a {self.rows}x{self.cols} matrix")
         return list(self.entries[i * self.cols:(i + 1) * self.cols])
 
     def col_matrix(self, j: int) -> "Matrix":
@@ -89,6 +92,11 @@ class Matrix:
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
         """The entries at the given rows and columns, in the order given."""
+        if not (all(0 <= i < self.rows for i in rows)
+                and all(0 <= j < self.cols for j in cols)):
+            raise IndexError(
+                f"rows {list(rows)}, columns {list(cols)} out of range"
+                f" for a {self.rows}x{self.cols} matrix")
         return Matrix(len(rows), len(cols),
                       [self.entries[i * self.cols + j] for i in rows for j in cols])
 

@@ -75,7 +75,9 @@ def _hostile_texts(draw):
             if isinstance(holder, dict) and draw(st.booleans()):
                 del holder[key]
             else:
-                holder[key] = draw(_JUNK)
+                # a copy: sampled_from hands out the same [] and {} objects
+                # every draw, and later iterations mutate what they hold
+                holder[key] = copy.deepcopy(draw(_JUNK))
     elif kind == "scalars":  # corrupt the text of some entries
         texts = [path for path in _paths(doc) if path[-1] in ("re", "im")]
         for _ in range(draw(st.integers(1, 3))):

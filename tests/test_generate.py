@@ -1,5 +1,7 @@
 """Seeded instance families: determinism and declared properties."""
 
+import hashlib
+
 import pytest
 
 from monadcalc import jsonio
@@ -25,6 +27,26 @@ def test_determinism_bit_identical():
     for family, (k, r) in SHAPES.items():
         spec = GenSpec(k=k, r=r, seed=123, family=family)
         assert jsonio.dumps(generate(spec)) == jsonio.dumps(generate(spec))
+
+
+# sha256 of the corpus below, fixed when generation was last changed on
+# purpose; any other change to a seeded instance's bytes fails here
+PINNED_CORPUS_SHA256 = (
+    "5fc157ced9efdcc8e33949bb667aa58af59f459abce75a34757139f39e39caad")
+
+
+def test_seeded_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for family in FAMILIES:
+        for k in range(6):
+            for r in range(1, 4):
+                for seed in (0, 1, 2):
+                    try:
+                        text = jsonio.dumps(generate(GenSpec(k, r, seed, family)))
+                    except InfeasibleSpec as exc:
+                        text = f"InfeasibleSpec: {exc}"
+                    digest.update(text.encode() + b"\0")
+    assert digest.hexdigest() == PINNED_CORPUS_SHA256
 
 
 def test_different_seeds_differ():

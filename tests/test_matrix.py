@@ -41,6 +41,19 @@ def test_getitem_checks_both_indices():
     assert T == Matrix.from_rows([[1, 4], [2, 5], [3, 6]])
 
 
+def test_row_and_submatrix_reads_check_indices():
+    M = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    for read in (lambda: M.submatrix([0], [3, -1]), lambda: M.col_matrix(-1),
+                 lambda: M.row_list(2), lambda: M.row_list(-1),
+                 lambda: M.submatrix([-1], [0]), lambda: M.col_matrix(3)):
+        with pytest.raises(IndexError):
+            read()
+    assert M.submatrix([1, 0], [2, 0]) == Matrix.from_rows([[6, 4], [3, 1]])
+    assert M.col_matrix(2) == Matrix.column([3, 6])
+    assert M.row_list(1) == [qi(4), qi(5), qi(6)]
+    assert M.submatrix([], range(3)) == Matrix.zeros(0, 3)
+
+
 def test_arithmetic_round_trip():
     r_ = rng(1)
     A = _random_matrix(r_, 3, 4)

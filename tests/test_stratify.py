@@ -1,7 +1,11 @@
 """Pushforward and the fully-degenerate stratum classifier."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from conftest import family_instances, raw_blowup_tuples, rng
 from monadcalc.blowup import MonadDataBlowup, blowup_defect
+from monadcalc.field import I, ONE, ZERO, qi
 from monadcalc.generate import GenSpec, generate, random_invertible
 from monadcalc.matrix import Matrix
 from monadcalc.p2 import (concentration, integrability_defect,
@@ -85,6 +89,33 @@ def test_classifier_matches_oracle_on_families():
 def test_classifier_matches_oracle_on_raw():
     for mt in raw_blowup_tuples(30, seed=64, kmax=3):
         assert classify_s0(mt).is_s0 == classify_s0_oracle(mt, 2 * mt.k)
+
+
+_ENTRIES = st.sampled_from([ZERO, ZERO, ONE, -ONE, qi(2), I, qi("1/2")])
+
+
+@st.composite
+def _blowup_tuples(draw):
+    """Raw tuples, k = 0-4 and r = 1-3.  d = 0, or strictly upper
+    triangular d, a1 and a2 (so d a1 and d a2 are nilpotent), give S0
+    and non-S0 verdicts alike; unconstrained draws are mostly non-S0."""
+    k, r = draw(st.integers(0, 4)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["raw", "zero_d", "triangular"]))
+
+    def mat(rows, cols, strict=False):
+        return Matrix(rows, cols, [draw(_ENTRIES) if not strict or i < j else ZERO
+                                   for i in range(rows) for j in range(cols)])
+
+    tri = kind == "triangular"
+    a1, a2 = mat(k, k, tri), mat(k, k, tri)
+    d = Matrix.zeros(k, k) if kind == "zero_d" else mat(k, k, tri)
+    return MonadDataBlowup(a1, a2, d, mat(k, r), mat(r, k))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_blowup_tuples())
+def test_hypothesis_classifier_matches_oracle(mt):
+    assert classify_s0(mt).is_s0 == classify_s0_oracle(mt, 2 * mt.k)
 
 
 def test_classifier_is_the_concentration_test_of_the_pushforward():
