@@ -32,7 +32,7 @@ from .errors import (DimensionMismatch, IntegrabilityViolation, InvalidPoint,
                      PointOnExceptionalLine, SingularGroupElement,
                      SurjectivityViolation)
 from .field import qi
-from .matrix import (Matrix, block, column_space, hstack, inverse,
+from .matrix import (Matrix, _ZiMatrix, block, column_space, hstack,
                      kernel_basis, rank, solve)
 from .p2 import ProjectivePoint, _fiber_dim, monad_maps
 from .polymat import PolyMatrix, linear_polymatrix, poly_matmul
@@ -96,12 +96,17 @@ def is_valid(mt: MonadDataBlowup) -> bool:
 def act2(g0: Matrix, g1: Matrix, mt: MonadDataBlowup) -> MonadDataBlowup:
     """The GL(W0) x GL(W1) action:
     (a1, a2, b, c, d) -> (g0^-1 a1 g1, g0^-1 a2 g1, g0^-1 b, c g1, g1^-1 d g0).
+
+    The products run on the integer form ``matrix._ZiMatrix``.
     """
-    g0inv, g1inv = inverse(g0), inverse(g1)
-    if g0inv is None or g1inv is None:
+    G0, G1 = _ZiMatrix.of(g0), _ZiMatrix.of(g1)
+    G0inv, G1inv = G0.inverse(), G1.inverse()
+    if G0inv is None or G1inv is None:
         raise SingularGroupElement("group element is not invertible")
-    return MonadDataBlowup(g0inv @ mt.a1 @ g1, g0inv @ mt.a2 @ g1,
-                           g1inv @ mt.d @ g0, g0inv @ mt.b, mt.c @ g1)
+    a1, a2, d, b, c = (_ZiMatrix.of(M) for M in (mt.a1, mt.a2, mt.d, mt.b, mt.c))
+    return MonadDataBlowup((G0inv @ a1 @ G1).matrix(), (G0inv @ a2 @ G1).matrix(),
+                           (G1inv @ d @ G0).matrix(), (G0inv @ b).matrix(),
+                           (c @ G1).matrix())
 
 
 class BlowupPoint:

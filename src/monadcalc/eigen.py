@@ -339,8 +339,11 @@ def _read_through(mats: List[Matrix], ell: Matrix, approx: bool):
         return None
     if approx:
         W, *gs = [[complex(c) for c in p] for p in [W] + gs]
-    return [tuple(_horner(g, z) / _horner(W, z) for g in gs)
-            for z, j in roots for _ in range(j)]
+    found = []
+    for z, j in roots:  # one tuple, listed j times
+        w = _horner(W, z)
+        found += [tuple(_horner(g, z) / w for g in gs)] * j
+    return found
 
 
 def joint_spectrum(mats: Sequence[Matrix],

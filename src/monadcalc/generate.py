@@ -15,8 +15,9 @@ from typing import List, Optional, Sequence, Union
 
 from .blowup import MonadDataBlowup, act2, blowup_defect
 from .errors import InfeasibleSpec
-from .field import ONE, QI, ZERO, qi
-from .matrix import Matrix, block, hstack, kernel_basis, solve, vstack
+from .field import ONE, QI, ZERO, Rat
+from .matrix import (Matrix, _clear, _ZiMatrix, block, hstack, kernel_basis,
+                     solve, vstack)
 from .p2 import MonadDataP2, act
 
 FAMILIES = (
@@ -51,10 +52,10 @@ def _rand_qi(rng: random.Random, bound: int = DEFAULT_BOUND) -> QI:
     # small denominators keep exact arithmetic cheap; imaginary parts
     # appear half the time
     den = rng.choice((1, 1, 2, 3))
-    re = qi(f"{rng.randint(-bound, bound)}/{den}")
+    re = Rat(rng.randint(-bound, bound), den)
     if rng.random() < 0.5:
-        return re
-    return re + QI(0, f"{rng.randint(-bound, bound)}/{den}")
+        return QI(re, 0)
+    return QI(re, Rat(rng.randint(-bound, bound), den))
 
 
 def _rand_matrix(rng: random.Random, rows: int, cols: int,
@@ -83,8 +84,8 @@ def _rand_unitriangular(rng: random.Random, k: int, upper: bool,
 
 def random_invertible(rng: random.Random, k: int) -> Matrix:
     """Determinant-one invertible matrix (L U with unit diagonals)."""
-    return _rand_unitriangular(rng, k, upper=False) @ \
-        _rand_unitriangular(rng, k, upper=True)
+    L = _ZiMatrix.of(_rand_unitriangular(rng, k, upper=False))
+    return (L @ _ZiMatrix.of(_rand_unitriangular(rng, k, upper=True))).matrix()
 
 
 def random_raw_p2(rng: random.Random, k: int, r: int,
@@ -240,12 +241,13 @@ def _blowup_zero_d(rng: random.Random, k: int, r: int) -> MonadDataBlowup:
     return act2(random_invertible(rng, k), random_invertible(rng, k), mt)
 
 
-def _poly_in(rng: random.Random, M: Matrix, constant: bool = True) -> Matrix:
-    out = Matrix.zeros(M.rows, M.rows)
-    power = Matrix.identity(M.rows)
-    for deg in range(M.rows):
-        if deg > 0 or constant:
-            out = out + power.scale(_rand_qi(rng, 4))
+def _poly_in(rng: random.Random, M: _ZiMatrix) -> _ZiMatrix:
+    """A random polynomial in M of degree below its size, on the integer form."""
+    out = _ZiMatrix.zeros(M.rows, M.rows)
+    power = _ZiMatrix.identity(M.rows)
+    for _ in range(M.rows):
+        (s,), den = _clear([_rand_qi(rng, 4)])
+        out = out + power.scale(s, den)
         power = power @ M
     return out
 
@@ -259,7 +261,8 @@ def _blowup_generic(rng: random.Random, k: int, r: int) -> MonadDataBlowup:
         # nilpotent d; d a1 need not be nilpotent, so in practice this
         # reaches the fully-degenerate stratum only at k <= 2 (d = 0 at k = 1)
         d = _rand_unitriangular(rng, k, upper=True) - Matrix.identity(k)
-    a2 = a1 @ _poly_in(rng, d @ a1)
+    A1 = _ZiMatrix.of(a1)
+    a2 = (A1 @ _poly_in(rng, _ZiMatrix.of(d) @ A1)).matrix()
     b, c = _orthogonal_bc(rng, k, r)
     mt = MonadDataBlowup(a1, a2, d, b, c)
     return act2(random_invertible(rng, k), random_invertible(rng, k), mt)

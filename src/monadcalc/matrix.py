@@ -10,7 +10,9 @@ private integer form ``_ZiMatrix`` (Gaussian-integer numerators over one
 integer denominator) runs chains of products, stacks and solves without
 ``QI`` arithmetic, and it is the one front end of fraction-free
 elimination over Z[i]: rref, rank, solve and inverse (and the kernels and
-spans built on them) convert to it, eliminate, and convert back.
+spans built on them) convert to it, eliminate, and convert back.  The
+group actions ``p2.act`` and ``blowup.act2`` and the seeded generators'
+products run on it too, converting each input once and each result once.
 ``_clear`` is the one place where denominators are cleared.
 """
 
@@ -380,6 +382,9 @@ class _ZiMatrix:
         return _ZiMatrix(self.rows, self.cols,
                          [(-a, -b) for a, b in self.nums], self.den)
 
+    def __add__(self, other: "_ZiMatrix") -> "_ZiMatrix":
+        return self - (-other)
+
     def __sub__(self, other: "_ZiMatrix") -> "_ZiMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch(
@@ -450,6 +455,13 @@ class _ZiMatrix:
             X[p] = row[n:]
         return rank, _ZiMatrix._divided(X, B.cols, d)
 
+    def inverse(self) -> Optional["_ZiMatrix"]:
+        """The inverse, or None if the matrix is singular."""
+        if self.rows != self.cols:
+            raise NonSquareMatrix("inverse needs a square matrix")
+        # A X = I is inconsistent exactly when A is singular
+        return self.solve(_ZiMatrix.identity(self.rows))[1]
+
     def rref(self) -> Tuple["_ZiMatrix", Tuple[int, ...]]:
         """The reduced row echelon form and its pivot columns."""
         rows = self._rows()
@@ -483,10 +495,7 @@ def solve(A: Matrix, B: Matrix) -> Optional[Matrix]:
 
 
 def inverse(A: Matrix) -> Optional[Matrix]:
-    if not A.is_square():
-        raise NonSquareMatrix("inverse needs a square matrix")
-    # A X = I is inconsistent exactly when A is singular
-    X = _ZiMatrix.of(A).solve(_ZiMatrix.identity(A.rows))[1]
+    X = _ZiMatrix.of(A).inverse()
     return None if X is None else X.matrix()
 
 

@@ -23,7 +23,7 @@ from .errors import (DimensionMismatch, IntegrabilityViolation, InvalidPoint,
                      SingularGroupElement)
 from .field import QI, qi
 from .matrix import (Gauss, Matrix, Subspace, _clear, _ZiMatrix, column_space,
-                     invariant_split, inverse, rank)
+                     invariant_split, rank)
 from .polymat import PolyMatrix, linear_polymatrix, poly_matmul
 
 
@@ -103,11 +103,17 @@ def validate_p2(m: MonadDataP2) -> MonadDataP2:
 
 
 def act(g: Matrix, m: MonadDataP2) -> MonadDataP2:
-    """The GL(W) action (a1, a2, b, c) -> (g^-1 a1 g, g^-1 a2 g, g^-1 b, c g)."""
-    ginv = inverse(g)
-    if ginv is None:
+    """The GL(W) action (a1, a2, b, c) -> (g^-1 a1 g, g^-1 a2 g, g^-1 b, c g).
+
+    The products run on the integer form ``matrix._ZiMatrix``.
+    """
+    G = _ZiMatrix.of(g)
+    Ginv = G.inverse()
+    if Ginv is None:
         raise SingularGroupElement("group element is not invertible")
-    return MonadDataP2(ginv @ m.a1 @ g, ginv @ m.a2 @ g, ginv @ m.b, m.c @ g)
+    a1, a2, b, c = (_ZiMatrix.of(M) for M in (m.a1, m.a2, m.b, m.c))
+    return MonadDataP2((Ginv @ a1 @ G).matrix(), (Ginv @ a2 @ G).matrix(),
+                       (Ginv @ b).matrix(), (c @ G).matrix())
 
 
 # -- special subspaces and nondegeneracy --------------------------------

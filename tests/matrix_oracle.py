@@ -7,10 +7,18 @@ fraction-free Z[i] kernel, kept as the oracle that
 Faddeev-LeVerrier is the characteristic polynomial the package computed
 before Berkowitz's division-free algorithm over Z[i], kept as the oracle
 that ``tests/test_char_poly_oracle.py`` compares ``char_poly`` against.
+The group actions and the generators' products on ``QI`` entries are
+what ``act``, ``act2``, ``random_invertible`` and ``_poly_in`` computed
+before they ran on the integer form; ``tests/test_matrix_oracle.py``
+compares them.
 """
 
+from monadcalc.blowup import MonadDataBlowup
+from monadcalc.errors import SingularGroupElement
 from monadcalc.field import ONE, QI, ZERO
+from monadcalc.generate import _rand_qi, _rand_unitriangular
 from monadcalc.matrix import Matrix, Subspace, hstack
+from monadcalc.p2 import MonadDataP2
 
 
 def rref(M):
@@ -120,3 +128,36 @@ def char_poly(M):
         coeffs.append(c)
         N = MN + Matrix.identity(k).scale(c)
     return coeffs
+
+
+def act(g, m):
+    """The GL(W) action (g^-1 a1 g, g^-1 a2 g, g^-1 b, c g)."""
+    ginv = inverse(g)
+    if ginv is None:
+        raise SingularGroupElement("group element is not invertible")
+    return MonadDataP2(ginv @ m.a1 @ g, ginv @ m.a2 @ g, ginv @ m.b, m.c @ g)
+
+
+def act2(g0, g1, mt):
+    """The GL(W0) x GL(W1) action on a blowup tuple."""
+    g0inv, g1inv = inverse(g0), inverse(g1)
+    if g0inv is None or g1inv is None:
+        raise SingularGroupElement("group element is not invertible")
+    return MonadDataBlowup(g0inv @ mt.a1 @ g1, g0inv @ mt.a2 @ g1,
+                           g1inv @ mt.d @ g0, g0inv @ mt.b, mt.c @ g1)
+
+
+def random_invertible(rng, k):
+    """L U from the same draws as ``generate.random_invertible``."""
+    return _rand_unitriangular(rng, k, upper=False) @ \
+        _rand_unitriangular(rng, k, upper=True)
+
+
+def poly_in(rng, M):
+    """sum_{n < size} s_n M^n from the same draws as ``generate._poly_in``."""
+    out = Matrix.zeros(M.rows, M.rows)
+    power = Matrix.identity(M.rows)
+    for _ in range(M.rows):
+        out = out + power.scale(_rand_qi(rng, 4))
+        power = power @ M
+    return out

@@ -6,24 +6,34 @@ random shapes (empty, all-zero, rank-deficient, identity blocks), on
 entries with 200-bit numerators, on every matrix they receive while the
 seeded families run, and on hypothesis-drawn small matrices.  While the
 seeded families run, the rank and solve of the integer form
-``matrix._ZiMatrix`` are checked the same way.
+``matrix._ZiMatrix`` are checked the same way.  The group actions ``act``
+and ``act2`` and the generators ``random_invertible`` and ``_poly_in``,
+which run on the integer form, must give the ``QI`` products of
+``matrix_oracle`` on raw random tuples and on hypothesis draws, and
+raise the same typed errors.
 """
 
 import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matrix_oracle as oracle
-from conftest import family_instances, rng
+from conftest import family_instances, raw_blowup_tuples, raw_p2_tuples, rng
 from monadcalc import matrix
-from monadcalc.blowup import BlowupPoint, fiber_projection_check
-from monadcalc.errors import IrrationalSpectrum
+from monadcalc.blowup import (BlowupPoint, MonadDataBlowup, act2,
+                              fiber_projection_check)
+from monadcalc.errors import (DimensionMismatch, IrrationalSpectrum,
+                              MonadcalcError, NonSquareMatrix,
+                              SingularGroupElement)
 from monadcalc.field import ONE, QI, ZERO, qi
+from monadcalc.generate import (_poly_in, random_invertible, random_raw_blowup,
+                                random_raw_p2)
 from monadcalc.matrix import (Matrix, hstack, inverse, kernel_basis, rank,
                               rref, solve)
-from monadcalc.p2 import ProjectivePoint, canonical_reduction
+from monadcalc.p2 import MonadDataP2, ProjectivePoint, act, canonical_reduction
 from monadcalc.stratify import classify_s0, pushforward
 from monadcalc.trivialize import verify_trivialization
 
@@ -106,6 +116,7 @@ def test_integer_form_matches_qi_arithmetic():
         zM = Z.of(M)
         assert zM.matrix() == M
         assert (zM @ Z.of(P)).matrix() == M @ P
+        assert (zM + Z.of(N)).matrix() == M + N
         assert (zM - Z.of(N)).matrix() == M - N
         assert (-zM).matrix() == -M
         g, e = (r_.randint(-9, 9), r_.randint(-9, 9)), r_.randint(1, 9)
@@ -123,6 +134,9 @@ def test_integer_form_matches_qi_arithmetic():
         assert r == oracle.rank(M)
         assert (X is None) == (expected is None)
         assert X is None or X.matrix() == expected
+        if rows == cols:
+            Xinv = zM.inverse()
+            assert (None if Xinv is None else Xinv.matrix()) == oracle.inverse(M)
 
 
 def test_large_entries_match_oracle():
@@ -165,6 +179,62 @@ def test_inconsistent_and_singular_give_none():
     assert inverse(Matrix.from_rows([[ONE, qi(0, 1)], [qi(0, 1), -ONE]])) is None
     _assert_matches_oracle("solve", (A, Matrix.column([1, 3, 0])))
     _assert_matches_oracle("inverse", (A,))
+
+
+# -- group actions and generators on the integer form -------------------
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the type of the error it raises."""
+    try:
+        return fn(*args)
+    except MonadcalcError as exc:
+        return type(exc)
+
+
+def test_actions_match_qi_formulas():
+    """act and act2 on raw random tuples (k = 0-4), by random invertible,
+    dense, low-rank, zero and identity-block group elements."""
+    r_ = rng(86)
+    for m in raw_p2_tuples(40, seed=86):
+        for g in (random_invertible(r_, m.k), _random_case(r_, m.k, m.k)):
+            assert _outcome(act, g, m) == _outcome(oracle.act, g, m)
+    for mt in raw_blowup_tuples(40, seed=87):
+        for g0, g1 in ((random_invertible(r_, mt.k), random_invertible(r_, mt.k)),
+                       (_random_case(r_, mt.k, mt.k), random_invertible(r_, mt.k)),
+                       (random_invertible(r_, mt.k), _random_case(r_, mt.k, mt.k))):
+            assert _outcome(act2, g0, g1, mt) == _outcome(oracle.act2, g0, g1, mt)
+
+
+def test_generators_match_qi_formulas():
+    """random_invertible and _poly_in give the QI products of the same
+    draws and leave the generator in the same state."""
+    Z = matrix._ZiMatrix
+    for k in range(7):
+        for seed in range(6):
+            ours, theirs = rng(seed), rng(seed)
+            assert random_invertible(ours, k) == oracle.random_invertible(theirs, k)
+            M = _random_case(rng(100 + seed), k, k)
+            assert _poly_in(ours, Z.of(M)).matrix() == \
+                oracle.poly_in(theirs, M)
+            assert ours.getstate() == theirs.getstate()
+
+
+def test_actions_raise_typed_errors():
+    m, mt = random_raw_p2(rng(88), 2, 1), random_raw_blowup(rng(89), 2, 1)
+    eye, singular = Matrix.identity(2), Matrix.from_rows([[1, 2], [2, 4]])
+    cases = [
+        (SingularGroupElement, act, (singular, m)),
+        (SingularGroupElement, act2, (singular, eye, mt)),
+        (SingularGroupElement, act2, (eye, singular, mt)),
+        (NonSquareMatrix, act, (Matrix.zeros(2, 3), m)),
+        (NonSquareMatrix, act2, (eye, Matrix.zeros(3, 2), mt)),
+        (DimensionMismatch, act, (Matrix.identity(3), m)),
+        (DimensionMismatch, act2, (Matrix.identity(3), Matrix.identity(3), mt)),
+        (DimensionMismatch, act2, (eye, Matrix.identity(1), mt)),
+    ]
+    for error, fn, args in cases:
+        with pytest.raises(error):
+            fn(*args)
 
 
 # -- matrices the seeded families eliminate -----------------------------
@@ -313,24 +383,43 @@ _entries = st.one_of(st.just(ZERO), st.just(ONE),
                      st.builds(QI, _rationals))
 
 
+def _shaped(rows, cols):
+    return st.lists(_entries, min_size=rows * cols, max_size=rows * cols).map(
+        lambda entries: Matrix(rows, cols, entries))
+
+
 @st.composite
 def _matrices(draw, max_rows=5, max_cols=6):
     rows = draw(st.integers(0, max_rows))
     cols = draw(st.integers(0, max_cols))
-    entries = draw(st.lists(_entries, min_size=rows * cols,
-                            max_size=rows * cols))
-    return Matrix(rows, cols, entries)
+    return draw(_shaped(rows, cols))
 
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(_matrices(), st.data())
 def test_hypothesis_matrices_match_oracle(M, data):
     rows, cols = data.draw(st.sampled_from([(M.rows, 1), (M.rows, 2)]))
-    B = Matrix(rows, cols, data.draw(st.lists(_entries, min_size=rows * cols,
-                                              max_size=rows * cols)))
+    B = data.draw(_shaped(rows, cols))
     _assert_all_match(M, B)
     R, pivots = rref(M)
     assert rref(R) == (R, pivots)
     assert all(R[i, p] == ONE for i, p in enumerate(pivots))
     assert (M @ kernel_basis(M).basis).is_zero()
 
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(0, 4), st.integers(1, 3), st.data())
+def test_hypothesis_actions_match_qi_formulas(k, r, data):
+    """act, act2 and _poly_in on drawn tuples and group elements; the
+    entries include 0 and 1, so singular group elements occur."""
+    def draw(rows, cols):
+        return data.draw(_shaped(rows, cols))
+
+    g0, g1 = draw(k, k), draw(k, k)
+    m = MonadDataP2(draw(k, k), draw(k, k), draw(k, r), draw(r, k))
+    mt = MonadDataBlowup(m.a1, m.a2, draw(k, k), m.b, m.c)
+    assert _outcome(act, g0, m) == _outcome(oracle.act, g0, m)
+    assert _outcome(act2, g0, g1, mt) == _outcome(oracle.act2, g0, g1, mt)
+    seed = data.draw(st.integers(0, 2 ** 32))
+    assert _poly_in(rng(seed), matrix._ZiMatrix.of(g0)).matrix() == \
+        oracle.poly_in(rng(seed), g0)

@@ -125,3 +125,14 @@ def test_benchmark_layer_modules_import():
     assert len(layers) == 1 and layers[0]
     for name in layers[0]:
         importlib.import_module(f"monadcalc.{name}")
+
+
+def test_benchmark_selftest_passes():
+    """The benchmark's own self-test: every workload check passes on the
+    program's outputs and fires on corrupted copies (made with
+    ``dataclasses.replace``), and the traced run reports every per-layer
+    metric the benchmark declares."""
+    proc = subprocess.run([sys.executable, "monadbench/selftest.py"],
+                          cwd=TRACER.parents[1], capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

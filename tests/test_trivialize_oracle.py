@@ -1,21 +1,26 @@
 """Trivialization on Gaussian-integer numerators against the Q(i) path
 kept in trivialize_oracle.py: verdicts, and the values of the public
-helpers, on seeded concentrated instances and on raw tuples that are
-concentrated but not integrable."""
+helpers, on seeded concentrated instances, on raw tuples that are
+concentrated but not integrable, and on hypothesis-drawn tuples with
+nilpotent a1 and a2, where NotConcentrated must be raised exactly when
+the tuple is not concentrated."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trivialize_oracle as oracle
 from conftest import rng
 from monadcalc import trivialize
-from monadcalc.field import ZERO, qi
+from monadcalc.field import I, ONE, ZERO, qi
 from monadcalc.generate import GenSpec, generate, random_invertible
 from monadcalc.matrix import Matrix
 from monadcalc.p2 import (MonadDataP2, act, is_concentrated_at_origin,
                           is_integrable)
-from monadcalc.trivialize import (ChartPoint, default_sample_points,
-                                  frame_matrix, section_s1, section_s2,
-                                  transition_xi, verify_trivialization)
+from monadcalc.trivialize import (ChartPoint, NotConcentrated,
+                                  default_sample_points, frame_matrix,
+                                  section_s1, section_s2, transition_xi,
+                                  verify_trivialization)
 from test_trivialize import _EDGE_POINTS
 
 # the default points, U2 points on the overlap, and points off it
@@ -83,3 +88,35 @@ def test_raw_concentrated_tuples_match_oracle(monkeypatch):
     # the transition identity fails on most overlap points with x3 != 0;
     # the other points pass
     assert 0.3 < verdicts.count(False) / len(verdicts) < 0.8
+
+
+_ENTRIES = st.sampled_from([ZERO, ZERO, ONE, -ONE, qi(2), I, qi("1/2"), qi(-3, 1)])
+
+
+@st.composite
+def _nilpotent_tuples(draw):
+    """Raw tuples, k = 1-4 and r = 1-3, with strictly upper triangular a1
+    and a2 and c = 0 half the time: concentrated whenever c = 0, mostly
+    not otherwise."""
+    k, r = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+    def mat(rows, cols, strict=False):
+        return Matrix(rows, cols, [draw(_ENTRIES) if not strict or i < j else ZERO
+                                   for i in range(rows) for j in range(cols)])
+
+    a1, a2, b = mat(k, k, True), mat(k, k, True), mat(k, r)
+    c = Matrix.zeros(r, k) if draw(st.booleans()) else mat(r, k)
+    return MonadDataP2(a1, a2, b, c)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_nilpotent_tuples())
+def test_hypothesis_tuples_match_oracle(m):
+    """NotConcentrated exactly off the concentrated tuples; on them, every
+    verdict and helper value agrees with the oracle."""
+    if not is_concentrated_at_origin(m):
+        with pytest.raises(NotConcentrated):
+            verify_trivialization(m, sample_points=POINTS[:1])
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        _verdicts_match_oracle(mp, m)
