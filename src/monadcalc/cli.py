@@ -29,6 +29,8 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_DOMAIN = 2
 
+_KINDS = {"p2": MonadDataP2, "blowup": MonadDataBlowup}
+
 
 def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
@@ -37,16 +39,6 @@ def _emit(obj) -> None:
 def _fail_io(message: str) -> int:
     print(json.dumps({"error": message}, sort_keys=True), file=sys.stderr)
     return EXIT_IO
-
-
-def _load(path, kind=None):
-    """Returns the instance or raises DocumentError (incl. kind mismatch)."""
-    inst = jsonio.read_file(path)
-    if kind == "p2" and not isinstance(inst, MonadDataP2):
-        raise DocumentError("expected a 'p2' document")
-    if kind == "blowup" and not isinstance(inst, MonadDataBlowup):
-        raise DocumentError("expected a 'blowup' document")
-    return inst
 
 
 def _validate_instance(inst):
@@ -65,43 +57,18 @@ def _validate_instance(inst):
     return ({"valid": True}, EXIT_OK)
 
 
-def _load_valid(path, kind=None):
-    """(instance, EXIT_OK), or (None, code) once the failure is reported."""
-    try:
-        inst = _load(path, kind)
-    except DocumentError as exc:
-        return None, _fail_io(str(exc))
-    report, code = _validate_instance(inst)
-    if code != EXIT_OK:
-        _emit(report)
-    return inst, code
+def cmd_validate(args, inst) -> int:
+    _emit({"valid": True})
+    return EXIT_OK
 
 
-def cmd_validate(args) -> int:
-    _, code = _load_valid(args.path)
-    if code == EXIT_OK:
-        _emit({"valid": True})
-    return code
-
-
-def _witness_obj(witness):
-    if witness is None:
-        return None
-    if isinstance(witness, tuple):
-        return list(witness)
-    return witness
-
-
-def cmd_classify(args) -> int:
-    mt, code = _load_valid(args.path, "blowup")
-    if code != EXIT_OK:
-        return code
+def cmd_classify(args, mt) -> int:
     sr = classify_s0(mt)
     out = {
         "is_s0": sr.is_s0,
         "nilpotency": {name: idx for name, idx in sr.nilpotency},
         "krylov_dim": sr.krylov_dim,
-        "witness": _witness_obj(sr.witness),
+        "witness": sr.witness,
     }
     if args.oracle_maxlen is not None:
         oracle = classify_s0_oracle(mt, args.oracle_maxlen)
@@ -111,10 +78,7 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def cmd_pushforward(args) -> int:
-    mt, code = _load_valid(args.path, "blowup")
-    if code != EXIT_OK:
-        return code
+def cmd_pushforward(args, mt) -> int:
     m = pushforward(mt)
     jsonio.write_file(args.out, m)
     _emit({"written": str(args.out), "kind": "p2", "k": m.k, "r": m.r})
@@ -128,10 +92,7 @@ def _point_obj(p, approx: bool):
     return [_qi_to_obj(p[0]), _qi_to_obj(p[1])]
 
 
-def cmd_reduce(args) -> int:
-    m, code = _load_valid(args.path, "p2")
-    if code != EXIT_OK:
-        return code
+def cmd_reduce(args, m) -> int:
     # IrrationalSpectrum is a domain error: main reports it
     du = canonical_reduction(m, eigen_mode="float" if args.use_float else "exact")
     _emit({
@@ -143,10 +104,7 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def cmd_trivialize(args) -> int:
-    m, code = _load_valid(args.path, "p2")
-    if code != EXIT_OK:
-        return code
+def cmd_trivialize(args, m) -> int:
     try:
         ok = verify_trivialization(m, n_samples=args.samples)
     except NotConcentrated as exc:
@@ -170,7 +128,7 @@ def _process_one(path: str) -> dict:
     """Batch worker: validate, then classify when the kind allows it."""
     out = {"file": os.path.basename(path)}
     try:
-        inst = _load(path)
+        inst = jsonio.read_file(path)
     except DocumentError as exc:
         out.update(status="parse_error", error=str(exc))
         return out
@@ -182,7 +140,7 @@ def _process_one(path: str) -> dict:
     if isinstance(inst, MonadDataBlowup):
         sr = classify_s0(inst)
         out["is_s0"] = sr.is_s0
-        out["witness"] = _witness_obj(sr.witness)
+        out["witness"] = sr.witness
     return out
 
 
@@ -242,29 +200,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a document's validity conditions")
     p.add_argument("path")
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=cmd_validate, kind=None)
 
     p = sub.add_parser("classify", help="stratum classification of blowup data")
     p.add_argument("path")
     p.add_argument("--oracle-maxlen", type=_int_at_least(0), default=None,
                    help="also run the exhaustive word oracle up to this length")
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(func=cmd_classify, kind="blowup")
 
     p = sub.add_parser("pushforward", help="push blowup data down to the plane")
     p.add_argument("path")
     p.add_argument("out")
-    p.set_defaults(func=cmd_pushforward)
+    p.set_defaults(func=cmd_pushforward, kind="blowup")
 
     p = sub.add_parser("reduce", help="canonical reduction to bundle + points")
     p.add_argument("path")
     p.add_argument("--float", dest="use_float", action="store_true",
                    help="approximate eigenvalue fallback (points marked approx)")
-    p.set_defaults(func=cmd_reduce)
+    p.set_defaults(func=cmd_reduce, kind="p2")
 
     p = sub.add_parser("trivialize", help="verify the explicit trivialization")
     p.add_argument("path")
     p.add_argument("--samples", type=_int_at_least(1), default=10)
-    p.set_defaults(func=cmd_trivialize)
+    p.set_defaults(func=cmd_trivialize, kind="p2")
 
     p = sub.add_parser("generate", help="write a seeded family instance")
     p.add_argument("out")
@@ -284,9 +242,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Runs one command.  A command that reads a document declares the
+    kind it accepts (``kind``, None for either); its document is loaded,
+    checked for that kind and validated here, once, and the command gets
+    the valid instance."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if "kind" not in args:
+            return args.func(args)
+        inst = jsonio.read_file(args.path)
+        if args.kind is not None and not isinstance(inst, _KINDS[args.kind]):
+            return _fail_io(f"expected a '{args.kind}' document")
+        report, code = _validate_instance(inst)
+        if code != EXIT_OK:
+            _emit(report)
+            return code
+        return args.func(args, inst)
     except DocumentError as exc:  # a document that cannot be read or written
         return _fail_io(str(exc))
     except MemoryError:  # e.g. a generator spec with a huge k

@@ -125,6 +125,10 @@ class QI:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
+        # a real value equals its int (see _coerce), so it hashes like one;
+        # Fraction and mpq hash integral values as int does
+        if self.im == 0:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def sort_key(self):

@@ -20,20 +20,6 @@ from .matrix import (Matrix, _clear, _ZiMatrix, block, hstack, kernel_basis,
                      solve, vstack)
 from .p2 import MonadDataP2, act
 
-FAMILIES = (
-    "charge_one",
-    "commuting_points",
-    "block_concentrated",
-    "blowup_zero_d",
-    "blowup_generic",
-    "invalid_integrability",
-)
-
-P2_FAMILIES = ("charge_one", "commuting_points", "block_concentrated")
-
-DEFAULT_BOUND = 16
-
-
 @dataclass(frozen=True)
 class GenSpec:
     k: int
@@ -48,7 +34,7 @@ class GenSpec:
             raise InfeasibleSpec("need k >= 0 and r >= 1")
 
 
-def _rand_qi(rng: random.Random, bound: int = DEFAULT_BOUND) -> QI:
+def _rand_qi(rng: random.Random, bound: int = 16) -> QI:
     # small denominators keep exact arithmetic cheap; imaginary parts
     # appear half the time
     den = rng.choice((1, 1, 2, 3))
@@ -58,27 +44,24 @@ def _rand_qi(rng: random.Random, bound: int = DEFAULT_BOUND) -> QI:
     return QI(re, Rat(rng.randint(-bound, bound), den))
 
 
-def _rand_matrix(rng: random.Random, rows: int, cols: int,
-                 bound: int = DEFAULT_BOUND) -> Matrix:
-    return Matrix(rows, cols,
-                  [_rand_qi(rng, bound) for _ in range(rows * cols)])
+def _rand_matrix(rng: random.Random, rows: int, cols: int) -> Matrix:
+    return Matrix(rows, cols, [_rand_qi(rng) for _ in range(rows * cols)])
 
 
-def _rand_nonzero_qi(rng: random.Random, bound: int = DEFAULT_BOUND) -> QI:
+def _rand_nonzero_qi(rng: random.Random) -> QI:
     while True:
-        v = _rand_qi(rng, bound)
+        v = _rand_qi(rng, 4)
         if not v.is_zero():
             return v
 
 
-def _rand_unitriangular(rng: random.Random, k: int, upper: bool,
-                        bound: int = 4) -> Matrix:
+def _rand_unitriangular(rng: random.Random, k: int, upper: bool) -> Matrix:
     M = [[ZERO] * k for _ in range(k)]
     for i in range(k):
         M[i][i] = ONE
         rng_range = range(i + 1, k) if upper else range(0, i)
         for j in rng_range:
-            M[i][j] = _rand_qi(rng, bound)
+            M[i][j] = _rand_qi(rng, 4)
     return Matrix.from_rows(M)
 
 
@@ -88,20 +71,16 @@ def random_invertible(rng: random.Random, k: int) -> Matrix:
     return (L @ _ZiMatrix.of(_rand_unitriangular(rng, k, upper=True))).matrix()
 
 
-def random_raw_p2(rng: random.Random, k: int, r: int,
-                  bound: int = DEFAULT_BOUND) -> MonadDataP2:
+def random_raw_p2(rng: random.Random, k: int, r: int) -> MonadDataP2:
     """Unconstrained random tuple; generically not integrable.  Test plumbing."""
-    return MonadDataP2(_rand_matrix(rng, k, k, bound), _rand_matrix(rng, k, k, bound),
-                       _rand_matrix(rng, k, r, bound), _rand_matrix(rng, r, k, bound))
+    return MonadDataP2(_rand_matrix(rng, k, k), _rand_matrix(rng, k, k),
+                       _rand_matrix(rng, k, r), _rand_matrix(rng, r, k))
 
 
-def random_raw_blowup(rng: random.Random, k: int, r: int,
-                      bound: int = DEFAULT_BOUND) -> MonadDataBlowup:
-    return MonadDataBlowup(_rand_matrix(rng, k, k, bound),
-                           _rand_matrix(rng, k, k, bound),
-                           _rand_matrix(rng, k, k, bound),
-                           _rand_matrix(rng, k, r, bound),
-                           _rand_matrix(rng, r, k, bound))
+def random_raw_blowup(rng: random.Random, k: int, r: int) -> MonadDataBlowup:
+    return MonadDataBlowup(_rand_matrix(rng, k, k), _rand_matrix(rng, k, k),
+                           _rand_matrix(rng, k, k), _rand_matrix(rng, k, r),
+                           _rand_matrix(rng, r, k))
 
 
 # -- family builders ----------------------------------------------------
@@ -279,7 +258,7 @@ def _invalid_integrability(rng: random.Random, k: int, r: int) -> MonadDataBlowu
             for _ in range(20):
                 M = getattr(mt, target)
                 i, j = rng.randrange(M.rows), rng.randrange(M.cols)
-                delta = _rand_nonzero_qi(rng, 4)
+                delta = _rand_nonzero_qi(rng)
                 entries = list(M.entries)
                 entries[i * M.cols + j] = entries[i * M.cols + j] + delta
                 bad = replace(mt, **{target: Matrix(M.rows, M.cols, entries)})
@@ -287,15 +266,18 @@ def _invalid_integrability(rng: random.Random, k: int, r: int) -> MonadDataBlowu
                     return bad
 
 
+# the seeded families and their builders, in the order the CLI lists them
+_BUILDERS = {
+    "charge_one": _charge_one,
+    "commuting_points": _commuting_points,
+    "block_concentrated": _block_concentrated,
+    "blowup_zero_d": _blowup_zero_d,
+    "blowup_generic": _blowup_generic,
+    "invalid_integrability": _invalid_integrability,
+}
+FAMILIES = tuple(_BUILDERS)
+
+
 def generate(spec: GenSpec) -> Union[MonadDataP2, MonadDataBlowup]:
     """Build the instance for a family; pure function of the seed."""
-    rng = random.Random(spec.seed)
-    builder = {
-        "charge_one": _charge_one,
-        "commuting_points": _commuting_points,
-        "block_concentrated": _block_concentrated,
-        "blowup_zero_d": _blowup_zero_d,
-        "blowup_generic": _blowup_generic,
-        "invalid_integrability": _invalid_integrability,
-    }[spec.family]
-    return builder(rng, spec.k, spec.r)
+    return _BUILDERS[spec.family](random.Random(spec.seed), spec.k, spec.r)

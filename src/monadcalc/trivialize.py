@@ -199,14 +199,14 @@ def transition_xi(m: MonadDataP2, i: int, alpha2: QI, alpha3: QI) -> Tuple[Matri
             Matrix.identity(m.r).col_matrix(i - 1))
 
 
-def default_sample_points(n: int, seed: int = 11) -> List[ChartPoint]:
+def default_sample_points(n: int) -> List[ChartPoint]:
     """Deterministic small-rational chart points, always including
     alpha3 = 0 and an overlap point.  Raises ValueError for n < 0."""
     import random
 
     if n < 0:
         raise ValueError(f"the number of sample points must be nonnegative, got {n}")
-    rng = random.Random(seed)
+    rng = random.Random(11)
     pts = [ChartPoint("U1", qi(1), qi(0)), ChartPoint("U1", qi(1), qi(1))]
     while len(pts) < n:
         num = lambda: qi(rng.randint(-6, 6), rng.randint(-2, 2))

@@ -1,6 +1,7 @@
 """The command-line contract: subcommands, exit codes, determinism."""
 
 import concurrent.futures
+import hashlib
 import json
 import os
 import pathlib
@@ -11,7 +12,8 @@ import pytest
 
 from monadcalc import cli, jsonio
 from monadcalc.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, main
-from monadcalc.generate import GenSpec, generate
+from monadcalc.blowup import MonadDataBlowup
+from monadcalc.generate import FAMILIES, GenSpec, generate
 from monadcalc.matrix import Matrix
 from monadcalc.p2 import MonadDataP2
 
@@ -41,6 +43,14 @@ def test_validate_invalid(tmp_path, capsys):
     assert main(["validate", path]) == EXIT_DOMAIN
     rep = _last_json(capsys)
     assert rep["valid"] is False and rep["error"] == "IntegrabilityViolation"
+    # integrable but [a1 | a2 | b] = 0: every blowup command reports it
+    flat = str(tmp_path / "flat.json")
+    jsonio.write_file(flat, MonadDataBlowup(*[Matrix.zeros(1, 1)] * 5))
+    for argv in (["validate", flat], ["classify", flat],
+                 ["pushforward", flat, str(tmp_path / "out.json")]):
+        assert main(argv) == EXIT_DOMAIN
+        assert _last_json(capsys) == {"valid": False, "cokernel_dim": 1,
+                                      "error": "SurjectivityViolation"}
 
 
 def test_validate_missing_file(capsys):
@@ -421,3 +431,79 @@ def test_package_and_exact_reduce_leave_sympy_unloaded(tmp_path):
     assert json.loads(float_report)["approx"] is True
     assert len(json.loads(float_report)["points"]) == 3
     assert probe == "[] 0 [] 0"
+
+
+# -- pinned report bytes ---------------------------------------------------
+
+# sha256 of the corpus below, fixed when the CLI's output was last changed
+# on purpose; any other change to a report, an exit code or a written file
+# fails here
+PINNED_REPORTS_SHA256 = (
+    "1ba5a986d243cb9909c8c318aa1b7408e73991a6f005e0b34a41e3e1d364ec71")
+
+
+def _run_cli(capsys, argv, written=None):
+    """[argv, exit code, stdout, stderr, text of ``written`` or None]."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    data = None
+    if written is not None and os.path.exists(written):
+        data = pathlib.Path(written).read_bytes().decode()
+    return [argv, code, captured.out, captured.err, data]
+
+
+def test_report_bytes_are_pinned(tmp_path, capsys, monkeypatch):
+    """Every document command on seeded documents of each family, run
+    in-process with relative paths, hashed together with what it wrote."""
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("docs")
+    os.mkdir("out")
+    digest = hashlib.sha256()
+
+    def record(argv, written=None):
+        entry = _run_cli(capsys, argv, written)
+        digest.update(json.dumps(entry).encode() + b"\0")
+        return entry[1]
+
+    for family in FAMILIES:
+        for k in range(5):
+            for r in (1, 2):
+                for seed in (0, 1):
+                    doc = f"docs/{family}_{k}_{r}_{seed}.json"
+                    if record(["generate", doc, "--family", family,
+                               "--k", str(k), "--r", str(r),
+                               "--seed", str(seed)], doc) != EXIT_OK:
+                        continue
+                    pushed = f"out/{family}_{k}_{r}_{seed}.json"
+                    record(["validate", doc])
+                    record(["classify", doc, "--oracle-maxlen", str(2 * k)])
+                    record(["pushforward", doc, pushed], pushed)
+                    record(["reduce", doc])
+                    record(["trivialize", doc, "--samples", "3"])
+    record(["batch", "docs", "--jobs", "1"])
+    assert digest.hexdigest() == PINNED_REPORTS_SHA256
+
+
+def test_hostile_inputs_keep_the_exit_code_contract(tmp_path, capsys,
+                                                    monkeypatch):
+    """Malformed, mistyped or unwritable: exit 1 and one error line."""
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("broken.json").write_text("{broken")
+    pathlib.Path("utf16.json").write_bytes(b"\xff\xfe{\x00}\x00")
+    pathlib.Path("bigint.json").write_text('{"k": ' + "1" * 5000 + "}")
+    jsonio.write_file("p2.json", generate(GenSpec(2, 1, 0, "commuting_points")))
+    jsonio.write_file("blowup.json", generate(GenSpec(2, 1, 0, "blowup_zero_d")))
+    cases = [command[:1] + [path] + command[1:] for command in
+             (["validate"], ["classify"], ["pushforward", "x.json"],
+              ["reduce"], ["trivialize"])
+             for path in ("broken.json", "utf16.json", "bigint.json")]
+    cases += [["classify", "p2.json"], ["pushforward", "p2.json", "x.json"],
+              ["reduce", "blowup.json"], ["trivialize", "blowup.json"],
+              ["pushforward", "blowup.json", "missing/x.json"],
+              ["generate", "missing/x.json", "--family", "charge_one",
+               "--k", "1", "--r", "2"]]
+    for argv in cases:
+        _, code, out, err, _ = _run_cli(capsys, argv)
+        assert code == EXIT_IO, argv
+        assert out == "" and len(err.splitlines()) == 1, argv
+        assert set(json.loads(err)) == {"error"}, argv

@@ -1,5 +1,7 @@
 """Gaussian-rational scalar arithmetic."""
 
+from fractions import Fraction
+
 import pytest
 
 from monadcalc.field import I, ONE, QI, ZERO, qi
@@ -79,3 +81,14 @@ def test_is_zero_and_bool():
 def test_bad_input_rejected():
     with pytest.raises(TypeError):
         QI(1.5)
+
+
+def test_real_values_hash_like_the_ints_they_equal():
+    for n in (0, 1, -3, 2 ** 70):
+        assert QI(n) == n and hash(QI(n)) == hash(n)
+        assert QI(n) in {n}
+        assert {n: "found"}.get(QI(n)) == "found"
+    half = qi("1/2")
+    assert hash(half) == hash(Fraction(1, 2)) == hash(qi("2/4"))
+    assert half in {qi("2/4")} and {qi("2/4"): "found"}.get(half) == "found"
+    assert hash(qi(1, 2)) == hash(QI(1, 2))
