@@ -28,22 +28,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (DimensionMismatch, IntegrabilityViolation, InvalidPoint,
-                     PointOnExceptionalLine, SingularGroupElement,
-                     SurjectivityViolation)
+from .errors import (IntegrabilityViolation, InvalidPoint, PointOnExceptionalLine,
+                     SingularGroupElement, SurjectivityViolation)
 from .field import qi
 from .matrix import (Matrix, _ZiMatrix, block, column_space, hstack,
                      kernel_basis, rank, solve)
-from .p2 import ProjectivePoint, _fiber_dim, monad_maps
+from .p2 import (ProjectivePoint, _fiber_dim, _integer, _MonadData, _rational,
+                 monad_maps)
 from .polymat import PolyMatrix, linear_polymatrix, poly_matmul
 
 
 @dataclass(frozen=True)
-class MonadDataBlowup:
+class MonadDataBlowup(_MonadData):
     """Raw blowup monad tuple; dimensions checked, validity conditions not.
 
-    dim W0 = dim W1 = k is enforced structurally.  Use :func:`validate`
-    to check integrability and surjectivity.
+    dim W0 = dim W1 = k is enforced structurally, by the shape check the
+    plane tuple shares (``p2._MonadData``).  Use :func:`validate` to
+    check integrability and surjectivity.
     """
 
     a1: Matrix
@@ -51,22 +52,6 @@ class MonadDataBlowup:
     d: Matrix
     b: Matrix
     c: Matrix
-
-    def __post_init__(self):
-        k, r = self.k, self.r
-        for name, M in (("a1", self.a1), ("a2", self.a2), ("d", self.d)):
-            if M.rows != k or M.cols != k:
-                raise DimensionMismatch(f"{name} must be {k}x{k}")
-        if self.b.rows != k or self.c.cols != k or self.c.rows != r:
-            raise DimensionMismatch("b must be k x r and c must be r x k")
-
-    @property
-    def k(self) -> int:
-        return self.a1.rows
-
-    @property
-    def r(self) -> int:
-        return self.b.cols
 
 
 def blowup_defect(mt: MonadDataBlowup) -> Matrix:
@@ -103,10 +88,9 @@ def act2(g0: Matrix, g1: Matrix, mt: MonadDataBlowup) -> MonadDataBlowup:
     G0inv, G1inv = G0.inverse(), G1.inverse()
     if G0inv is None or G1inv is None:
         raise SingularGroupElement("group element is not invertible")
-    a1, a2, d, b, c = (_ZiMatrix.of(M) for M in (mt.a1, mt.a2, mt.d, mt.b, mt.c))
-    return MonadDataBlowup((G0inv @ a1 @ G1).matrix(), (G0inv @ a2 @ G1).matrix(),
-                           (G1inv @ d @ G0).matrix(), (G0inv @ b).matrix(),
-                           (c @ G1).matrix())
+    t = _integer(mt)
+    return _rational(MonadDataBlowup(G0inv @ t.a1 @ G1, G0inv @ t.a2 @ G1,
+                                     G1inv @ t.d @ G0, G0inv @ t.b, t.c @ G1))
 
 
 class BlowupPoint:

@@ -21,15 +21,13 @@ from .errors import (DocumentError, IntegrabilityViolation, MonadcalcError,
                      SurjectivityViolation)
 from .generate import FAMILIES, GenSpec, generate
 from .jsonio import _matrix_to_obj, _qi_to_obj  # canonical encodings for reports
-from .p2 import MonadDataP2, canonical_reduction, validate_p2
+from .p2 import canonical_reduction, validate_p2
 from .stratify import classify_s0, classify_s0_oracle, pushforward
 from .trivialize import NotConcentrated, verify_trivialization
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_DOMAIN = 2
-
-_KINDS = {"p2": MonadDataP2, "blowup": MonadDataBlowup}
 
 
 def _emit(obj) -> None:
@@ -251,7 +249,7 @@ def main(argv=None) -> int:
         if "kind" not in args:
             return args.func(args)
         inst = jsonio.read_file(args.path)
-        if args.kind is not None and not isinstance(inst, _KINDS[args.kind]):
+        if args.kind is not None and not isinstance(inst, jsonio._KINDS[args.kind]):
             return _fail_io(f"expected a '{args.kind}' document")
         report, code = _validate_instance(inst)
         if code != EXIT_OK:

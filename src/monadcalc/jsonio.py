@@ -12,6 +12,10 @@ A document is
       }
     }
 
+The matrices are the fields of the kind's tuple (``_KINDS``), each of
+the shape ``p2._shape`` gives it; they are read, and their errors
+reported, in name order.
+
 Rationals are always the canonical "p/q" strings (never floats), so
 serialization round-trips bit-exactly.  Approximate values (the --float
 eigenvalue fallback) only ever appear in CLI *reports*, never in
@@ -26,13 +30,14 @@ from __future__ import annotations
 import json
 import re
 import sys
+from dataclasses import fields
 from typing import Union
 
 from .blowup import MonadDataBlowup
 from .errors import DocumentError
 from .field import QI
 from .matrix import Matrix
-from .p2 import MonadDataP2
+from .p2 import MonadDataP2, _shape
 
 SCHEMA_VERSION = "1"
 
@@ -42,6 +47,8 @@ _RATIONAL = re.compile(r"-?[0-9]+/[0-9]+")
 _ECHO_CHARS = 100
 
 Instance = Union[MonadDataP2, MonadDataBlowup]
+# the document kinds and the tuple each one holds
+_KINDS = {"p2": MonadDataP2, "blowup": MonadDataBlowup}
 
 
 def _qi_to_obj(v: QI) -> dict:
@@ -91,21 +98,14 @@ def _matrix_from_obj(obj, rows: int, cols: int, name: str) -> Matrix:
 
 
 def to_document(inst: Instance) -> dict:
-    kind = "blowup" if isinstance(inst, MonadDataBlowup) else "p2"
-    matrices = {
-        "a1": _matrix_to_obj(inst.a1),
-        "a2": _matrix_to_obj(inst.a2),
-        "b": _matrix_to_obj(inst.b),
-        "c": _matrix_to_obj(inst.c),
-    }
-    if kind == "blowup":
-        matrices["d"] = _matrix_to_obj(inst.d)
+    kind = next(kind for kind, cls in _KINDS.items() if isinstance(inst, cls))
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         "k": inst.k,
         "r": inst.r,
-        "matrices": matrices,
+        "matrices": {f.name: _matrix_to_obj(getattr(inst, f.name))
+                     for f in fields(inst)},
     }
 
 
@@ -115,7 +115,7 @@ def from_document(doc) -> Instance:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise DocumentError(f"unsupported schema_version {doc.get('schema_version')!r}")
     kind = doc.get("kind")
-    if kind not in ("p2", "blowup"):
+    if not (isinstance(kind, str) and kind in _KINDS):
         raise DocumentError(f"kind must be 'p2' or 'blowup', got {kind!r}")
     k, r = doc.get("k"), doc.get("r")
     # bool is an int subclass, but true/false are not JSON integers
@@ -124,17 +124,13 @@ def from_document(doc) -> Instance:
     mats = doc.get("matrices")
     if not isinstance(mats, dict):
         raise DocumentError("missing 'matrices' object")
-    expected = {"a1", "a2", "b", "c"} | ({"d"} if kind == "blowup" else set())
-    if set(mats) != expected:
-        raise DocumentError(f"matrices must be exactly {sorted(expected)}")
-    a1 = _matrix_from_obj(mats["a1"], k, k, "a1")
-    a2 = _matrix_from_obj(mats["a2"], k, k, "a2")
-    b = _matrix_from_obj(mats["b"], k, r, "b")
-    c = _matrix_from_obj(mats["c"], r, k, "c")
-    if kind == "p2":
-        return MonadDataP2(a1, a2, b, c)
-    d = _matrix_from_obj(mats["d"], k, k, "d")
-    return MonadDataBlowup(a1, a2, d, b, c)
+    cls = _KINDS[kind]
+    # in name order (a1, a2, b, c, d), which decides the error reported first
+    names = sorted(f.name for f in fields(cls))
+    if set(mats) != set(names):
+        raise DocumentError(f"matrices must be exactly {names}")
+    return cls(**{name: _matrix_from_obj(mats[name], *_shape(name, k, r), name)
+                  for name in names})
 
 
 def dumps(inst: Instance) -> str:

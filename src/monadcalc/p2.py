@@ -10,11 +10,18 @@ evaluators are its ``Matrix`` view), reduction to a nondegenerate part
 plus a point multiset (two splits, along the maximal c-special and the
 minimal b-special subspace), and the charge-at-the-origin test (its one
 copy: stratify and trivialize call it).
+
+A tuple's matrices are written down once, as the fields of its
+dataclass; the blowup tuple shares the base here.  ``_shape`` gives
+each field's shape, and everything that walks a tuple's matrices (the
+shape check, the JSON documents, the raw generators and the
+Gaussian-integer conversion ``_integer`` / ``_rational``) reads the
+fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .closure import invariant_closure, max_invariant_in_kernel, nilpotency_index
@@ -55,8 +62,40 @@ class ProjectivePoint:
         return f"[{self.x1!r}:{self.x2!r}:{self.x3!r}]"
 
 
+def _shape(name: str, k: int, r: int) -> Tuple[int, int]:
+    """The shape of a tuple's matrix ``name``, for charge k and rank r:
+    a1, a2 and d are k x k, b is k x r and c is r x k."""
+    return {"b": (k, r), "c": (r, k)}.get(name, (k, k))
+
+
+class _MonadData:
+    """The base of both tuple kinds, whose matrices are their dataclass
+    fields: charge k = a1.rows, rank r = b.cols, and one shape check.
+
+    The check reads only ``rows`` and ``cols``, so a tuple of integer
+    forms (:func:`_integer`) passes it too.
+    """
+
+    def __post_init__(self):
+        k, r = self.k, self.r
+        for f in fields(self):
+            M = getattr(self, f.name)
+            shape = _shape(f.name, k, r)
+            if (M.rows, M.cols) != shape:
+                raise DimensionMismatch(
+                    f"{f.name} must be {shape[0]}x{shape[1]}, got {M.rows}x{M.cols}")
+
+    @property
+    def k(self) -> int:
+        return self.a1.rows
+
+    @property
+    def r(self) -> int:
+        return self.b.cols
+
+
 @dataclass(frozen=True)
-class MonadDataP2:
+class MonadDataP2(_MonadData):
     """Raw monad tuple on P^2; dimensions are checked, integrability is not.
 
     Use :func:`validate_p2` to enforce the integrability condition; the
@@ -69,21 +108,16 @@ class MonadDataP2:
     b: Matrix
     c: Matrix
 
-    def __post_init__(self):
-        k, r = self.k, self.r
-        if not (self.a1.rows == self.a1.cols == k and
-                self.a2.rows == self.a2.cols == k):
-            raise DimensionMismatch("a1, a2 must be square of equal size")
-        if self.b.rows != k or self.c.cols != k or self.c.rows != r:
-            raise DimensionMismatch("b must be k x r and c must be r x k")
 
-    @property
-    def k(self) -> int:
-        return self.a1.rows
+def _integer(m):
+    """m with every matrix in its Gaussian-integer form
+    (``matrix._ZiMatrix``), converted once for any number of points."""
+    return type(m)(*(_ZiMatrix.of(getattr(m, f.name)) for f in fields(m)))
 
-    @property
-    def r(self) -> int:
-        return self.b.cols
+
+def _rational(t):
+    """The inverse of :func:`_integer`: every matrix back to ``Matrix``."""
+    return type(t)(*(getattr(t, f.name).matrix() for f in fields(t)))
 
 
 def integrability_defect(m: MonadDataP2) -> Matrix:
@@ -111,9 +145,9 @@ def act(g: Matrix, m: MonadDataP2) -> MonadDataP2:
     Ginv = G.inverse()
     if Ginv is None:
         raise SingularGroupElement("group element is not invertible")
-    a1, a2, b, c = (_ZiMatrix.of(M) for M in (m.a1, m.a2, m.b, m.c))
-    return MonadDataP2((Ginv @ a1 @ G).matrix(), (Ginv @ a2 @ G).matrix(),
-                       (Ginv @ b).matrix(), (c @ G).matrix())
+    t = _integer(m)
+    return _rational(MonadDataP2(Ginv @ t.a1 @ G, Ginv @ t.a2 @ G,
+                                 Ginv @ t.b, t.c @ G))
 
 
 # -- special subspaces and nondegeneracy --------------------------------
@@ -149,24 +183,11 @@ class MonadMaps(NamedTuple):
     B: Matrix
 
 
-class _ZiTuple(NamedTuple):
-    """a1, a2, b and c as Gaussian-integer forms (``matrix._ZiMatrix``),
-    converted once for any number of points."""
-
-    a1: _ZiMatrix
-    a2: _ZiMatrix
-    b: _ZiMatrix
-    c: _ZiMatrix
-
-    @classmethod
-    def of(cls, m: MonadDataP2) -> "_ZiTuple":
-        return cls(*(_ZiMatrix.of(X) for X in (m.a1, m.a2, m.b, m.c)))
-
-
-def _pencil(t: _ZiTuple, x: Sequence[Gauss], e: int) -> MonadMaps:
+def _pencil(t: MonadDataP2, x: Sequence[Gauss], e: int) -> MonadMaps:
     """The pencil and the monad maps at the point with homogeneous
     coordinates x / e (Gaussian integers x, an integer e > 0), evaluated
-    once on Gaussian-integer numerators: no ``QI`` arithmetic."""
+    once on Gaussian-integer numerators: no ``QI`` arithmetic.  t is a
+    tuple of integer forms (:func:`_integer`)."""
     x1, x2, x3 = x
     eye = _ZiMatrix.identity(t.a1.rows)
     P1 = eye.scale(x1, e) - t.a1.scale(x3, e)
@@ -179,7 +200,7 @@ def monad_maps(m: MonadDataP2, p: ProjectivePoint) -> MonadMaps:
     """A(p) and B(p) from one evaluation of the pencil at p: the
     ``Matrix`` view of ``_pencil``."""
     return MonadMaps(*(X.matrix() for X in
-                       _pencil(_ZiTuple.of(m), *_clear(p.coords()))))
+                       _pencil(_integer(m), *_clear(p.coords()))))
 
 
 def evaluate_A(m: MonadDataP2, p: ProjectivePoint) -> Matrix:

@@ -32,9 +32,10 @@ one k x r matrix, so the per-index helpers are column extractions and
 identity.
 
 The frames are built, and verified, on Gaussian-integer numerators over
-one integer denominator (``matrix._ZiMatrix``, from ``p2._pencil``):
-between the concentration check and the verdict no ``QI`` value is
-built.  Only the public helpers convert their result to ``Matrix``.
+one integer denominator (``matrix._ZiMatrix``; the tuple is converted
+once by ``p2._integer`` and evaluated by ``p2._pencil``): between the
+concentration check and the verdict no ``QI`` value is built.  Only the
+public helpers convert their result to ``Matrix``.
 
 Block convention: a kernel vector is (first W block, second W block,
 C^r block) in the column order of B, so the b-dependent part of the U1
@@ -51,7 +52,7 @@ from .errors import (InvalidPoint, MonadcalcError, OverlapViolation,
                      check_invariant)
 from .field import ONE, QI, qi
 from .matrix import Matrix, _clear, _ZiMatrix
-from .p2 import (MonadDataP2, ProjectivePoint, _pencil, _ZiTuple,
+from .p2 import (MonadDataP2, ProjectivePoint, _integer, _pencil,
                  is_concentrated_at_origin)
 
 
@@ -122,9 +123,10 @@ def _solve_block(P: _ZiMatrix, rhs: _ZiMatrix) -> _ZiMatrix:
     return X
 
 
-def _frames(t: _ZiTuple, coords: Sequence[QI]) -> _Frames:
-    """Every frame of the tuple t at [x1 : x2 : x3] = coords, all r
-    framing indices at once, from two solves.
+def _frames(t: MonadDataP2, coords: Sequence[QI]) -> _Frames:
+    """Every frame of the tuple t of integer forms (``p2._integer``) at
+    [x1 : x2 : x3] = coords, all r framing indices at once, from two
+    solves.
 
     w = P2^-1 b where x2 != 0 and u = P1^-1 [b | w] = [u_b | u_w] where
     x1 != 0 give the U2 sections (x3 w, 0, 1), the U1 sections
@@ -156,7 +158,7 @@ def _section(m: MonadDataP2, i: int, p: ChartPoint, chart: str) -> Matrix:
     _check_index(m, i)
     if p.chart != chart:
         raise InvalidPoint(f"section_s{chart[1]} is defined on {chart} chart points")
-    S = _frames(_ZiTuple.of(m), p.coords()).sections(chart)
+    S = _frames(_integer(m), p.coords()).sections(chart)
     return S.submatrix(range(S.rows), [i - 1]).matrix()
 
 
@@ -178,7 +180,7 @@ def frame_matrix(m: MonadDataP2, p: ChartPoint) -> Matrix:
     of that block (a1 nilpotent) forces maximal rank at every chart point.
     """
     _require_concentrated(m)
-    f = _frames(_ZiTuple.of(m), p.projective().coords())
+    f = _frames(_integer(m), p.projective().coords())
     return _ZiMatrix.hstack([f.A, f.sections(p.chart)]).matrix()
 
 
@@ -194,7 +196,7 @@ def transition_xi(m: MonadDataP2, i: int, alpha2: QI, alpha3: QI) -> Tuple[Matri
     alpha2, alpha3 = qi(alpha2), qi(alpha3)
     if alpha2.is_zero():
         raise OverlapViolation("alpha2 = 0 lies outside U1 ∩ U2")
-    xi1 = _frames(_ZiTuple.of(m), (ONE, alpha2, alpha3)).xi1
+    xi1 = _frames(_integer(m), (ONE, alpha2, alpha3)).xi1
     return (xi1.submatrix(range(m.k), [i - 1]).matrix(),
             Matrix.identity(m.r).col_matrix(i - 1))
 
@@ -246,9 +248,7 @@ def verify_trivialization(m: MonadDataP2,
         raise ValueError("sample_points is empty")
     _require_concentrated(m)
     k, r = m.k, m.r
-    if k == 0 and r == 0:
-        return True
-    t, eye = _ZiTuple.of(m), _ZiMatrix.identity(r)
+    t, eye = _integer(m), _ZiMatrix.identity(r)
     for p in sample_points:
         f = _frames(t, p.coords())
         S, T = (f.S1, f.S2) if p.chart == "U1" else (f.S2, f.S1)

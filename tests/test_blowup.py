@@ -1,8 +1,11 @@
 """Blowup monad data: validity, action, symbolic identity, fiber comparison."""
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import family_instances, raw_blowup_tuples, rng
+from monadcalc import blowup, stratify
 from monadcalc.blowup import (BlowupPoint, MonadDataBlowup, act2,
                               blowup_defect, evaluate_A_blowup,
                               evaluate_B_blowup, fiber_dimension_blowup,
@@ -14,7 +17,7 @@ from monadcalc.errors import (DimensionMismatch, IntegrabilityViolation,
                               PointOnExceptionalLine, SurjectivityViolation)
 from monadcalc.field import qi
 from monadcalc.generate import GenSpec, generate, random_invertible
-from monadcalc.matrix import Matrix, block, inverse, rank
+from monadcalc.matrix import Matrix, Subspace, block, inverse, rank
 from monadcalc.p2 import ProjectivePoint
 
 
@@ -172,3 +175,41 @@ def test_fiber_projection_rejects_exceptional_line():
     mt = generate(GenSpec(k=1, r=1, seed=10, family="blowup_generic"))
     with pytest.raises(PointOnExceptionalLine):
         fiber_projection_check(mt, BlowupPoint(ProjectivePoint(0, 0, 1), 1, 0))
+
+
+def test_fiber_projection_check_on_raw_tuples():
+    """Valid raw tuples pass; a non-integrable one may fail."""
+    verdicts = {True: set(), False: set()}
+    points = _incident_points(rng(0), 3)
+    for mt in raw_blowup_tuples(20, seed=7, kmax=3, rmax=2):
+        for p in points:
+            verdicts[is_valid(mt)].add(fiber_projection_check(mt, p))
+    assert verdicts == {True: {True}, False: {True, False}}
+
+
+def test_fiber_projection_check_rejects_wrong_data(monkeypatch):
+    """Forgetting the W0 blocks maps Ker B~ into Ker B and Im A~ into
+    Im A for every raw tuple, so the first two checks fire only on a
+    wrong pushforward; a Ker B~ basis short of one vector fails the
+    dimension count."""
+    mt = generate(GenSpec(k=2, r=2, seed=3, family="blowup_generic"))
+    p = BlowupPoint.over(ProjectivePoint(1, 2, 3))
+    assert fiber_projection_check(mt, p)
+    real_push, real_kernel = stratify.pushforward, blowup.kernel_basis
+    # a doubled b changes B alone, a doubled c A alone
+    for name in ("b", "c"):
+        def doubled(mt_):
+            m = real_push(mt_)
+            return replace(m, **{name: getattr(m, name).scale(2)})
+
+        monkeypatch.setattr(stratify, "pushforward", doubled)
+        assert not fiber_projection_check(mt, p)
+    monkeypatch.setattr(stratify, "pushforward", real_push)
+
+    def short_kernel(M):
+        K = real_kernel(M)
+        return Subspace(K.ambient_dim,
+                        K.basis.submatrix(range(K.ambient_dim), range(K.dim - 1)))
+
+    monkeypatch.setattr(blowup, "kernel_basis", short_kernel)
+    assert not fiber_projection_check(mt, p)

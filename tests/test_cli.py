@@ -171,11 +171,12 @@ def test_classify_oracle_on_s0_input_needs_few_products(tmp_path, capsys,
 
 def test_classify_oracle_length_must_be_nonnegative(tmp_path, capsys):
     path = _write(tmp_path, "mt.json", "blowup_zero_d", 2, 1)
-    with pytest.raises(SystemExit) as exc:
-        main(["classify", path, "--oracle-maxlen", "-3"])
-    assert exc.value.code == 2  # argparse's malformed-argument exit
-    captured = capsys.readouterr()
-    assert captured.out == "" and "--oracle-maxlen" in captured.err
+    for bad in ("-3", "two"):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", path, "--oracle-maxlen", bad])
+        assert exc.value.code == 2  # argparse's malformed-argument exit
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--oracle-maxlen" in captured.err
     assert main(["classify", path, "--oracle-maxlen", "0"]) == EXIT_OK
     assert _last_json(capsys)["oracle_agrees"] is True
 
@@ -270,7 +271,7 @@ def test_trivialize_ok(tmp_path, capsys):
 
 def test_trivialize_rejects_sample_counts_below_one(tmp_path, capsys):
     path = _write(tmp_path, "m.json", "block_concentrated", 2, 1)
-    for bad in ("0", "-3"):
+    for bad in ("0", "-3", "x"):
         with pytest.raises(SystemExit) as exc:
             main(["trivialize", path, "--samples", bad])
         assert exc.value.code == 2  # argparse's malformed-argument exit
@@ -359,7 +360,7 @@ def test_batch_missing_directory(capsys):
 
 def test_batch_rejects_job_counts_below_one(tmp_path, capsys):
     _write(tmp_path, "a.json", "blowup_zero_d", 2, 1)
-    for bad in ("0", "-3"):
+    for bad in ("0", "-3", "1.5"):
         with pytest.raises(SystemExit) as exc:
             main(["batch", str(tmp_path), "--jobs", bad])
         assert exc.value.code == 2  # argparse's malformed-argument exit

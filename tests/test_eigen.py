@@ -45,6 +45,11 @@ def test_roots_in_qi():
     assert roots_in_qi([ONE, ZERO, ONE]) == [(qi(0, -1), 1), (qi(0, 1), 1)]
     # (t - 1/2)^2
     assert roots_in_qi([ONE, qi(-1), qi("1/4")]) == [(qi("1/2"), 2)]
+    # a leading coefficient other than one is divided out first
+    assert roots_in_qi([qi(2), qi(4)]) == [(qi(-2), 1)]
+    assert roots_in_qi([qi(2), ZERO, qi(-2)]) == [(qi(-1), 1), (qi(1), 1)]
+    assert roots_in_qi([qi(3), qi(-6), qi(3)]) == [(qi(1), 2)]
+    assert roots_in_qi([qi(0, 2), ZERO, qi(0, -2)]) == [(qi(-1), 1), (qi(1), 1)]
     with pytest.raises(IrrationalSpectrum):
         roots_in_qi([ONE, ZERO, qi(-2)])  # t^2 - 2
 

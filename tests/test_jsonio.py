@@ -146,7 +146,12 @@ def test_kind_dimension_consistency():
     # blowup document must carry d with matching dimensions
     doc = jsonio.to_document(_blowup())
     doc["matrices"]["d"] = doc["matrices"]["d"][:1]
-    with pytest.raises(DocumentError):
+    with pytest.raises(DocumentError, match="^matrix 'd' must have 2 rows$"):
+        jsonio.from_document(doc)
+    # matrices are read in name order: b before d, though d precedes b
+    # among the tuple's fields
+    doc["matrices"]["b"] = doc["matrices"]["b"][:1]
+    with pytest.raises(DocumentError, match="^matrix 'b' must have 2 rows$"):
         jsonio.from_document(doc)
 
 

@@ -1,15 +1,18 @@
 """Plane monad data: validation, action, evaluation, reduction."""
 
+from dataclasses import fields
+
 import pytest
 
 from conftest import family_instances, raw_p2_tuples, rng
+from monadcalc.blowup import MonadDataBlowup
 from monadcalc.errors import (DimensionMismatch, IntegrabilityViolation,
                               InvalidPoint, MonadcalcError,
                               SingularGroupElement)
 from monadcalc.field import qi
 from monadcalc.generate import GenSpec, generate, random_invertible
 from monadcalc.matrix import Matrix, inverse, rank
-from monadcalc.p2 import (MonadDataP2, ProjectivePoint, act,
+from monadcalc.p2 import (MonadDataP2, ProjectivePoint, _shape, act,
                           canonical_reduction, evaluate_A, evaluate_B,
                           fiber_dimension, integrability_defect,
                           is_concentrated_at_origin, is_integrable,
@@ -31,6 +34,22 @@ def test_dimension_checks():
     with pytest.raises(DimensionMismatch):
         MonadDataP2(Matrix.zeros(2, 2), Matrix.zeros(2, 2),
                     Matrix.zeros(3, 1), Matrix.zeros(1, 2))
+
+
+@pytest.mark.parametrize("kind", [MonadDataP2, MonadDataBlowup])
+def test_shape_check_names_each_misshaped_field(kind):
+    """One check for both kinds: a1, a2 and d are k x k, b is k x r and
+    c is r x k, with k = a1.rows and r = b.cols."""
+    k, r = 2, 1
+    good = {f.name: Matrix.zeros(*_shape(f.name, k, r)) for f in fields(kind)}
+    m = kind(**good)
+    assert (m.k, m.r) == (k, r)
+    wrong = {"a1": [(2, 3)], "a2": [(3, 3), (2, 3)], "d": [(3, 3), (2, 1)],
+             "b": [(3, 1)], "c": [(2, 2), (1, 3)]}
+    for name in good:
+        for shape in wrong[name]:
+            with pytest.raises(DimensionMismatch, match=f"^{name} must be"):
+                kind(**dict(good, **{name: Matrix.zeros(*shape)}))
 
 
 def test_validation():

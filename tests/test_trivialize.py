@@ -6,7 +6,7 @@ from conftest import family_instances
 from monadcalc import matrix, p2, trivialize
 from monadcalc.errors import InvalidPoint, MonadcalcError, OverlapViolation
 from monadcalc.field import ONE, QI, ZERO, qi
-from monadcalc.generate import GenSpec, generate
+from monadcalc.generate import GenSpec, _shift, generate
 from monadcalc.matrix import (Matrix, _ZiMatrix, hstack, inverse, rank, solve,
                               vstack)
 from monadcalc.p2 import MonadDataP2, evaluate_A, evaluate_B
@@ -197,7 +197,7 @@ def test_frame_columns_match_per_index_helpers():
         for p in pts:
             q = p.projective()
             x1, x2, x3 = q.coords()
-            f = trivialize._frames(p2._ZiTuple.of(m), q.coords())
+            f = trivialize._frames(p2._integer(m), q.coords())
             assert (f.S1 is None) == x1.is_zero()
             assert (f.S2 is None) == x2.is_zero()
             f = f._replace(**{name: X.matrix() for name, X
@@ -250,6 +250,53 @@ def test_verify_rejects_a_broken_frame(monkeypatch):
     assert not verify_trivialization(m, n_samples=4)
     u2 = [ChartPoint("U2", qi(3), qi(1))]  # checked through its own frame
     assert not verify_trivialization(m, sample_points=u2)
+
+
+@pytest.mark.parametrize("k, r", [(0, 0), (0, 2), (2, 0)])
+def test_verify_degenerate_shapes(k, r):
+    """No W or no framing: the general path verifies, with no early exit."""
+    m = MonadDataP2(_shift(k), Matrix.zeros(k, k), Matrix.zeros(k, r),
+                    Matrix.zeros(r, k))
+    assert verify_trivialization(m)
+    assert verify_trivialization(m, sample_points=_EDGE_POINTS)
+
+
+def _zero_first_column(X):
+    return _ZiMatrix(X.rows, X.cols, [(0, 0) if t % X.cols == 0 else v
+                                      for t, v in enumerate(X.nums)], X.den)
+
+
+@pytest.mark.parametrize("point", [
+    ChartPoint("U1", ZERO, qi(2)),   # off the overlap: the rank check
+    ChartPoint("U1", qi(2), qi(1))])  # on it: the rank of the joint elimination
+def test_verify_rejects_a_rank_deficient_frame(monkeypatch, point):
+    m = generate(GenSpec(k=3, r=2, seed=6, family="block_concentrated"))
+    assert verify_trivialization(m, sample_points=[point])
+    real = trivialize._frames
+
+    def rank_deficient(t, coords):
+        f = real(t, coords)
+        return f._replace(A=_zero_first_column(f.A))
+
+    monkeypatch.setattr(trivialize, "_frames", rank_deficient)
+    assert not verify_trivialization(m, sample_points=[point])
+
+
+def test_verify_rejects_a_wrong_generic_solve(monkeypatch):
+    """Only the non-square solve of the frame against the other chart's
+    sections is perturbed; the block solves stay exact."""
+    m = generate(GenSpec(k=3, r=2, seed=6, family="block_concentrated"))
+    real = _ZiMatrix.solve
+
+    def perturbed(self, rhs):
+        rank_, X = real(self, rhs)
+        if self.rows != self.cols and X is not None:
+            X = X.scale((2, 0))
+        return rank_, X
+
+    monkeypatch.setattr(_ZiMatrix, "solve", perturbed)
+    assert not verify_trivialization(m, sample_points=[ChartPoint("U1", qi(2), qi(1))])
+    assert not verify_trivialization(m, sample_points=[ChartPoint("U2", qi(3), qi(1))])
 
 
 def test_verify_operation_counts(monkeypatch):
