@@ -359,9 +359,11 @@ def joint_spectrum(mats: Sequence[Matrix],
     for M in mats:
         if not M.is_square() or M.rows != k:
             raise DimensionMismatch("family members must be square of equal size")
-    for i, A in enumerate(mats):
-        for B in mats[i + 1:]:
-            if not (A @ B - B @ A).is_zero():
+    # on the integer form, whose equal values have equal forms
+    forms = [_ZiMatrix.of(M) for M in mats]
+    for i, A in enumerate(forms):
+        for B in forms[i + 1:]:
+            if A @ B != B @ A:
                 raise NonCommuting("matrices do not pairwise commute")
     # distinct joint eigenvalues collide under l = sum s^i a_i for at most
     # n - 1 values of s each

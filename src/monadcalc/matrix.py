@@ -11,9 +11,13 @@ integer denominator) runs chains of products, stacks and solves without
 ``QI`` arithmetic, and it is the one front end of fraction-free
 elimination over Z[i]: rref, rank, solve and inverse (and the kernels and
 spans built on them) convert to it, eliminate, and convert back.  The
-group actions ``p2.act`` and ``blowup.act2`` and the seeded generators'
-products run on it too, converting each input once and each result once.
-``_clear`` is the one place where denominators are cleared.
+group actions ``p2.act`` and ``blowup.act2``, the seeded generators'
+products, the canonical reduction's basis changes (``invariant_split``
+and ``p2._split``) and ``eigen.joint_spectrum``'s commutation test run on
+it too, converting each input once and each result once.  The separating
+form's powers and traces in ``eigen`` and the closures in ``closure``
+still multiply ``QI`` entries, as ``Matrix`` products do.  ``_clear`` is
+the one place where denominators are cleared.
 """
 
 from __future__ import annotations
@@ -154,6 +158,8 @@ class Matrix:
     def __pow__(self, n: int) -> "Matrix":
         if self.rows != self.cols:
             raise NonSquareMatrix("matrix power needs a square matrix")
+        if n < 0:
+            raise ValueError("matrix power needs a nonnegative exponent")
         result = Matrix.identity(self.rows)
         base = self
         while n:
@@ -585,9 +591,20 @@ def invariant_split(mats: Sequence[Matrix], space: Subspace):
     Returns ``(P, P^-1, tops, bottoms)`` with P = basis_extension(space):
     each P^-1 M P is block upper triangular, and ``tops`` and ``bottoms``
     hold its diagonal blocks, M on the subspace and M on the quotient.
+    The basis change, the invariance check and the blocks run on the
+    integer form (:func:`_invariant_split`); each input and each result
+    is converted once.
     """
-    P = basis_extension(space)
-    Pinv = inverse(P)
+    P, Pinv, tops, bottoms = _invariant_split([_ZiMatrix.of(M) for M in mats],
+                                              space)
+    return (P.matrix(), Pinv.matrix(), [T.matrix() for T in tops],
+            [B.matrix() for B in bottoms])
+
+
+def _invariant_split(mats: Sequence[_ZiMatrix], space: Subspace):
+    """:func:`invariant_split` of integer forms, with integer forms out."""
+    P = _ZiMatrix.of(basis_extension(space))
+    Pinv = P.inverse()
     check_invariant(Pinv is not None, "basis extension is singular")
     head, tail = range(space.dim), range(space.dim, space.ambient_dim)
     conj = [Pinv @ M @ P for M in mats]

@@ -29,8 +29,8 @@ from .eigen import _joint_key, joint_spectrum
 from .errors import (DimensionMismatch, IntegrabilityViolation, InvalidPoint,
                      SingularGroupElement)
 from .field import QI, qi
-from .matrix import (Gauss, Matrix, Subspace, _clear, _ZiMatrix, column_space,
-                     invariant_split, rank)
+from .matrix import (Gauss, Matrix, Subspace, _clear, _invariant_split,
+                     _ZiMatrix, column_space, rank)
 from .polymat import PolyMatrix, linear_polymatrix, poly_matmul
 
 
@@ -267,12 +267,16 @@ class DUPoint:
 
 def _split(m: MonadDataP2, V: Subspace) -> Tuple[MonadDataP2, MonadDataP2]:
     """The tuples that m induces on an (a1, a2)-invariant V and on W/V:
-    b cut to its V- and W/V-coordinates, c to its two restrictions."""
-    P, Pinv, (t1, t2), (q1, q2) = invariant_split([m.a1, m.a2], V)
-    nb, nc = Pinv @ m.b, m.c @ P
+    b cut to its V- and W/V-coordinates, c to its two restrictions.  The
+    basis change runs on the integer form of m, converted once."""
+    t = _integer(m)
+    P, Pinv, (t1, t2), (q1, q2) = _invariant_split([t.a1, t.a2], V)
+    nb, nc = Pinv @ t.b, t.c @ P
     head, tail, frame = range(V.dim), range(V.dim, m.k), range(m.r)
-    return (MonadDataP2(t1, t2, nb.submatrix(head, frame), nc.submatrix(frame, head)),
-            MonadDataP2(q1, q2, nb.submatrix(tail, frame), nc.submatrix(frame, tail)))
+    return (_rational(MonadDataP2(t1, t2, nb.submatrix(head, frame),
+                                  nc.submatrix(frame, head))),
+            _rational(MonadDataP2(q1, q2, nb.submatrix(tail, frame),
+                                  nc.submatrix(frame, tail))))
 
 
 def canonical_reduction(m: MonadDataP2, eigen_mode: str = "exact") -> DUPoint:

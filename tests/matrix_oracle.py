@@ -9,12 +9,14 @@ before Berkowitz's division-free algorithm over Z[i], kept as the oracle
 that ``tests/test_char_poly_oracle.py`` compares ``char_poly`` against.
 The group actions and the generators' products on ``QI`` entries are
 what ``act``, ``act2``, ``random_invertible`` and ``_poly_in`` computed
-before they ran on the integer form; ``tests/test_matrix_oracle.py``
+before they ran on the integer form, and ``invariant_split`` and
+``split`` are the reduction's basis changes (``matrix.invariant_split``
+and ``p2._split``) on ``QI`` entries; ``tests/test_matrix_oracle.py``
 compares them.
 """
 
 from monadcalc.blowup import MonadDataBlowup
-from monadcalc.errors import SingularGroupElement
+from monadcalc.errors import SingularGroupElement, check_invariant
 from monadcalc.field import ONE, QI, ZERO
 from monadcalc.generate import _rand_qi, _rand_unitriangular
 from monadcalc.matrix import Matrix, Subspace, hstack
@@ -161,3 +163,26 @@ def poly_in(rng, M):
         out = out + power.scale(_rand_qi(rng, 4))
         power = power @ M
     return out
+
+
+def invariant_split(mats, space):
+    """``(P, P^-1, tops, bottoms)``: P^-1 = inverse(P), then each
+    P^-1 M P and its diagonal blocks."""
+    P = basis_extension(space)
+    Pinv = inverse(P)
+    check_invariant(Pinv is not None, "basis extension is singular")
+    head, tail = range(space.dim), range(space.dim, space.ambient_dim)
+    conj = [Pinv @ M @ P for M in mats]
+    check_invariant(all(C.submatrix(tail, head).is_zero() for C in conj),
+                    "split subspace is not invariant")
+    return (P, Pinv, [C.submatrix(head, head) for C in conj],
+            [C.submatrix(tail, tail) for C in conj])
+
+
+def split(m, V):
+    """The tuples that m induces on an (a1, a2)-invariant V and on W/V."""
+    P, Pinv, (t1, t2), (q1, q2) = invariant_split([m.a1, m.a2], V)
+    nb, nc = Pinv @ m.b, m.c @ P
+    head, tail, frame = range(V.dim), range(V.dim, m.k), range(m.r)
+    return (MonadDataP2(t1, t2, nb.submatrix(head, frame), nc.submatrix(frame, head)),
+            MonadDataP2(q1, q2, nb.submatrix(tail, frame), nc.submatrix(frame, tail)))

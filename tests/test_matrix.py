@@ -80,6 +80,10 @@ def test_power():
     assert (J ** 2).is_zero()
     D = Matrix.diagonal([2, 3])
     assert D ** 3 == Matrix.diagonal([8, 27])
+    for M in (Matrix.identity(0), D):
+        for n in (-1, -2):
+            with pytest.raises(ValueError):
+                M ** n
 
 
 def test_stacking():

@@ -5,12 +5,16 @@ exactly what the same functions built on ``matrix_oracle.rref`` give: on
 random shapes (empty, all-zero, rank-deficient, identity blocks), on
 entries with 200-bit numerators, on every matrix they receive while the
 seeded families run, and on hypothesis-drawn small matrices.  While the
-seeded families run, the rank and solve of the integer form
+seeded families run, the rank, solve and inverse of the integer form
 ``matrix._ZiMatrix`` are checked the same way.  The group actions ``act``
 and ``act2`` and the generators ``random_invertible`` and ``_poly_in``,
 which run on the integer form, must give the ``QI`` products of
 ``matrix_oracle`` on raw random tuples and on hypothesis draws, and
-raise the same typed errors.
+raise the same typed errors.  ``invariant_split`` and ``p2._split``, the
+reduction's basis changes on the integer form, must give the oracle's
+``QI`` basis changes on the special subspaces of the seeded plane
+families and on raw block triangular families, and ``joint_spectrum``
+must reject a pair exactly when its ``QI`` commutator is nonzero.
 """
 
 import sys
@@ -25,15 +29,18 @@ from conftest import family_instances, raw_blowup_tuples, raw_p2_tuples, rng
 from monadcalc import matrix
 from monadcalc.blowup import (BlowupPoint, MonadDataBlowup, act2,
                               fiber_projection_check)
-from monadcalc.errors import (DimensionMismatch, IrrationalSpectrum,
-                              MonadcalcError, NonSquareMatrix,
+from monadcalc.eigen import joint_spectrum
+from monadcalc.errors import (DimensionMismatch, InfeasibleSpec,
+                              InvariantViolation, IrrationalSpectrum,
+                              MonadcalcError, NonCommuting, NonSquareMatrix,
                               SingularGroupElement)
 from monadcalc.field import ONE, QI, ZERO, qi
-from monadcalc.generate import (_poly_in, random_invertible, random_raw_blowup,
-                                random_raw_p2)
-from monadcalc.matrix import (Matrix, hstack, inverse, kernel_basis, rank,
-                              rref, solve)
-from monadcalc.p2 import MonadDataP2, ProjectivePoint, act, canonical_reduction
+from monadcalc.generate import (GenSpec, _poly_in, generate, random_invertible,
+                                random_raw_blowup, random_raw_p2)
+from monadcalc.matrix import (Matrix, Subspace, hstack, invariant_split,
+                              inverse, kernel_basis, rank, rref, solve)
+from monadcalc.p2 import (MonadDataP2, ProjectivePoint, _split, act,
+                          canonical_reduction, max_c_special, min_b_special)
 from monadcalc.stratify import classify_s0, pushforward
 from monadcalc.trivialize import verify_trivialization
 
@@ -260,9 +267,10 @@ def _recording(monkeypatch, names):
 
 def _recording_integer_form(monkeypatch, seen):
     """Record the eliminations of ``matrix._ZiMatrix`` into ``seen`` as
-    the ``rank`` and ``solve`` calls on ``Matrix`` values they stand for."""
+    the ``rank``, ``solve`` and ``inverse`` calls on ``Matrix`` values
+    they stand for."""
     Z = matrix._ZiMatrix
-    real_rank, real_solve = Z.rank, Z.solve
+    real_rank, real_solve, real_inverse = Z.rank, Z.solve, Z.inverse
 
     def rank_(A):
         out = real_rank(A)
@@ -276,13 +284,20 @@ def _recording_integer_form(monkeypatch, seen):
                      None if X is None else X.matrix()))
         return r, X
 
+    def inverse_(A):
+        X = real_inverse(A)
+        seen.append(("inverse", (A.matrix(),), None if X is None else X.matrix()))
+        return X
+
     monkeypatch.setattr(Z, "rank", rank_)
     monkeypatch.setattr(Z, "solve", solve_)
+    monkeypatch.setattr(Z, "inverse", inverse_)
 
 
 def test_seeded_family_eliminations_match_oracle(monkeypatch):
     seen = _recording(monkeypatch, ELIMINATION)
-    # trivialization eliminates on the integer form
+    # trivialization and the reduction's basis changes eliminate on the
+    # integer form
     _recording_integer_form(monkeypatch, seen)
     for m in family_instances("block_concentrated", 6, seed=3):
         verify_trivialization(m, n_samples=2)
@@ -317,6 +332,87 @@ def test_basis_extension_matches_oracle_on_reduce_blocks(monkeypatch):
     assert any(space.dim > 1 for _, (space,), _ in seen)
     for _, (space,), out in seen:
         assert out == oracle.basis_extension(space)
+
+
+# -- the reduction's basis changes and commutation test -----------------
+
+def test_invariant_split_matches_oracle_on_special_subspaces():
+    """V_c of each seeded plane tuple (k = 0-6) and V_b of what is left
+    after V_c splits off: the same P, P^-1, tops and bottoms, and
+    ``p2._split`` gives the QI formulas' two tuples."""
+    dims = set()
+    for family in ("block_concentrated", "commuting_points", "charge_one"):
+        for k in range(7):
+            for r, seed in ((1, 11), (2, 12), (3, 13)):
+                try:
+                    m = generate(GenSpec(k=k, r=r, seed=seed, family=family))
+                except InfeasibleSpec:
+                    continue
+                Vc = max_c_special(m)
+                quotient = _split(m, Vc)[1]
+                assert (_split(m, Vc)[0], quotient) == oracle.split(m, Vc)
+                Vb = min_b_special(quotient)
+                assert _split(quotient, Vb) == oracle.split(quotient, Vb)
+                for t, V in ((m, Vc), (quotient, Vb)):
+                    mats = [t.a1, t.a2]
+                    assert invariant_split(mats, V) == \
+                        oracle.invariant_split(mats, V)
+                    dims.add((V.dim, V.ambient_dim))
+    assert any(0 < d < n for d, n in dims)
+
+
+def test_invariant_split_matches_oracle_on_raw_families():
+    """Families of one to three raw matrices made block upper triangular
+    and conjugated by a random invertible g split along g's first columns
+    as the oracle splits them; along a random subspace, both raise
+    InvariantViolation exactly when it is not invariant."""
+    r_ = rng(90)
+    raised = kept = 0
+    for _ in range(80):
+        n = r_.randint(0, 6)
+        d = r_.randint(0, n)
+        g = random_invertible(r_, n)
+        ginv = oracle.inverse(g)
+        mats = []
+        for _ in range(r_.randint(1, 3)):
+            T = _random_case(r_, n, n)
+            T = Matrix(n, n, [ZERO if i >= d and j < d else T[i, j]
+                              for i in range(n) for j in range(n)])
+            mats.append(g @ T @ ginv)
+        V = Subspace.from_span(g.submatrix(range(n), range(d)))
+        assert invariant_split(mats, V) == oracle.invariant_split(mats, V)
+        W = matrix.column_space(_matrix(r_, n, r_.randint(0, n)))
+        out = _outcome(invariant_split, mats, W)
+        assert out == _outcome(oracle.invariant_split, mats, W)
+        raised += out is InvariantViolation
+        kept += out is not InvariantViolation and 0 < W.dim < n
+    assert raised > 10 and kept > 0
+
+
+def test_joint_spectrum_rejects_exactly_the_non_commuting_pairs():
+    """Raw pairs, commuting pairs (a matrix and a polynomial in it, the
+    seeded commuting_points pairs) and pairs with a zero or a repeated
+    member: NonCommuting exactly when the QI commutator is nonzero."""
+    r_ = rng(91)
+    pairs = [(m.a1, m.a2) for m in raw_p2_tuples(40, seed=91)]
+    for _ in range(20):
+        n = r_.randint(0, 4)
+        M = _random_case(r_, n, n)
+        pairs += [(M, oracle.poly_in(r_, M)), (M, M),
+                  (M, Matrix.zeros(M.rows, M.rows))]
+    pairs += [(m.a1, m.a2) for m in family_instances("commuting_points", 10, seed=91)]
+    rejected = 0
+    for A, B in pairs:
+        try:
+            joint_spectrum([A, B])
+            out = False
+        except NonCommuting:
+            out = True
+        except IrrationalSpectrum:
+            out = False
+        assert out == (not (A @ B - B @ A).is_zero()), (A, B)
+        rejected += out
+    assert 10 < rejected < len(pairs) - 40
 
 
 # -- properties of the kernel -------------------------------------------

@@ -6,13 +6,14 @@ import pytest
 
 from conftest import family_instances, raw_p2_tuples, rng
 from monadcalc.blowup import MonadDataBlowup
+from monadcalc.eigen import joint_spectrum
 from monadcalc.errors import (DimensionMismatch, IntegrabilityViolation,
-                              InvalidPoint, MonadcalcError,
+                              InvalidPoint, MonadcalcError, NonCommuting,
                               SingularGroupElement)
 from monadcalc.field import qi
 from monadcalc.generate import GenSpec, generate, random_invertible
-from monadcalc.matrix import Matrix, inverse, rank
-from monadcalc.p2 import (MonadDataP2, ProjectivePoint, _shape, act,
+from monadcalc.matrix import Matrix, invariant_split, inverse, rank
+from monadcalc.p2 import (MonadDataP2, ProjectivePoint, _shape, _split, act,
                           canonical_reduction, evaluate_A, evaluate_B,
                           fiber_dimension, integrability_defect,
                           is_concentrated_at_origin, is_integrable,
@@ -255,6 +256,37 @@ def test_reduction_rejects_bad_mode():
     m = _diag_points(1, [0], [0])
     with pytest.raises(ValueError):
         canonical_reduction(m, eigen_mode="fast")
+
+
+def test_split_and_commutation_test_make_no_matrix_products(monkeypatch):
+    """The reduction's basis changes (``invariant_split`` and
+    ``p2._split``, on the special subspaces of seeded tuples) and the
+    commutation test that rejects a pair in ``joint_spectrum`` run on
+    the integer form: no Matrix product in any of them."""
+    cases = []
+    for m in (family_instances("block_concentrated", 6, seed=21)
+              + family_instances("commuting_points", 5, seed=21)):
+        Vc = max_c_special(m)
+        rest = _split(m, Vc)[1]
+        cases += [(m, Vc), (rest, min_b_special(rest))]
+    assert any(0 < V.dim < t.k for t, V in cases)
+    E12, E21 = Matrix.from_rows([[0, 1], [0, 0]]), Matrix.from_rows([[0, 0], [1, 0]])
+    products = []
+    matmul = Matrix.__matmul__
+
+    def counting(A, B):
+        products.append((A, B))
+        return matmul(A, B)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    for t, V in cases:
+        invariant_split([t.a1, t.a2], V)
+        _split(t, V)
+    with pytest.raises(NonCommuting):
+        joint_spectrum([E12, E21])
+    with pytest.raises(NonCommuting):
+        joint_spectrum([E12, E12, E21])
+    assert products == []
 
 
 # -- concentration at the origin -----------------------------------------
