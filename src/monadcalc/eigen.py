@@ -27,47 +27,29 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import count
-from math import gcd, isqrt
+from math import isqrt
 from typing import List, Sequence, Tuple
 
 from .closure import is_nilpotent
 from .errors import (DimensionMismatch, FloatOverflow, IrrationalSpectrum,
                      NonCommuting, NonSquareMatrix, check_invariant)
 from .field import ONE, QI, ZERO, Rat
-from .matrix import (Gauss, Matrix, Subspace, _ZiMatrix, _clear, _gdot, block,
-                     inverse, invariant_split, kernel_basis, vstack)
+from .matrix import (Gauss, Matrix, Subspace, _berkowitz, _primitive, _ZiMatrix,
+                     _clear, block, inverse, invariant_split, kernel_basis, vstack)
 
 
 def char_poly(M: Matrix) -> List[QI]:
     """Coefficients [1, c1, ..., ck] of det(t*I - M).
 
-    Berkowitz's division-free algorithm over Z[i]: M = N / D with N the
-    Gaussian-integer numerators over one common denominator D (the
-    integer form ``matrix._ZiMatrix``).  Bordering the leading r x r
-    block A of N by the row R, the column C and the corner a multiplies
-    det(t - A) by the Toeplitz matrix of 1, -a, -R C, -R A C, ...,
-    -R A^(r-1) C.  Coefficient i of det(t - N) is D^i times c_i, and is
+    Berkowitz's division-free algorithm (``matrix._berkowitz``) runs on
+    the Gaussian-integer numerators N of M = N / D over one common
+    denominator D.  Coefficient i of det(t - N) is D^i times c_i, and is
     divided once, at the end.
     """
     if not M.is_square():
         raise NonSquareMatrix("characteristic polynomial needs a square matrix")
-    k = M.rows
     Z = _ZiMatrix.of(M)
-    N, D = Z.nums, Z.den
-    P = [(1, 0)]  # det(t - A) for the leading r x r block A of N
-    for r in range(k):
-        A = [N[i * k:i * k + r] for i in range(r)]
-        R = N[r * k:r * k + r]
-        a = N[r * k + r]
-        column = [(1, 0), (-a[0], -a[1])]
-        v = [N[i * k + r] for i in range(r)]  # A^j C
-        for j in range(r):
-            if j:
-                v = [_gdot(row, v) for row in A]
-            x, y = _gdot(R, v)
-            column.append((-x, -y))
-        P = [_gdot(P, column[j::-1]) for j in range(r + 2)]
-    return _over_qi(P, D)
+    return _over_qi(_berkowitz(Z), Z.den)
 
 
 def _gmul(x: Gauss, y: Gauss) -> Gauss:
@@ -94,8 +76,7 @@ def _pseudo_remainder(A: List[Gauss], B: List[Gauss]) -> List[Gauss]:
         A = _strip([_gsub(_gmul(lb, a), _gmul(la, b))
                     for a, b in zip(A[1:], B[1:])]
                    + [_gmul(lb, a) for a in A[len(B):]])
-    g = gcd(*(x for a in A for x in a))
-    return [(a // g, b // g) for a, b in A] if g > 1 else A
+    return _primitive(A)
 
 
 def _monic_gcd(A: List[Gauss], B: List[Gauss]) -> List[Gauss]:

@@ -14,10 +14,13 @@ spans built on them) convert to it, eliminate, and convert back.  The
 group actions ``p2.act`` and ``blowup.act2``, the seeded generators'
 products, the canonical reduction's basis changes (``invariant_split``
 and ``p2._split``) and ``eigen.joint_spectrum``'s commutation test run on
-it too, converting each input once and each result once.  The separating
-form's powers and traces in ``eigen`` and the closures in ``closure``
-still multiply ``QI`` entries, as ``Matrix`` products do.  ``_clear`` is
-the one place where denominators are cleared.
+it too, converting each input once and each result once.  So do the
+closure spin and the nilpotency test of ``closure``; the latter reads
+``_berkowitz``, the division-free characteristic polynomial of the
+numerators that ``eigen.char_poly`` also wraps.  The separating form's
+powers and traces in ``eigen`` still multiply ``QI`` entries, as
+``Matrix`` products do.  ``_clear`` is the one place where denominators
+are cleared.
 """
 
 from __future__ import annotations
@@ -276,16 +279,19 @@ def _gdot(xs: Sequence[Gauss], ys: Sequence[Gauss]) -> Gauss:
     return re, im
 
 
+def _primitive(v: List[Gauss]) -> List[Gauss]:
+    """v divided by the gcd of its integer parts."""
+    g = gcd(*chain.from_iterable(v))
+    return [(a // g, b // g) for a, b in v] if g > 1 else v
+
+
 def _eliminate(rows: List[List[Gauss]]) -> Tuple[Gauss, Tuple[int, ...]]:
     """Fraction-free Gauss-Jordan over Z[i], in place.
 
     Returns ``(d, pivots)``: afterwards row r is d times row r of the
     RREF for r < len(pivots), and the rows below are zero.
     """
-    for i, row in enumerate(rows):
-        g = gcd(*chain.from_iterable(row))
-        if g > 1:
-            rows[i] = [(a // g, b // g) for a, b in row]
+    rows[:] = [_primitive(row) for row in rows]
     nr, nc = len(rows), len(rows[0]) if rows else 0
     pivots = []
     dr, di = 1, 0  # the previous pivot
@@ -482,6 +488,32 @@ class _ZiMatrix:
         return _ZiMatrix(len(rows), cols, [(a * dr + b * di, b * dr - a * di)
                                            for row in rows for a, b in row],
                          dr * dr + di * di)
+
+
+def _berkowitz(Z: _ZiMatrix) -> List[Gauss]:
+    """The coefficients [1, c1, ..., ck] of det(t - N) for the numerators
+    N of a square integer form: Berkowitz's division-free algorithm
+    (Inf. Process. Lett. 18, 1984).
+
+    Bordering the leading r x r block A of N by the row R, the column C
+    and the corner a multiplies det(t - A) by the Toeplitz matrix of
+    1, -a, -R C, -R A C, ..., -R A^(r-1) C.
+    """
+    k, N = Z.rows, Z.nums
+    P = [(1, 0)]  # det(t - A) for the leading r x r block A of N
+    for r in range(k):
+        A = [N[i * k:i * k + r] for i in range(r)]
+        R = N[r * k:r * k + r]
+        a = N[r * k + r]
+        column = [(1, 0), (-a[0], -a[1])]
+        v = [N[i * k + r] for i in range(r)]  # A^j C
+        for j in range(r):
+            if j:
+                v = [_gdot(row, v) for row in A]
+            x, y = _gdot(R, v)
+            column.append((-x, -y))
+        P = [_gdot(P, column[j::-1]) for j in range(r + 2)]
+    return P
 
 
 def rref(M: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:

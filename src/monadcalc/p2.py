@@ -8,8 +8,8 @@ special subspaces and nondegeneracy, pointwise evaluation of the monad
 maps (once, on Gaussian-integer numerators, in ``_pencil``; the public
 evaluators are its ``Matrix`` view), reduction to a nondegenerate part
 plus a point multiset (two splits, along the maximal c-special and the
-minimal b-special subspace), and the charge-at-the-origin test (its one
-copy: stratify and trivialize call it).
+minimal b-special subspace), and the charge-at-the-origin test: a yes/no
+form for trivialize and one with nilpotency indices for stratify.
 
 A tuple's matrices are written down once, as the fields of its
 dataclass; the blowup tuple shares the base here.  ``_shape`` gives
@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .closure import invariant_closure, max_invariant_in_kernel, nilpotency_index
+from .closure import (invariant_closure, is_nilpotent, max_invariant_in_kernel,
+                      nilpotency_index)
 from .eigen import _joint_key, joint_spectrum
 from .errors import (DimensionMismatch, IntegrabilityViolation, InvalidPoint,
                      SingularGroupElement)
@@ -342,5 +343,8 @@ def concentration(m: MonadDataP2) -> Concentration:
 
 
 def is_concentrated_at_origin(m: MonadDataP2) -> bool:
-    """The yes/no form of :func:`concentration`."""
-    return concentration(m).concentrated
+    """The yes/no form of :func:`concentration`: nilpotency is read off
+    the characteristic polynomials (:func:`closure.is_nilpotent`), with
+    no nilpotency index."""
+    return (is_nilpotent(m.a1) and is_nilpotent(m.a2)
+            and (m.c @ min_b_special(m).basis).is_zero())

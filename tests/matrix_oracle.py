@@ -12,7 +12,9 @@ what ``act``, ``act2``, ``random_invertible`` and ``_poly_in`` computed
 before they ran on the integer form, and ``invariant_split`` and
 ``split`` are the reduction's basis changes (``matrix.invariant_split``
 and ``p2._split``) on ``QI`` entries; ``tests/test_matrix_oracle.py``
-compares them.
+compares them.  ``invariant_closure`` and ``max_invariant_in_kernel``
+are the breadth-first closures the package computed before it spun one
+echelon basis over Z[i]; ``tests/test_closure_oracle.py`` compares them.
 """
 
 from monadcalc.blowup import MonadDataBlowup
@@ -186,3 +188,24 @@ def split(m, V):
     head, tail, frame = range(V.dim), range(V.dim, m.k), range(m.r)
     return (MonadDataP2(t1, t2, nb.submatrix(head, frame), nc.submatrix(frame, head)),
             MonadDataP2(q1, q2, nb.submatrix(tail, frame), nc.submatrix(frame, tail)))
+
+
+def invariant_closure(generators, seed):
+    """The span of the basis and all its images, canonicalized every
+    round, until the dimension stops growing (at most n rounds)."""
+    current = seed
+    for _ in range(seed.ambient_dim + 1):
+        pieces = [current.basis] + [g @ current.basis for g in generators]
+        nxt = from_span(hstack(pieces))
+        if nxt.dim == current.dim:
+            return current
+        current = nxt
+    return current
+
+
+def max_invariant_in_kernel(generators, c):
+    """The annihilator of the closure of c's row space under the
+    transposed generators."""
+    closed = invariant_closure([g.transpose() for g in generators],
+                               from_span(c.transpose()))
+    return kernel_basis(closed.basis.transpose())

@@ -2,12 +2,13 @@
 
 import pytest
 
-from conftest import rng
+from conftest import family_instances, raw_p2_tuples, rng
 from monadcalc.closure import (invariant_closure, is_nilpotent,
                                max_invariant_in_kernel, nilpotency_index)
 from monadcalc.errors import DimensionMismatch, NonSquareMatrix
 from monadcalc.field import qi
 from monadcalc.matrix import Matrix, Subspace, solve
+from monadcalc.stratify import pushforward
 
 # J e2 = e1 (upper shift)
 J2 = Matrix.from_rows([[0, 1], [0, 0]])
@@ -114,3 +115,49 @@ def test_non_nilpotent_random_generic():
     while (M @ M @ M).is_zero():
         M = _random_matrix(r_, 3, 3)
     assert not is_nilpotent(M)
+
+
+# -- products ------------------------------------------------------------
+
+def _counting_products(monkeypatch):
+    products = []
+    matmul = Matrix.__matmul__
+
+    def counting(A, B):
+        products.append((A, B))
+        return matmul(A, B)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    return products
+
+
+def test_nilpotency_index_stops_at_the_kth_power(monkeypatch):
+    """M^k is the last power that can vanish: k - 1 products for a k x k
+    matrix, nilpotent of index k or not nilpotent at all."""
+    products = _counting_products(monkeypatch)
+    for k in range(1, 7):
+        shift = Matrix(k, k, [qi(1) if j == i + 1 else qi(0)
+                              for i in range(k) for j in range(k)])
+        for M, index in ((Matrix.identity(k), None), (shift, k)):
+            products.clear()
+            assert nilpotency_index(M) == index
+            assert len(products) == k - 1
+
+
+def test_nilpotency_test_and_closures_make_no_matrix_products(monkeypatch):
+    """is_nilpotent reads a characteristic polynomial and the closures
+    spin on the integer form: no Matrix product, on seeded plane tuples,
+    seeded pushforwards and raw tuples."""
+    tuples = (family_instances("block_concentrated", 6, seed=31)
+              + family_instances("commuting_points", 5, seed=31)
+              + [pushforward(mt) for mt in family_instances("blowup_generic", 5, seed=31)]
+              + raw_p2_tuples(10, seed=31))
+    seeds = [Subspace.from_span(m.b) for m in tuples]
+    products = _counting_products(monkeypatch)
+    verdicts = set()
+    for m, seed in zip(tuples, seeds):
+        verdicts |= {is_nilpotent(m.a1), is_nilpotent(m.a2)}
+        invariant_closure([m.a1, m.a2], seed)
+        max_invariant_in_kernel([m.a1, m.a2], m.c)
+    assert verdicts == {True, False}
+    assert products == []

@@ -1,0 +1,154 @@
+"""The spin and the characteristic-polynomial nilpotency test against the
+paths they replace.
+
+``invariant_closure`` and ``max_invariant_in_kernel`` must give the
+breadth-first closures of ``matrix_oracle``, ``is_nilpotent`` must agree
+with ``nilpotency_index`` (powers of the matrix) and
+``is_concentrated_at_origin`` with ``concentration``: on the six seeded
+families (k = 0-5; a blowup tuple through its pushforward), on raw plane
+and blowup tuples, on raw generator families with invariant subspaces,
+on trace-free matrices that are not nilpotent, and on the hypothesis
+strategies of test_stratify.py and test_trivialize_oracle.py.
+"""
+
+import pytest
+from hypothesis import given, settings
+
+import matrix_oracle as oracle
+from conftest import raw_blowup_tuples, raw_p2_tuples, rng
+from monadcalc.closure import (invariant_closure, is_nilpotent,
+                               max_invariant_in_kernel, nilpotency_index)
+from monadcalc.errors import InfeasibleSpec, NonSquareMatrix
+from monadcalc.field import I, ONE, ZERO, qi
+from monadcalc.generate import FAMILIES, GenSpec, generate, random_invertible
+from monadcalc.matrix import Matrix, Subspace, column_space
+from monadcalc.p2 import MonadDataP2, concentration, is_concentrated_at_origin
+from monadcalc.stratify import pushforward
+from test_matrix_oracle import _matrix, _random_case
+from test_stratify import _blowup_tuples
+from test_trivialize_oracle import _nilpotent_tuples
+
+
+def _plane(t):
+    """A plane tuple as it is, a blowup tuple through its pushforward."""
+    return t if isinstance(t, MonadDataP2) else pushforward(t)
+
+
+def _compare(m):
+    """Check one plane tuple; return the verdict and whether the closure
+    of Im b and the largest invariant subspace in Ker c are proper."""
+    gens = [m.a1, m.a2]
+    for M in gens:
+        assert is_nilpotent(M) == (nilpotency_index(M) is not None), M
+    seed = column_space(m.b)
+    closure = invariant_closure(gens, seed)
+    assert closure == oracle.invariant_closure(gens, seed), m
+    inside = max_invariant_in_kernel(gens, m.c)
+    assert inside == oracle.max_invariant_in_kernel(gens, m.c), m
+    verdict = is_concentrated_at_origin(m)
+    assert verdict == concentration(m).concentrated, m
+    return verdict, 0 < closure.dim < m.k, 0 < inside.dim < m.k
+
+
+def test_seeded_families_match_oracle():
+    outcomes, nilpotent = [], []
+    for family in FAMILIES:
+        for k in range(6):
+            for r, seed in ((1, 151), (2, 152), (3, 153)):
+                try:
+                    m = _plane(generate(GenSpec(k=k, r=r, seed=seed, family=family)))
+                except InfeasibleSpec:
+                    continue
+                outcomes.append(_compare(m))
+                nilpotent.append(is_nilpotent(m.a1))
+    assert len(outcomes) > 70 and len(set(nilpotent)) == 2
+    assert {v for v, _, _ in outcomes} == {True, False}
+    assert any(p for _, p, _ in outcomes) and any(p for _, _, p in outcomes)
+
+
+def test_raw_tuples_match_oracle():
+    outcomes = [_compare(m) for m in raw_p2_tuples(40, seed=154, kmax=5)]
+    outcomes += [_compare(pushforward(mt))
+                 for mt in raw_blowup_tuples(40, seed=155, kmax=5)]
+    assert {v for v, _, _ in outcomes} == {True, False}
+
+
+def test_raw_generator_families_match_oracle():
+    """One to three generators, block upper triangular below the first d
+    columns of a random invertible g: seeds inside those columns close up
+    inside them.  Random row spaces test the dual closure."""
+    r_ = rng(156)
+    dims = set()
+    for _ in range(120):
+        n = r_.randint(0, 6)
+        d = r_.randint(0, n)
+        g = random_invertible(r_, n)
+        ginv = oracle.inverse(g)
+        gens = []
+        for _ in range(r_.randint(1, 3)):
+            T = _random_case(r_, n, n)
+            T = Matrix(n, n, [ZERO if i >= d and j < d else T[i, j]
+                              for i in range(n) for j in range(n)])
+            gens.append(g @ T @ ginv)
+        inside = g.submatrix(range(n), range(d)) @ _matrix(r_, d, r_.randint(0, d))
+        for seed in (column_space(inside), column_space(_matrix(r_, n, r_.randint(0, 2)))):
+            V = invariant_closure(gens, seed)
+            assert V == oracle.invariant_closure(gens, seed)
+            dims.add((V.dim, n))
+        c = _random_case(r_, r_.randint(1, 3), n)
+        assert max_invariant_in_kernel(gens, c) == oracle.max_invariant_in_kernel(gens, c)
+    assert any(0 < d < n for d, n in dims)
+
+
+def _shift(k):
+    """The cyclic shift: det(t - C) = t^k - 1, all other coefficients 0."""
+    return Matrix(k, k, [ONE if j == (i + 1) % k else ZERO
+                         for i in range(k) for j in range(k)])
+
+
+def test_trace_free_matrices_that_are_not_nilpotent():
+    J = Matrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    cases = [Matrix.diagonal([1, -1]), Matrix.diagonal([I, -I]),
+             Matrix.from_rows([[0, 1], [1, 0]]), Matrix.from_rows([[0, 1], [-1, 0]]),
+             Matrix.diagonal([1, I, -1, -I]),  # tr M = tr M^2 = tr M^3 = 0
+             Matrix.from_rows([[1, 1], [-1, -1]]) + Matrix.diagonal([qi("1/2"), qi("-1/2")])]
+    cases += [_shift(k) for k in range(2, 6)]
+    r_ = rng(157)
+    for M in cases + [g @ M @ oracle.inverse(g) for M in cases
+                      for g in [random_invertible(r_, M.rows)]]:
+        assert M.trace() == ZERO
+        assert not is_nilpotent(M), M
+        assert nilpotency_index(M) is None
+    for M in (J, J.transpose(), Matrix.zeros(2, 2), Matrix.zeros(0, 0),
+              Matrix.from_rows([[1, 1], [-1, -1]]), Matrix.from_rows([[I, 1], [1, -I]])):
+        assert is_nilpotent(M) and nilpotency_index(M) is not None, M
+
+
+def test_non_square_input_raises():
+    for M in (Matrix.zeros(2, 3), Matrix.from_rows([[1, 2, 3], [4, 5, 6]]),
+              Matrix.zeros(0, 2), Matrix.zeros(3, 1)):
+        with pytest.raises(NonSquareMatrix):
+            is_nilpotent(M)
+        with pytest.raises(NonSquareMatrix):
+            nilpotency_index(M)
+
+
+def test_zero_and_full_seeds():
+    gens = [_shift(3), Matrix.diagonal([1, 2, 3])]
+    zero, full = Subspace.from_span(Matrix.zeros(3, 0)), column_space(Matrix.identity(3))
+    for seed in (zero, full):
+        assert invariant_closure(gens, seed) == seed == oracle.invariant_closure(gens, seed)
+    assert invariant_closure([], column_space(Matrix.column([1, 2, 0]))).dim == 1
+    assert invariant_closure([], Subspace.from_span(Matrix.zeros(0, 0))).dim == 0
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_blowup_tuples())
+def test_hypothesis_blowup_tuples_match_oracle(mt):
+    _compare(pushforward(mt))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_nilpotent_tuples())
+def test_hypothesis_nilpotent_tuples_match_oracle(m):
+    _compare(m)

@@ -148,18 +148,18 @@ def test_verify_needs_a_point_to_check(kwargs):
 
 def test_verify_checks_concentration_once(monkeypatch):
     checks, nil = [], []
-    real_check, real_nilpotency = p2.is_concentrated_at_origin, p2.nilpotency_index
+    real_check, real_nilpotent = p2.is_concentrated_at_origin, p2.is_nilpotent
 
     def counting_check(m):
         checks.append(m)
         return real_check(m)
 
-    def counting_nilpotency(M):
+    def counting_nilpotent(M):
         nil.append(M)
-        return real_nilpotency(M)
+        return real_nilpotent(M)
 
     monkeypatch.setattr(trivialize, "is_concentrated_at_origin", counting_check)
-    monkeypatch.setattr(p2, "nilpotency_index", counting_nilpotency)
+    monkeypatch.setattr(p2, "is_nilpotent", counting_nilpotent)
     pts = default_sample_points(6) + [ChartPoint("U2", qi(3), qi(1)),
                                       ChartPoint("U2", ZERO, ONE)]
     for m in family_instances("block_concentrated", 6, seed=72):
