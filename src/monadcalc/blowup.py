@@ -188,7 +188,7 @@ def fiber_projection_check(mt: MonadDataBlowup, p: BlowupPoint) -> bool:
         raise PointOnExceptionalLine("fiber comparison needs x1, x2 not both 0")
     m = pushforward(mt)
     At, Bt = evaluate_A_blowup(mt, p), evaluate_B_blowup(mt, p)
-    _, _, A, B = monad_maps(m, p.x)
+    A, B = monad_maps(m, p.x)
     # forgetting the W0 blocks keeps the rows of W1, W1 and C^r
     keep = [*range(mt.k, 2 * mt.k), *range(3 * mt.k, 4 * mt.k + mt.r)]
     Kt = kernel_basis(Bt)

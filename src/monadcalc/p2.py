@@ -171,29 +171,26 @@ def is_nondegenerate(m: MonadDataP2) -> bool:
 # -- pointwise monad maps ----------------------------------------------
 
 class MonadMaps(NamedTuple):
-    """The monad maps at a point and the pencil blocks they share.
-
-    P1 = x1 - x3 a1 and P2 = x2 - x3 a2; A = (P1; P2; c x3) and
+    """The monad maps at a point, built from the pencil blocks
+    P1 = x1 - x3 a1 and P2 = x2 - x3 a2: A = (P1; P2; c x3) and
     B = (-P2 | P1 | b x3).  :func:`monad_maps` holds them as ``Matrix``
     values, ``_pencil`` as Gaussian-integer forms (``matrix._ZiMatrix``).
     """
 
-    P1: Matrix
-    P2: Matrix
     A: Matrix
     B: Matrix
 
 
 def _pencil(t: MonadDataP2, x: Sequence[Gauss], e: int) -> MonadMaps:
-    """The pencil and the monad maps at the point with homogeneous
-    coordinates x / e (Gaussian integers x, an integer e > 0), evaluated
-    once on Gaussian-integer numerators: no ``QI`` arithmetic.  t is a
-    tuple of integer forms (:func:`_integer`)."""
+    """The monad maps at the point with homogeneous coordinates x / e
+    (Gaussian integers x, an integer e > 0), evaluated once on
+    Gaussian-integer numerators: no ``QI`` arithmetic.  t is a tuple of
+    integer forms (:func:`_integer`)."""
     x1, x2, x3 = x
     eye = _ZiMatrix.identity(t.a1.rows)
     P1 = eye.scale(x1, e) - t.a1.scale(x3, e)
     P2 = eye.scale(x2, e) - t.a2.scale(x3, e)
-    return MonadMaps(P1, P2, _ZiMatrix.vstack([P1, P2, t.c.scale(x3, e)]),
+    return MonadMaps(_ZiMatrix.vstack([P1, P2, t.c.scale(x3, e)]),
                      _ZiMatrix.hstack([-P2, P1, t.b.scale(x3, e)]))
 
 

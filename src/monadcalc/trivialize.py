@@ -10,32 +10,40 @@ Concentration is checked once per public call, through
 :func:`p2.is_concentrated_at_origin`; the private builder assumes it.
 It works at a point q = [x1 : x2 : x3], on the pencil blocks
 P1 = x1 - x3 a1 and P2 = x2 - x3 a2, which are the first two blocks of
-A(q) = (P1; P2; c x3) and, as (-P2 | P1 | b x3), of B(q).  They are
-invertible wherever x1 resp. x2 is nonzero, because a1 and a2 are
-nilpotent.  With w = P2^-1 b and u = P1^-1 [b | w] = [u_b | u_w]:
+A(q) = (P1; P2; c x3) and, as (-P2 | P1 | b x3), of B(q).  Because a1
+and a2 are nilpotent, their inverses are finite Neumann series,
 
-  U2 sections    (x3 w, 0, 1)       where x2 != 0
-  U1 sections    (0, -x3 u_b, 1)    where x1 != 0
-  transition     xi1 = x3 u_w       on the overlap
+  (x - x3 a)^-1 = sum_{j<k} x3^j a^j / x^(j+1),
 
-Rescaling q by t leaves x3 w and x3 u_b unchanged, scales A and B by t
-and xi1 by 1/t, so every identity that :func:`verify_trivialization`
-checks holds at q exactly when it holds at tq.  The sections equal the
-chart closed forms (see :func:`section_s1`, :func:`section_s2`); at
-[1 : alpha2 : alpha3] xi1 equals the closed form of
-:func:`transition_xi`.  A point thus costs two solves: no resolvent
-inverse, and no frame rebuilt in the other chart's coordinates.  All r
-framing indices are treated at once: the sections at a point are the
-columns of one (2k+r) x r matrix and the transition data the columns of
-one k x r matrix, so the per-index helpers are column extractions and
+so with the ratios z = x3/x1 and y = x3/x2 the frame data are fixed
+combinations of the words a1^i b, a2^j b and a1^i a2^j b:
+
+  U2 sections    (sum_j y^(j+1) a2^j b, 0, 1)           where x2 != 0
+  U1 sections    (0, -sum_i z^(i+1) a1^i b, 1)          where x1 != 0
+  transition     xi1 = (1/x2) sum_j y^j sum_i z^(i+1) a1^i a2^j b
+
+on the overlap.  These are (x3 P2^-1 b, 0, 1), (0, -x3 P1^-1 b, 1) and
+x3 P1^-1 P2^-1 b.  The words are formed once per call (each list stops
+at its first zero word, after at most k words); a point then costs a
+Horner evaluation of each sum, with no solve.  Rescaling q by t leaves
+the sections unchanged, scales A and B by t and xi1 by 1/t, so every
+identity that :func:`verify_trivialization` checks holds at q exactly
+when it holds at tq.  The sections equal the chart closed forms (see
+:func:`section_s1`, :func:`section_s2`); at [1 : alpha2 : alpha3] xi1
+equals the closed form of :func:`transition_xi`.  The identity checks
+are what verify the series: each overlap point costs one elimination,
+of [A | sections | other sections].  All r framing indices are treated
+at once: the sections at a point are the columns of one (2k+r) x r
+matrix and the transition data the columns of one k x r matrix, so the
+per-index helpers are column extractions and
 :func:`verify_trivialization` checks every identity as a matrix
 identity.
 
 The frames are built, and verified, on Gaussian-integer numerators over
 one integer denominator (``matrix._ZiMatrix``; the tuple is converted
-once by ``p2._integer`` and evaluated by ``p2._pencil``): between the
-concentration check and the verdict no ``QI`` value is built.  Only the
-public helpers convert their result to ``Matrix``.
+once by ``p2._integer`` and A, B are evaluated by ``p2._pencil``):
+between the concentration check and the verdict no ``QI`` value is
+built.  Only the public helpers convert their result to ``Matrix``.
 
 Block convention: a kernel vector is (first W block, second W block,
 C^r block) in the column order of B, so the b-dependent part of the U1
@@ -46,12 +54,14 @@ see the tests for the k=1 witness).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import gcd
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (InvalidPoint, MonadcalcError, OverlapViolation,
                      check_invariant)
 from .field import ONE, QI, qi
-from .matrix import Matrix, _clear, _ZiMatrix
+from .matrix import Gauss, Matrix, _clear, _ZiMatrix
 from .p2 import (MonadDataP2, ProjectivePoint, _integer, _pencil,
                  is_concentrated_at_origin)
 
@@ -104,7 +114,8 @@ class _Frames(NamedTuple):
     forms.
 
     S1 (the U1 sections) is None where x1 = 0, S2 (the U2 sections)
-    where x2 = 0, and xi1 (the transition) off the overlap U1 ∩ U2.
+    where x2 = 0, and xi1 (the transition) off the overlap U1 ∩ U2 and
+    where the words hold no table a1^i a2^j b.
     """
 
     A: _ZiMatrix
@@ -117,39 +128,81 @@ class _Frames(NamedTuple):
         return self.S1 if chart == "U1" else self.S2
 
 
-def _solve_block(P: _ZiMatrix, rhs: _ZiMatrix) -> _ZiMatrix:
-    X = P.solve(rhs)[1]
-    check_invariant(X is not None, "a pencil block of nilpotent data is singular")
-    return X
+class _Words(NamedTuple):
+    """The words of the Neumann series, as Gaussian-integer forms:
+    a1^i b, a2^j b and, where the transition is needed, mixed[j] =
+    [a1^i a2^j b for i]."""
+
+    a1b: List[_ZiMatrix]
+    a2b: List[_ZiMatrix]
+    mixed: Optional[List[List[_ZiMatrix]]]
 
 
-def _frames(t: MonadDataP2, coords: Sequence[QI]) -> _Frames:
-    """Every frame of the tuple t of integer forms (``p2._integer``) at
-    [x1 : x2 : x3] = coords, all r framing indices at once, from two
-    solves.
+def _orbit(a: _ZiMatrix, v: _ZiMatrix) -> List[_ZiMatrix]:
+    """v, a v, a^2 v, ... up to the last nonzero word: at most k words,
+    as a^k v = 0 for nilpotent a."""
+    words = []
+    while not v.is_zero():
+        check_invariant(len(words) < a.rows, "a^k v != 0: the data is not nilpotent")
+        words.append(v)
+        v = a @ v
+    return words
 
-    w = P2^-1 b where x2 != 0 and u = P1^-1 [b | w] = [u_b | u_w] where
-    x1 != 0 give the U2 sections (x3 w, 0, 1), the U1 sections
-    (0, -x3 u_b, 1) and, on the overlap, xi1 = x3 u_w.
+
+def _words(t: MonadDataP2, transition: bool = True) -> _Words:
+    """The words of the tuple t of integer forms (``p2._integer``); the
+    table a1^i a2^j b only if ``transition``."""
+    a2b = _orbit(t.a2, t.b)
+    if not transition:
+        return _Words(_orbit(t.a1, t.b), a2b, None)
+    mixed = [_orbit(t.a1, v) for v in a2b]  # mixed[0] is a1^i b unless b = 0
+    return _Words(mixed[0] if mixed else [], a2b, mixed)
+
+
+def _ratio(p: Gauss, q: Gauss) -> Tuple[Gauss, int]:
+    """p / q, for Gaussian integers p and q != 0, as a Gaussian integer
+    over a positive integer, in lowest terms."""
+    (a, b), (c, d) = p, q
+    re, im, n = a * c + b * d, b * c - a * d, c * c + d * d
+    g = gcd(re, im, n)
+    return (re // g, im // g), n // g
+
+
+def _horner(terms: Sequence[_ZiMatrix], ratio: Tuple[Gauss, int],
+            zero: _ZiMatrix) -> _ZiMatrix:
+    """sum_j ratio^j terms[j] (``zero`` if there is no term)."""
+    acc = zero
+    for T in reversed(terms):
+        acc = acc.scale(*ratio) + T
+    return acc
+
+
+def _frames(t: MonadDataP2, words: _Words, coords: Sequence[QI]) -> _Frames:
+    """Every frame of the tuple t of integer forms (``p2._integer``), with
+    its words (:func:`_words`), at [x1 : x2 : x3] = coords, all r framing
+    indices at once, from the Neumann series: no solve.
+
+    With z = x3/x1 and y = x3/x2: the U2 sections (y sum_j y^j a2^j b, 0,
+    1), the U1 sections (0, -z sum_i z^i a1^i b, 1) and, on the overlap
+    and if the words hold the table, xi1 = (z/x2) sum_j y^j sum_i z^i
+    a1^i a2^j b.
     """
     x, e = _clear(coords)
     x1, x2, x3 = x
-    b = t.b
-    k, r = b.rows, b.cols
-    P1, P2, A, B = _pencil(t, x, e)
+    k, r = t.b.rows, t.b.cols
+    A, B = _pencil(t, x, e)
     zero, eye = _ZiMatrix.zeros(k, r), _ZiMatrix.identity(r)
     S1 = S2 = xi1 = None
-    rhs = b
     if x2 != (0, 0):
-        w = _solve_block(P2, b)
-        S2 = _ZiMatrix.vstack([w.scale(x3, e), zero, eye])
-        rhs = _ZiMatrix.hstack([b, w])
+        y = _ratio(x3, x2)
+        S2 = _ZiMatrix.vstack([_horner(words.a2b, y, zero).scale(*y), zero, eye])
     if x1 != (0, 0):
-        u = _solve_block(P1, rhs)
-        S1 = _ZiMatrix.vstack(
-            [zero, -u.submatrix(range(k), range(r)).scale(x3, e), eye])
-        if S2 is not None:
-            xi1 = u.submatrix(range(k), range(r, 2 * r)).scale(x3, e)
+        z = _ratio(x3, x1)
+        S1 = _ZiMatrix.vstack([zero, -_horner(words.a1b, z, zero).scale(*z), eye])
+        if S2 is not None and words.mixed is not None:
+            inner = [_horner(row, z, zero) for row in words.mixed]
+            xi1 = (_horner(inner, y, zero).scale(*z)
+                   .scale(*_ratio((e, 0), x2)))
     return _Frames(A, B, S1, S2, xi1)
 
 
@@ -158,7 +211,8 @@ def _section(m: MonadDataP2, i: int, p: ChartPoint, chart: str) -> Matrix:
     _check_index(m, i)
     if p.chart != chart:
         raise InvalidPoint(f"section_s{chart[1]} is defined on {chart} chart points")
-    S = _frames(_integer(m), p.coords()).sections(chart)
+    t = _integer(m)
+    S = _frames(t, _words(t, transition=False), p.coords()).sections(chart)
     return S.submatrix(range(S.rows), [i - 1]).matrix()
 
 
@@ -180,7 +234,8 @@ def frame_matrix(m: MonadDataP2, p: ChartPoint) -> Matrix:
     of that block (a1 nilpotent) forces maximal rank at every chart point.
     """
     _require_concentrated(m)
-    f = _frames(_integer(m), p.projective().coords())
+    t = _integer(m)
+    f = _frames(t, _words(t, transition=False), p.projective().coords())
     return _ZiMatrix.hstack([f.A, f.sections(p.chart)]).matrix()
 
 
@@ -196,7 +251,8 @@ def transition_xi(m: MonadDataP2, i: int, alpha2: QI, alpha3: QI) -> Tuple[Matri
     alpha2, alpha3 = qi(alpha2), qi(alpha3)
     if alpha2.is_zero():
         raise OverlapViolation("alpha2 = 0 lies outside U1 ∩ U2")
-    xi1 = _frames(_integer(m), (ONE, alpha2, alpha3)).xi1
+    t = _integer(m)
+    xi1 = _frames(t, _words(t), (ONE, alpha2, alpha3)).xi1
     return (xi1.submatrix(range(m.k), [i - 1]).matrix(),
             Matrix.identity(m.r).col_matrix(i - 1))
 
@@ -204,10 +260,16 @@ def transition_xi(m: MonadDataP2, i: int, alpha2: QI, alpha3: QI) -> Tuple[Matri
 def default_sample_points(n: int) -> List[ChartPoint]:
     """Deterministic small-rational chart points, always including
     alpha3 = 0 and an overlap point.  Raises ValueError for n < 0."""
-    import random
-
     if n < 0:
         raise ValueError(f"the number of sample points must be nonnegative, got {n}")
+    return list(_sample_points(n))
+
+
+@lru_cache(maxsize=16)
+def _sample_points(n: int) -> Tuple[ChartPoint, ...]:
+    """The first n default points, drawn once per count."""
+    import random
+
     rng = random.Random(11)
     pts = [ChartPoint("U1", qi(1), qi(0)), ChartPoint("U1", qi(1), qi(1))]
     while len(pts) < n:
@@ -216,7 +278,7 @@ def default_sample_points(n: int) -> List[ChartPoint]:
         if a2.is_zero():
             a2 = qi(1)
         pts.append(ChartPoint("U1", a2, num()))
-    return pts[:n]
+    return tuple(pts[:n])
 
 
 def verify_trivialization(m: MonadDataP2,
@@ -233,9 +295,11 @@ def verify_trivialization(m: MonadDataP2,
     (frame_U2 . eta = s1).  Each identity is checked for all r framing
     indices at once, at the point's chart coordinates (the identities
     are invariant under rescaling the point), on Gaussian-integer
-    numerators: per point one evaluation of the monad maps, two block
-    solves and one elimination of [A | sections | other sections], which
-    gives the frame's rank and the generic solve together.
+    numerators: per point one evaluation of the monad maps, the Neumann
+    series of the sections from words formed once per call, and one
+    elimination of [A | sections | other sections] (of [A | sections]
+    off the overlap), which gives the frame's rank and the generic solve
+    together.
 
     Raises ValueError when there is no point to check: n_samples < 1
     without sample_points, or an empty sample_points.
@@ -249,8 +313,9 @@ def verify_trivialization(m: MonadDataP2,
     _require_concentrated(m)
     k, r = m.k, m.r
     t, eye = _integer(m), _ZiMatrix.identity(r)
+    words = _words(t)
     for p in sample_points:
-        f = _frames(t, p.coords())
+        f = _frames(t, words, p.coords())
         S, T = (f.S1, f.S2) if p.chart == "U1" else (f.S2, f.S1)
         if not (f.B @ S).is_zero():
             return False

@@ -72,6 +72,16 @@ MUTANTS = (
            "if not is_concentrated_at_origin(m):",
            "if False:",
            ("tests/test_trivialize.py",)),
+    Mutant("the word list drops its last nonzero word",
+           "src/monadcalc/trivialize.py",
+           "        v = a @ v\n    return words",
+           "        v = a @ v\n    return words[:-1]",
+           ("tests/test_trivialize.py",)),
+    Mutant("the transition's sum over a2 words uses z for y",
+           "src/monadcalc/trivialize.py",
+           "_horner(inner, y, zero)",
+           "_horner(inner, z, zero)",
+           ("tests/test_trivialize_oracle.py",)),
     Mutant("_eliminate's pivot search skips the last row",
            "src/monadcalc/matrix.py",
            "for i in range(r, nr):",

@@ -4,7 +4,8 @@ import pytest
 
 from conftest import family_instances
 from monadcalc import matrix, p2, trivialize
-from monadcalc.errors import InvalidPoint, MonadcalcError, OverlapViolation
+from monadcalc.errors import (InvalidPoint, InvariantViolation, MonadcalcError,
+                              OverlapViolation)
 from monadcalc.field import ONE, QI, ZERO, qi
 from monadcalc.generate import GenSpec, _shift, generate
 from monadcalc.matrix import (Matrix, _ZiMatrix, hstack, inverse, rank, solve,
@@ -114,6 +115,9 @@ def test_transition_identity_on_overlap():
 def test_default_sample_points_deterministic():
     pts = default_sample_points(10)
     assert pts == default_sample_points(10)
+    pts.pop()  # each call returns a new list
+    assert len(default_sample_points(10)) == 10
+    assert default_sample_points(3) == pts[:3]
     assert pts[0].coord_b.is_zero()  # always includes alpha3 = 0
     assert default_sample_points(0) == []
     with pytest.raises(ValueError):
@@ -170,6 +174,19 @@ def test_verify_checks_concentration_once(monkeypatch):
         assert len(nil) == 2  # a1 and a2, once each
 
 
+@pytest.mark.parametrize("a1, a2", [(Matrix.identity(2), Matrix.zeros(2, 2)),
+                                    (Matrix.zeros(2, 2), Matrix.identity(2))])
+def test_word_lists_stop_on_non_nilpotent_data(a1, a2):
+    """The series has at most k words; a^k b != 0 is an invariant
+    violation, not a loop."""
+    t = p2._integer(MonadDataP2(a1, a2, Matrix.from_rows([[1], [2]]),
+                                Matrix.zeros(1, 2)))
+    for transition in (True, False):
+        with pytest.raises(InvariantViolation):
+            trivialize._frames(t, trivialize._words(t, transition),
+                               (ONE, qi(2), qi(1)))
+
+
 def _closed_form_column(m, p, i):
     """The section for framing index i from the closed form, one vector."""
     e = Matrix.identity(m.r).col_matrix(i - 1)
@@ -197,7 +214,8 @@ def test_frame_columns_match_per_index_helpers():
         for p in pts:
             q = p.projective()
             x1, x2, x3 = q.coords()
-            f = trivialize._frames(p2._integer(m), q.coords())
+            t = p2._integer(m)
+            f = trivialize._frames(t, trivialize._words(t), q.coords())
             assert (f.S1 is None) == x1.is_zero()
             assert (f.S2 is None) == x2.is_zero()
             f = f._replace(**{name: X.matrix() for name, X
@@ -237,8 +255,8 @@ def test_verify_rejects_a_broken_frame(monkeypatch):
     m = generate(GenSpec(k=3, r=2, seed=6, family="block_concentrated"))
     real = trivialize._frames
 
-    def broken_frames(t, coords):
-        f = real(t, coords)
+    def broken_frames(t, words, coords):
+        f = real(t, words, coords)
         if f.S2 is None:
             return f
         # double the C^r block of every U2 section
@@ -274,8 +292,8 @@ def test_verify_rejects_a_rank_deficient_frame(monkeypatch, point):
     assert verify_trivialization(m, sample_points=[point])
     real = trivialize._frames
 
-    def rank_deficient(t, coords):
-        f = real(t, coords)
+    def rank_deficient(t, words, coords):
+        f = real(t, words, coords)
         return f._replace(A=_zero_first_column(f.A))
 
     monkeypatch.setattr(trivialize, "_frames", rank_deficient)
@@ -283,8 +301,8 @@ def test_verify_rejects_a_rank_deficient_frame(monkeypatch, point):
 
 
 def test_verify_rejects_a_wrong_generic_solve(monkeypatch):
-    """Only the non-square solve of the frame against the other chart's
-    sections is perturbed; the block solves stay exact."""
+    """The one solve left, of the non-square frame against the other
+    chart's sections, is perturbed."""
     m = generate(GenSpec(k=3, r=2, seed=6, family="block_concentrated"))
     real = _ZiMatrix.solve
 
@@ -301,9 +319,9 @@ def test_verify_rejects_a_wrong_generic_solve(monkeypatch):
 
 def test_verify_operation_counts(monkeypatch):
     """After the concentration check, per default point (all on the
-    overlap): three eliminations (the two pencil blocks and one of
-    [A | S1 | S2], which gives the frame's rank and the generic solve),
-    and no Matrix product and no QI value at all."""
+    overlap): one elimination (of [A | S1 | S2], which gives the frame's
+    rank and the generic solve; the sections come from the Neumann
+    series), and no Matrix product and no QI value at all."""
     counts = {"eliminate": 0, "matmul": 0, "qi_mul": 0, "qi_new": 0}
 
     def counting(name, fn):
@@ -328,5 +346,5 @@ def test_verify_operation_counts(monkeypatch):
         for name in counts:
             counts[name] = 0
         assert verify_trivialization(m, sample_points=pts)
-        assert counts == {"eliminate": 3 * len(pts), "matmul": 0,
+        assert counts == {"eliminate": len(pts), "matmul": 0,
                           "qi_mul": 0, "qi_new": 0}

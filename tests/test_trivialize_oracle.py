@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import trivialize_oracle as oracle
 from conftest import rng
-from monadcalc import trivialize
+from monadcalc import p2, trivialize
 from monadcalc.field import I, ONE, ZERO, qi
 from monadcalc.generate import GenSpec, generate, random_invertible
 from monadcalc.matrix import Matrix
@@ -57,6 +57,29 @@ def _verdicts_match_oracle(monkeypatch, m, points=POINTS):
 def test_seeded_instances_match_oracle(monkeypatch, k, seed):
     m = generate(GenSpec(k=k, r=(k + seed) % 3 + 1, seed=140 + 10 * seed + k,
                          family="block_concentrated"))
+    assert all(_verdicts_match_oracle(monkeypatch, m))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_longest_series_match_oracle(monkeypatch, k):
+    """a1 = N, a2 = N^2 for one nilpotent Jordan block N of size k,
+    conjugated, with a random b and c = 0: the a1 words of b run to
+    a1^(k-1) b, the longest series the data allow."""
+    r_ = rng(150 + k)
+    N = Matrix(k, k, [ONE if j == i + 1 else ZERO
+                      for i in range(k) for j in range(k)])
+
+    def entry():
+        return qi(f"{r_.randint(-3, 3)}/{r_.choice((1, 2, 3))}", r_.randint(-2, 2))
+
+    r = r_.randint(1, 3)
+    entries = [entry() for _ in range(k * r)]
+    entries[(k - 1) * r] = qi(r_.choice((1, 2, -3)))  # b's last row is nonzero
+    b = Matrix(k, r, entries)
+    m = act(random_invertible(r_, k),
+            MonadDataP2(N, N @ N, b, Matrix.zeros(r, k)))
+    words = trivialize._words(p2._integer(m))
+    assert len(words.a1b) == k and len(words.a2b) == (k + 1) // 2
     assert all(_verdicts_match_oracle(monkeypatch, m))
 
 
