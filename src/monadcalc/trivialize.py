@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (InvalidPoint, MonadcalcError, OverlapViolation,
@@ -114,8 +114,7 @@ class _Frames(NamedTuple):
     forms.
 
     S1 (the U1 sections) is None where x1 = 0, S2 (the U2 sections)
-    where x2 = 0, and xi1 (the transition) off the overlap U1 ∩ U2 and
-    where the words hold no table a1^i a2^j b.
+    where x2 = 0, and xi1 (the transition) off the overlap U1 ∩ U2.
     """
 
     A: _ZiMatrix
@@ -130,12 +129,11 @@ class _Frames(NamedTuple):
 
 class _Words(NamedTuple):
     """The words of the Neumann series, as Gaussian-integer forms:
-    a1^i b, a2^j b and, where the transition is needed, mixed[j] =
-    [a1^i a2^j b for i]."""
+    a1^i b, a2^j b and mixed[j] = [a1^i a2^j b for i]."""
 
     a1b: List[_ZiMatrix]
     a2b: List[_ZiMatrix]
-    mixed: Optional[List[List[_ZiMatrix]]]
+    mixed: List[List[_ZiMatrix]]
 
 
 def _orbit(a: _ZiMatrix, v: _ZiMatrix) -> List[_ZiMatrix]:
@@ -149,12 +147,9 @@ def _orbit(a: _ZiMatrix, v: _ZiMatrix) -> List[_ZiMatrix]:
     return words
 
 
-def _words(t: MonadDataP2, transition: bool = True) -> _Words:
-    """The words of the tuple t of integer forms (``p2._integer``); the
-    table a1^i a2^j b only if ``transition``."""
+def _words(t: MonadDataP2) -> _Words:
+    """The words of the tuple t of integer forms (``p2._integer``)."""
     a2b = _orbit(t.a2, t.b)
-    if not transition:
-        return _Words(_orbit(t.a1, t.b), a2b, None)
     mixed = [_orbit(t.a1, v) for v in a2b]  # mixed[0] is a1^i b unless b = 0
     return _Words(mixed[0] if mixed else [], a2b, mixed)
 
@@ -170,11 +165,21 @@ def _ratio(p: Gauss, q: Gauss) -> Tuple[Gauss, int]:
 
 def _horner(terms: Sequence[_ZiMatrix], ratio: Tuple[Gauss, int],
             zero: _ZiMatrix) -> _ZiMatrix:
-    """sum_j ratio^j terms[j] (``zero`` if there is no term)."""
-    acc = zero
-    for T in reversed(terms):
-        acc = acc.scale(*ratio) + T
-    return acc
+    """sum_j ratio^j terms[j] (``zero`` if there is no term).
+
+    With ratio = p/q the numerators of sum_j p^j q^(n-1-j) terms[j] are
+    accumulated over one denominator and reduced once, at the end.
+    """
+    if not terms:
+        return zero
+    (pr, pi), q = ratio
+    den = lcm(*(T.den for T in terms))
+    acc, qj = terms[-1]._over(den), 1
+    for T in reversed(terms[:-1]):
+        qj *= q
+        acc = [(pr * a - pi * b + qj * c, pr * b + pi * a + qj * d)
+               for (a, b), (c, d) in zip(acc, T._over(den))]
+    return _ZiMatrix(zero.rows, zero.cols, acc, den * qj)
 
 
 def _frames(t: MonadDataP2, words: _Words, coords: Sequence[QI]) -> _Frames:
@@ -183,9 +188,8 @@ def _frames(t: MonadDataP2, words: _Words, coords: Sequence[QI]) -> _Frames:
     indices at once, from the Neumann series: no solve.
 
     With z = x3/x1 and y = x3/x2: the U2 sections (y sum_j y^j a2^j b, 0,
-    1), the U1 sections (0, -z sum_i z^i a1^i b, 1) and, on the overlap
-    and if the words hold the table, xi1 = (z/x2) sum_j y^j sum_i z^i
-    a1^i a2^j b.
+    1), the U1 sections (0, -z sum_i z^i a1^i b, 1) and, on the overlap,
+    xi1 = (z/x2) sum_j y^j sum_i z^i a1^i a2^j b.
     """
     x, e = _clear(coords)
     x1, x2, x3 = x
@@ -199,7 +203,7 @@ def _frames(t: MonadDataP2, words: _Words, coords: Sequence[QI]) -> _Frames:
     if x1 != (0, 0):
         z = _ratio(x3, x1)
         S1 = _ZiMatrix.vstack([zero, -_horner(words.a1b, z, zero).scale(*z), eye])
-        if S2 is not None and words.mixed is not None:
+        if S2 is not None:
             inner = [_horner(row, z, zero) for row in words.mixed]
             xi1 = (_horner(inner, y, zero).scale(*z)
                    .scale(*_ratio((e, 0), x2)))
@@ -212,7 +216,7 @@ def _section(m: MonadDataP2, i: int, p: ChartPoint, chart: str) -> Matrix:
     if p.chart != chart:
         raise InvalidPoint(f"section_s{chart[1]} is defined on {chart} chart points")
     t = _integer(m)
-    S = _frames(t, _words(t, transition=False), p.coords()).sections(chart)
+    S = _frames(t, _words(t), p.coords()).sections(chart)
     return S.submatrix(range(S.rows), [i - 1]).matrix()
 
 
@@ -235,7 +239,7 @@ def frame_matrix(m: MonadDataP2, p: ChartPoint) -> Matrix:
     """
     _require_concentrated(m)
     t = _integer(m)
-    f = _frames(t, _words(t, transition=False), p.projective().coords())
+    f = _frames(t, _words(t), p.projective().coords())
     return _ZiMatrix.hstack([f.A, f.sections(p.chart)]).matrix()
 
 

@@ -181,10 +181,8 @@ def test_word_lists_stop_on_non_nilpotent_data(a1, a2):
     violation, not a loop."""
     t = p2._integer(MonadDataP2(a1, a2, Matrix.from_rows([[1], [2]]),
                                 Matrix.zeros(1, 2)))
-    for transition in (True, False):
-        with pytest.raises(InvariantViolation):
-            trivialize._frames(t, trivialize._words(t, transition),
-                               (ONE, qi(2), qi(1)))
+    with pytest.raises(InvariantViolation):
+        trivialize._frames(t, trivialize._words(t), (ONE, qi(2), qi(1)))
 
 
 def _closed_form_column(m, p, i):
