@@ -74,10 +74,6 @@ def validate(mt: MonadDataBlowup) -> MonadDataBlowup:
     return mt
 
 
-def is_valid(mt: MonadDataBlowup) -> bool:
-    return blowup_defect(mt).is_zero() and surjectivity_corank(mt) == 0
-
-
 def act2(g0: Matrix, g1: Matrix, mt: MonadDataBlowup) -> MonadDataBlowup:
     """The GL(W0) x GL(W1) action:
     (a1, a2, b, c, d) -> (g0^-1 a1 g1, g0^-1 a2 g1, g0^-1 b, c g1, g1^-1 d g0).
@@ -170,10 +166,6 @@ def symbolic_blowup_product(mt: MonadDataBlowup) -> PolyMatrix:
                        linear_polymatrix([_a_tilde(mt, *u) for u in units]))
 
 
-def fiber_dimension_blowup(mt: MonadDataBlowup, p: BlowupPoint) -> int:
-    return _fiber_dim(evaluate_A_blowup(mt, p), evaluate_B_blowup(mt, p))
-
-
 def fiber_projection_check(mt: MonadDataBlowup, p: BlowupPoint) -> bool:
     """Verify that forgetting the W0 blocks identifies the fibers of the
     blowup monad and of its pushforward at a point off the exceptional line.
@@ -193,6 +185,8 @@ def fiber_projection_check(mt: MonadDataBlowup, p: BlowupPoint) -> bool:
     keep = [*range(mt.k, 2 * mt.k), *range(3 * mt.k, 4 * mt.k + mt.r)]
     Kt = kernel_basis(Bt)
     PK = Kt.basis.submatrix(keep, range(Kt.dim))
+    # Checks 1 and 2 hold for every raw tuple by the block algebra, so they
+    # never decide for a correct pushforward; they guard stratify.pushforward.
     # 1. The projection maps Ker B~ into Ker B.
     if not (B @ PK).is_zero():
         return False

@@ -80,8 +80,6 @@ def max_invariant_in_kernel(generators: Sequence[Matrix], c: Matrix) -> Subspace
     Computed dually: the annihilator of the invariant closure of the row
     space of ``c`` under the transposed generators.
     """
-    n = c.cols
-    _check_generators(generators, n)
     row_space = Subspace.from_span(c.transpose())
     closed = invariant_closure([g.transpose() for g in generators], row_space)
     return closed.annihilator()

@@ -10,7 +10,7 @@ is a pure function of the seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Union
 
 from .blowup import MonadDataBlowup, act2, blowup_defect
@@ -18,7 +18,7 @@ from .errors import InfeasibleSpec
 from .field import ONE, QI, ZERO, Rat
 from .matrix import (Matrix, _clear, _ZiMatrix, block, hstack, kernel_basis,
                      solve, vstack)
-from .p2 import MonadDataP2, _shape, act
+from .p2 import MonadDataP2, act
 
 @dataclass(frozen=True)
 class GenSpec:
@@ -69,20 +69,6 @@ def random_invertible(rng: random.Random, k: int) -> Matrix:
     """Determinant-one invertible matrix (L U with unit diagonals)."""
     L = _ZiMatrix.of(_rand_unitriangular(rng, k, upper=False))
     return (L @ _ZiMatrix.of(_rand_unitriangular(rng, k, upper=True))).matrix()
-
-
-def _random_raw(cls, rng: random.Random, k: int, r: int):
-    """A tuple of kind cls with every matrix drawn at random, in field order."""
-    return cls(*(_rand_matrix(rng, *_shape(f.name, k, r)) for f in fields(cls)))
-
-
-def random_raw_p2(rng: random.Random, k: int, r: int) -> MonadDataP2:
-    """Unconstrained random tuple; generically not integrable.  Test plumbing."""
-    return _random_raw(MonadDataP2, rng, k, r)
-
-
-def random_raw_blowup(rng: random.Random, k: int, r: int) -> MonadDataBlowup:
-    return _random_raw(MonadDataBlowup, rng, k, r)
 
 
 # -- family builders ----------------------------------------------------

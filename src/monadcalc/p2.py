@@ -8,13 +8,14 @@ special subspaces and nondegeneracy, pointwise evaluation of the monad
 maps (once, on Gaussian-integer numerators, in ``_pencil``; the public
 evaluators are its ``Matrix`` view), reduction to a nondegenerate part
 plus a point multiset (two splits, along the maximal c-special and the
-minimal b-special subspace), and the charge-at-the-origin test: a yes/no
-form for trivialize and one with nilpotency indices for stratify.
+minimal b-special subspace), and the charge-at-the-origin test
+:func:`is_concentrated_at_origin`, the package's one concentration test:
+trivialize checks it, and stratify reports its parts.
 
 A tuple's matrices are written down once, as the fields of its
 dataclass; the blowup tuple shares the base here.  ``_shape`` gives
 each field's shape, and everything that walks a tuple's matrices (the
-shape check, the JSON documents, the raw generators and the
+shape check, the JSON documents, the tests' raw generators and the
 Gaussian-integer conversion ``_integer`` / ``_rational``) reads the
 fields.
 """
@@ -22,10 +23,9 @@ fields.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
-from .closure import (invariant_closure, is_nilpotent, max_invariant_in_kernel,
-                      nilpotency_index)
+from .closure import invariant_closure, is_nilpotent, max_invariant_in_kernel
 from .eigen import _joint_key, joint_spectrum
 from .errors import (DimensionMismatch, IntegrabilityViolation, InvalidPoint,
                      SingularGroupElement)
@@ -124,10 +124,6 @@ def _rational(t):
 def integrability_defect(m: MonadDataP2) -> Matrix:
     """[a1, a2] + b c, identically zero exactly for valid tuples."""
     return m.a1 @ m.a2 - m.a2 @ m.a1 + m.b @ m.c
-
-
-def is_integrable(m: MonadDataP2) -> bool:
-    return integrability_defect(m).is_zero()
 
 
 def validate_p2(m: MonadDataP2) -> MonadDataP2:
@@ -316,32 +312,14 @@ def canonical_reduction(m: MonadDataP2, eigen_mode: str = "exact") -> DUPoint:
     return DUPoint(reduced=m, points=tuple(points), approx=approx)
 
 
-class Concentration(NamedTuple):
-    """Nilpotency indices of a1, a2 (None when not nilpotent), the
-    invariant closure of Im b (:func:`min_b_special`) and the verdict."""
-
-    nilpotency: Tuple[Optional[int], Optional[int]]
-    closure: Subspace
-    concentrated: bool
-
-
-def concentration(m: MonadDataP2) -> Concentration:
+def is_concentrated_at_origin(m: MonadDataP2) -> bool:
     """Concentrated iff a1, a2 are nilpotent and c kills every word a1^.. a2^.. b.
 
     The word family (empty word included, i.e. c b = 0) is finite once
-    phrased through the invariant closure of Im b: c kills every word
-    exactly when it kills the closure.
+    phrased through the invariant closure of Im b (:func:`min_b_special`):
+    c kills every word exactly when it kills the closure.  Nilpotency is
+    read off the characteristic polynomials (:func:`closure.is_nilpotent`),
+    with no nilpotency index.
     """
-    n1, n2 = nilpotency_index(m.a1), nilpotency_index(m.a2)
-    closure = min_b_special(m)
-    return Concentration((n1, n2), closure,
-                         n1 is not None and n2 is not None
-                         and (m.c @ closure.basis).is_zero())
-
-
-def is_concentrated_at_origin(m: MonadDataP2) -> bool:
-    """The yes/no form of :func:`concentration`: nilpotency is read off
-    the characteristic polynomials (:func:`closure.is_nilpotent`), with
-    no nilpotency index."""
     return (is_nilpotent(m.a1) and is_nilpotent(m.a2)
             and (m.c @ min_b_special(m).basis).is_zero())

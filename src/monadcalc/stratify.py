@@ -5,10 +5,9 @@ integrability defect is d times the blowup defect, so valid tuples push
 to valid tuples.  A blowup tuple lies in the fully-degenerate stratum
 iff d a1 and d a2 are nilpotent and c kills every word in them applied
 to d b, i.e. iff its pushforward passes the concentration test of
-:mod:`p2`, which phrases the word family through the invariant closure.
-One breadth-first word search serves both the shortest failing word of
-a negative report and the exhaustive oracle kept as an independent
-reference.
+:mod:`p2`, whose parts the report shows.  One breadth-first word search
+serves both the shortest failing word of a negative report and the
+exhaustive oracle kept as an independent reference.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import Iterator, Optional, Tuple, Union
 from .blowup import MonadDataBlowup
 from .closure import nilpotency_index
 from .errors import check_invariant
-from .p2 import MonadDataP2, canonical_reduction, concentration
+from .p2 import MonadDataP2, canonical_reduction, min_b_special
 
 Witness = Union[str, Tuple[int, ...]]
 
@@ -72,19 +71,20 @@ def classify_s0(mt: MonadDataBlowup) -> StratumReport:
     """The concentration test of :mod:`p2` on the pushforward, with witnesses.
 
     (d a1, d a2, d b, c) is exactly pushforward(mt), so the stratum is
-    decided by :func:`concentration` alone; the shortest failing word is
-    searched for only to explain a negative verdict.
+    decided by the parts of :func:`p2.is_concentrated_at_origin`, with the
+    nilpotency indices by powers; the shortest failing word is searched
+    for only to explain a negative verdict.
     """
     m = pushforward(mt)
-    test = concentration(m)
-    n1, n2 = test.nilpotency
+    n1, n2 = nilpotency_index(m.a1), nilpotency_index(m.a2)
+    closure = min_b_special(m)
     nil = (("da1", n1), ("da2", n2))
-    krylov_dim = test.closure.dim
+    krylov_dim = closure.dim
     if n1 is None:
         return StratumReport(False, nil, krylov_dim, witness="da1 not nilpotent")
     if n2 is None:
         return StratumReport(False, nil, krylov_dim, witness="da2 not nilpotent")
-    if test.concentrated:
+    if (m.c @ closure.basis).is_zero():
         return StratumReport(True, nil, krylov_dim)
     word = next(_failing_words(m, 2 * m.k), None)
     check_invariant(word is not None, "c misses the closure but kills every word")

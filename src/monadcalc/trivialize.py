@@ -6,8 +6,8 @@ of [0:0:1]; this module builds the kernel-valued frame sections on the
 two charts U1 = {x1 != 0}, U2 = {x2 != 0}, the full-rank frame matrices,
 and the exact transition solution on the overlap.
 
-Concentration is checked once per public call, through
-:func:`p2.is_concentrated_at_origin`; the private builder assumes it.
+Concentration is checked once per public call, by ``_checked``
+(:func:`p2.is_concentrated_at_origin`); the private builder assumes it.
 It works at a point q = [x1 : x2 : x3], on the pencil blocks
 P1 = x1 - x3 a1 and P2 = x2 - x3 a2, which are the first two blocks of
 A(q) = (P1; P2; c x3) and, as (-P2 | P1 | b x3), of B(q).  Because a1
@@ -23,8 +23,8 @@ combinations of the words a1^i b, a2^j b and a1^i a2^j b:
   transition     xi1 = (1/x2) sum_j y^j sum_i z^(i+1) a1^i a2^j b
 
 on the overlap.  These are (x3 P2^-1 b, 0, 1), (0, -x3 P1^-1 b, 1) and
-x3 P1^-1 P2^-1 b.  The words are formed once per call (each list stops
-at its first zero word, after at most k words); a point then costs a
+x3 P1^-1 P2^-1 b.  The word table W[j][i] = a1^i a2^j b is formed once
+per call (each list stops at its first zero word); a point then costs a
 Horner evaluation of each sum, with no solve.  Rescaling q by t leaves
 the sections unchanged, scales A and B by t and xi1 by 1/t, so every
 identity that :func:`verify_trivialization` checks holds at q exactly
@@ -98,10 +98,13 @@ class ChartPoint:
         return ProjectivePoint(*self.coords())
 
 
-def _require_concentrated(m: MonadDataP2):
+def _checked(m: MonadDataP2) -> Tuple[MonadDataP2, List[List[_ZiMatrix]]]:
+    """m's integer form and its word table, after the concentration check."""
     if not is_concentrated_at_origin(m):
         raise NotConcentrated(
             "sections need nilpotent a1, a2 and vanishing word products")
+    t = _integer(m)
+    return t, _words(t)
 
 
 def _check_index(m: MonadDataP2, i: int):
@@ -127,15 +130,6 @@ class _Frames(NamedTuple):
         return self.S1 if chart == "U1" else self.S2
 
 
-class _Words(NamedTuple):
-    """The words of the Neumann series, as Gaussian-integer forms:
-    a1^i b, a2^j b and mixed[j] = [a1^i a2^j b for i]."""
-
-    a1b: List[_ZiMatrix]
-    a2b: List[_ZiMatrix]
-    mixed: List[List[_ZiMatrix]]
-
-
 def _orbit(a: _ZiMatrix, v: _ZiMatrix) -> List[_ZiMatrix]:
     """v, a v, a^2 v, ... up to the last nonzero word: at most k words,
     as a^k v = 0 for nilpotent a."""
@@ -147,11 +141,10 @@ def _orbit(a: _ZiMatrix, v: _ZiMatrix) -> List[_ZiMatrix]:
     return words
 
 
-def _words(t: MonadDataP2) -> _Words:
-    """The words of the tuple t of integer forms (``p2._integer``)."""
-    a2b = _orbit(t.a2, t.b)
-    mixed = [_orbit(t.a1, v) for v in a2b]  # mixed[0] is a1^i b unless b = 0
-    return _Words(mixed[0] if mixed else [], a2b, mixed)
+def _words(t: MonadDataP2) -> List[List[_ZiMatrix]]:
+    """The word table W[j][i] = a1^i a2^j b of the tuple t of integer forms
+    (``p2._integer``): W[j][0] is a2^j b, and W[0] lists the a1^i b."""
+    return [_orbit(t.a1, v) for v in _orbit(t.a2, t.b)]
 
 
 def _ratio(p: Gauss, q: Gauss) -> Tuple[Gauss, int]:
@@ -182,10 +175,11 @@ def _horner(terms: Sequence[_ZiMatrix], ratio: Tuple[Gauss, int],
     return _ZiMatrix(zero.rows, zero.cols, acc, den * qj)
 
 
-def _frames(t: MonadDataP2, words: _Words, coords: Sequence[QI]) -> _Frames:
+def _frames(t: MonadDataP2, W: List[List[_ZiMatrix]],
+            coords: Sequence[QI]) -> _Frames:
     """Every frame of the tuple t of integer forms (``p2._integer``), with
-    its words (:func:`_words`), at [x1 : x2 : x3] = coords, all r framing
-    indices at once, from the Neumann series: no solve.
+    its word table W (:func:`_words`), at [x1 : x2 : x3] = coords, all r
+    framing indices at once, from the Neumann series: no solve.
 
     With z = x3/x1 and y = x3/x2: the U2 sections (y sum_j y^j a2^j b, 0,
     1), the U1 sections (0, -z sum_i z^i a1^i b, 1) and, on the overlap,
@@ -199,24 +193,25 @@ def _frames(t: MonadDataP2, words: _Words, coords: Sequence[QI]) -> _Frames:
     S1 = S2 = xi1 = None
     if x2 != (0, 0):
         y = _ratio(x3, x2)
-        S2 = _ZiMatrix.vstack([_horner(words.a2b, y, zero).scale(*y), zero, eye])
+        a2b = [row[0] for row in W]
+        S2 = _ZiMatrix.vstack([_horner(a2b, y, zero).scale(*y), zero, eye])
     if x1 != (0, 0):
         z = _ratio(x3, x1)
-        S1 = _ZiMatrix.vstack([zero, -_horner(words.a1b, z, zero).scale(*z), eye])
+        a1b = W[0] if W else []
+        S1 = _ZiMatrix.vstack([zero, -_horner(a1b, z, zero).scale(*z), eye])
         if S2 is not None:
-            inner = [_horner(row, z, zero) for row in words.mixed]
+            inner = [_horner(row, z, zero) for row in W]
             xi1 = (_horner(inner, y, zero).scale(*z)
                    .scale(*_ratio((e, 0), x2)))
     return _Frames(A, B, S1, S2, xi1)
 
 
 def _section(m: MonadDataP2, i: int, p: ChartPoint, chart: str) -> Matrix:
-    _require_concentrated(m)
+    t, W = _checked(m)
     _check_index(m, i)
     if p.chart != chart:
         raise InvalidPoint(f"section_s{chart[1]} is defined on {chart} chart points")
-    t = _integer(m)
-    S = _frames(t, _words(t), p.coords()).sections(chart)
+    S = _frames(t, W, p.coords()).sections(chart)
     return S.submatrix(range(S.rows), [i - 1]).matrix()
 
 
@@ -237,9 +232,8 @@ def frame_matrix(m: MonadDataP2, p: ChartPoint) -> Matrix:
     On U1 this is the display with top block 1 - alpha3 a1; invertibility
     of that block (a1 nilpotent) forces maximal rank at every chart point.
     """
-    _require_concentrated(m)
-    t = _integer(m)
-    f = _frames(t, _words(t), p.projective().coords())
+    t, W = _checked(m)
+    f = _frames(t, W, p.projective().coords())
     return _ZiMatrix.hstack([f.A, f.sections(p.chart)]).matrix()
 
 
@@ -250,13 +244,12 @@ def transition_xi(m: MonadDataP2, i: int, alpha2: QI, alpha3: QI) -> Tuple[Matri
     xi2 = e_i; consequently s2 - s1 = A . xi1 on U1 ∩ U2 (with the chart
     identification beta1 = 1/alpha2, beta3 = alpha3/alpha2) and c xi1 = 0.
     """
-    _require_concentrated(m)
+    t, W = _checked(m)
     _check_index(m, i)
     alpha2, alpha3 = qi(alpha2), qi(alpha3)
     if alpha2.is_zero():
         raise OverlapViolation("alpha2 = 0 lies outside U1 ∩ U2")
-    t = _integer(m)
-    xi1 = _frames(t, _words(t), (ONE, alpha2, alpha3)).xi1
+    xi1 = _frames(t, W, (ONE, alpha2, alpha3)).xi1
     return (xi1.submatrix(range(m.k), [i - 1]).matrix(),
             Matrix.identity(m.r).col_matrix(i - 1))
 
@@ -314,12 +307,11 @@ def verify_trivialization(m: MonadDataP2,
         sample_points = default_sample_points(n_samples)
     elif not sample_points:
         raise ValueError("sample_points is empty")
-    _require_concentrated(m)
+    t, W = _checked(m)
     k, r = m.k, m.r
-    t, eye = _integer(m), _ZiMatrix.identity(r)
-    words = _words(t)
+    eye = _ZiMatrix.identity(r)
     for p in sample_points:
-        f = _frames(t, words, p.coords())
+        f = _frames(t, W, p.coords())
         S, T = (f.S1, f.S2) if p.chart == "U1" else (f.S2, f.S1)
         if not (f.B @ S).is_zero():
             return False

@@ -1,9 +1,13 @@
-"""Shared helpers for the test suite: deterministic RNGs and instances."""
+"""Shared helpers for the test suite: deterministic RNGs, instances and
+the predicates that only tests ask."""
 
 import random
+from dataclasses import fields
 
-from monadcalc.generate import (GenSpec, generate, random_raw_blowup,
-                                random_raw_p2)
+from monadcalc.blowup import (MonadDataBlowup, blowup_defect, evaluate_A_blowup,
+                              evaluate_B_blowup, surjectivity_corank)
+from monadcalc.generate import GenSpec, _rand_matrix, generate
+from monadcalc.p2 import MonadDataP2, _fiber_dim, _shape, integrability_defect
 
 # (family, k, r) combinations that every family-level test cycles through.
 P2_SHAPES = {
@@ -30,6 +34,32 @@ def family_instances(family, count, seed=0):
         k, r = shapes[t % len(shapes)]
         out.append(generate(GenSpec(k=k, r=r, seed=seed + t, family=family)))
     return out
+
+
+def is_integrable(m):
+    return integrability_defect(m).is_zero()
+
+
+def is_valid(mt):
+    return blowup_defect(mt).is_zero() and surjectivity_corank(mt) == 0
+
+
+def fiber_dimension_blowup(mt, p):
+    return _fiber_dim(evaluate_A_blowup(mt, p), evaluate_B_blowup(mt, p))
+
+
+def _random_raw(cls, rng, k, r):
+    """A tuple of kind cls with every matrix drawn at random, in field order."""
+    return cls(*(_rand_matrix(rng, *_shape(f.name, k, r)) for f in fields(cls)))
+
+
+def random_raw_p2(rng, k, r):
+    """Unconstrained random tuple; generically not integrable."""
+    return _random_raw(MonadDataP2, rng, k, r)
+
+
+def random_raw_blowup(rng, k, r):
+    return _random_raw(MonadDataBlowup, rng, k, r)
 
 
 def raw_p2_tuples(count, seed=0, kmax=4, rmax=3):

@@ -81,7 +81,12 @@ MUTANTS = (
            "src/monadcalc/trivialize.py",
            "_horner(inner, y, zero)",
            "_horner(inner, z, zero)",
-           ("tests/test_trivialize_oracle.py",)),
+           ("tests/test_trivialize_oracle.py", "tests/test_trivialize.py")),
+    Mutant("classify_s0's verdict is always concentrated",
+           "src/monadcalc/stratify.py",
+           "if (m.c @ closure.basis).is_zero():",
+           "if True:",
+           ("tests/test_stratify.py",)),
     Mutant("_eliminate's pivot search skips the last row",
            "src/monadcalc/matrix.py",
            "for i in range(r, nr):",

@@ -9,12 +9,12 @@ import json
 import random
 import time
 
-from conftest import family_instances, raw_blowup_tuples, raw_p2_tuples
+from conftest import (family_instances, is_valid, raw_blowup_tuples,
+                      raw_p2_tuples)
 from monadcalc import jsonio
 from monadcalc.blowup import (BlowupPoint, act2, blowup_defect,
                               evaluate_A_blowup, evaluate_B_blowup,
-                              fiber_projection_check, is_valid,
-                              symbolic_blowup_product)
+                              fiber_projection_check, symbolic_blowup_product)
 from monadcalc.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, main
 from monadcalc.field import qi
 from monadcalc.generate import GenSpec, generate, random_invertible

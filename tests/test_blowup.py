@@ -4,12 +4,12 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import family_instances, raw_blowup_tuples, rng
+from conftest import (family_instances, fiber_dimension_blowup, is_valid,
+                      raw_blowup_tuples, rng)
 from monadcalc import blowup, stratify
 from monadcalc.blowup import (BlowupPoint, MonadDataBlowup, act2,
                               blowup_defect, evaluate_A_blowup,
-                              evaluate_B_blowup, fiber_dimension_blowup,
-                              fiber_projection_check, is_valid,
+                              evaluate_B_blowup, fiber_projection_check,
                               surjectivity_corank, symbolic_blowup_product,
                               validate)
 from monadcalc.errors import (DimensionMismatch, IntegrabilityViolation,

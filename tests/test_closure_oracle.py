@@ -4,11 +4,12 @@ paths they replace.
 ``invariant_closure`` and ``max_invariant_in_kernel`` must give the
 breadth-first closures of ``matrix_oracle``, ``is_nilpotent`` must agree
 with ``nilpotency_index`` (powers of the matrix) and
-``is_concentrated_at_origin`` with ``concentration``: on the six seeded
-families (k = 0-5; a blowup tuple through its pushforward), on raw plane
-and blowup tuples, on raw generator families with invariant subspaces,
-on trace-free matrices that are not nilpotent, and on the hypothesis
-strategies of test_stratify.py and test_trivialize_oracle.py.
+``is_concentrated_at_origin`` with the rule written on those indices and
+the closure of Im b: on the six seeded families (k = 0-5; a blowup
+tuple through its pushforward), on raw plane and blowup tuples, on raw
+generator families with invariant subspaces, on trace-free matrices
+that are not nilpotent, and on the hypothesis strategies of
+test_stratify.py and test_trivialize_oracle.py.
 """
 
 import pytest
@@ -22,7 +23,7 @@ from monadcalc.errors import InfeasibleSpec, NonSquareMatrix
 from monadcalc.field import I, ONE, ZERO, qi
 from monadcalc.generate import FAMILIES, GenSpec, generate, random_invertible
 from monadcalc.matrix import Matrix, Subspace, column_space
-from monadcalc.p2 import MonadDataP2, concentration, is_concentrated_at_origin
+from monadcalc.p2 import MonadDataP2, is_concentrated_at_origin
 from monadcalc.stratify import pushforward
 from test_matrix_oracle import _matrix, _random_case
 from test_stratify import _blowup_tuples
@@ -46,7 +47,8 @@ def _compare(m):
     inside = max_invariant_in_kernel(gens, m.c)
     assert inside == oracle.max_invariant_in_kernel(gens, m.c), m
     verdict = is_concentrated_at_origin(m)
-    assert verdict == concentration(m).concentrated, m
+    assert verdict == (all(nilpotency_index(M) is not None for M in gens)
+                       and (m.c @ closure.basis).is_zero()), m
     return verdict, 0 < closure.dim < m.k, 0 < inside.dim < m.k
 
 

@@ -5,12 +5,12 @@ import hashlib
 import pytest
 
 from monadcalc import jsonio
-from monadcalc.blowup import blowup_defect, is_valid, surjectivity_corank
+from conftest import (is_integrable, is_valid, random_raw_blowup,
+                      random_raw_p2)
+from monadcalc.blowup import blowup_defect, surjectivity_corank
 from monadcalc.errors import InfeasibleSpec
-from monadcalc.generate import (FAMILIES, GenSpec, generate,
-                                random_raw_blowup, random_raw_p2)
-from monadcalc.p2 import (is_integrable, is_concentrated_at_origin,
-                          is_nondegenerate, validate_p2)
+from monadcalc.generate import FAMILIES, GenSpec, generate
+from monadcalc.p2 import is_concentrated_at_origin, is_nondegenerate, validate_p2
 from monadcalc.stratify import classify_s0
 
 SHAPES = {

@@ -25,7 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matrix_oracle as oracle
-from conftest import family_instances, raw_blowup_tuples, raw_p2_tuples, rng
+from conftest import (family_instances, random_raw_blowup, random_raw_p2,
+                      raw_blowup_tuples, raw_p2_tuples, rng)
 from monadcalc import matrix
 from monadcalc.blowup import (BlowupPoint, MonadDataBlowup, act2,
                               fiber_projection_check)
@@ -35,8 +36,7 @@ from monadcalc.errors import (DimensionMismatch, InfeasibleSpec,
                               MonadcalcError, NonCommuting, NonSquareMatrix,
                               SingularGroupElement)
 from monadcalc.field import ONE, QI, ZERO, qi
-from monadcalc.generate import (GenSpec, _poly_in, generate, random_invertible,
-                                random_raw_blowup, random_raw_p2)
+from monadcalc.generate import GenSpec, _poly_in, generate, random_invertible
 from monadcalc.matrix import (Matrix, Subspace, hstack, invariant_split,
                               inverse, kernel_basis, rank, rref, solve)
 from monadcalc.p2 import (MonadDataP2, ProjectivePoint, _split, act,

@@ -4,14 +4,13 @@ coefficient forms they replaced (``monad_oracle``)."""
 import pytest
 
 import monad_oracle as oracle
-from conftest import family_instances, rng
+from conftest import (family_instances, fiber_dimension_blowup,
+                      random_raw_blowup, random_raw_p2, rng)
 from monadcalc.blowup import (BlowupPoint, MonadDataBlowup,
                               evaluate_A_blowup, evaluate_B_blowup,
-                              fiber_dimension_blowup, fiber_projection_check,
-                              symbolic_blowup_product)
+                              fiber_projection_check, symbolic_blowup_product)
 from monadcalc.errors import PointOnExceptionalLine
 from monadcalc.field import qi
-from monadcalc.generate import random_raw_blowup, random_raw_p2
 from monadcalc.matrix import Matrix
 from monadcalc.p2 import (MonadDataP2, ProjectivePoint, evaluate_A,
                           evaluate_B, fiber_dimension, symbolic_monad_product)

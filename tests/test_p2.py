@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import pytest
 
-from conftest import family_instances, raw_p2_tuples, rng
+from conftest import family_instances, is_integrable, raw_p2_tuples, rng
 from monadcalc.blowup import MonadDataBlowup
 from monadcalc.eigen import joint_spectrum
 from monadcalc.errors import (DimensionMismatch, IntegrabilityViolation,
@@ -16,8 +16,7 @@ from monadcalc.matrix import Matrix, invariant_split, inverse, rank
 from monadcalc.p2 import (MonadDataP2, ProjectivePoint, _shape, _split, act,
                           canonical_reduction, evaluate_A, evaluate_B,
                           fiber_dimension, integrability_defect,
-                          is_concentrated_at_origin, is_integrable,
-                          is_nondegenerate, max_c_special, min_b_special,
+                          is_concentrated_at_origin, is_nondegenerate, max_c_special, min_b_special,
                           symbolic_monad_product, validate_p2)
 
 

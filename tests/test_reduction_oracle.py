@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import monad_oracle as oracle
-from conftest import raw_p2_tuples, rng
+from conftest import is_integrable, raw_p2_tuples, rng
 from monadcalc import p2
 from monadcalc.field import qi
 from monadcalc.generate import GenSpec, generate, random_invertible
@@ -149,7 +149,7 @@ def _loop_splits(monkeypatch):
 def test_direct_sums_match_the_loop(monkeypatch):
     splits = _loop_splits(monkeypatch)
     for m in _direct_sums(12, seed=110):
-        assert p2.is_integrable(m)
+        assert is_integrable(m)
         del splits[:]
         _assert_matches_loop(m)
         assert len(splits) == 2 * len(MODES)

@@ -136,3 +136,31 @@ def test_benchmark_selftest_passes():
                           cwd=TRACER.parents[1], capture_output=True,
                           text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def _public_definitions(tree):
+    """Module-level ``def`` and ``class`` statements with public names."""
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def _names(node):
+    """Names that ``node`` reads, as bare names or attributes."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_public_functions_are_exported_or_used():
+    """Every public module-level function or class of the package is
+    exported by ``__init__`` or used by the package outside its own
+    definition, so no helper lives in ``src/`` for the tests alone."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    statements = [(s, _names(s)) for tree in trees.values() for s in tree.body]
+    exported = set(monadcalc.__all__)
+    unused = [f"{module}.{node.name}" for module, tree in trees.items()
+              for node in _public_definitions(tree) if node.name not in exported
+              and not any(node.name in names for s, names in statements
+                          if s is not node)]
+    assert unused == []

@@ -3,13 +3,14 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import family_instances, raw_blowup_tuples, rng
+from conftest import family_instances, is_integrable, raw_blowup_tuples, rng
 from monadcalc.blowup import MonadDataBlowup, blowup_defect
 from monadcalc.field import I, ONE, ZERO, qi
 from monadcalc.generate import GenSpec, generate, random_invertible
 from monadcalc.matrix import Matrix
-from monadcalc.p2 import (concentration, integrability_defect,
-                          is_concentrated_at_origin, is_integrable)
+from monadcalc.closure import nilpotency_index
+from monadcalc.p2 import (integrability_defect, is_concentrated_at_origin,
+                          min_b_special)
 from monadcalc.stratify import (ChargeLabel, charge_label, classify_s0,
                                 classify_s0_oracle, pushforward)
 
@@ -125,10 +126,9 @@ def test_classifier_is_the_concentration_test_of_the_pushforward():
     for mt in tuples:
         rep, m = classify_s0(mt), pushforward(mt)
         assert rep.is_s0 == is_concentrated_at_origin(m)
-        test = concentration(m)
-        assert dict(rep.nilpotency) == {"da1": test.nilpotency[0],
-                                        "da2": test.nilpotency[1]}
-        assert rep.krylov_dim == test.closure.dim
+        assert dict(rep.nilpotency) == {"da1": nilpotency_index(m.a1),
+                                        "da2": nilpotency_index(m.a2)}
+        assert rep.krylov_dim == min_b_special(m).dim
 
 
 def test_failing_word_is_shortest_and_agrees_with_oracle():

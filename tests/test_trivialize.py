@@ -2,15 +2,15 @@
 
 import pytest
 
-from conftest import family_instances
+from conftest import family_instances, rng
 from monadcalc import matrix, p2, trivialize
 from monadcalc.errors import (InvalidPoint, InvariantViolation, MonadcalcError,
                               OverlapViolation)
 from monadcalc.field import ONE, QI, ZERO, qi
-from monadcalc.generate import GenSpec, _shift, generate
+from monadcalc.generate import GenSpec, _shift, generate, random_invertible
 from monadcalc.matrix import (Matrix, _ZiMatrix, hstack, inverse, rank, solve,
                               vstack)
-from monadcalc.p2 import MonadDataP2, evaluate_A, evaluate_B
+from monadcalc.p2 import MonadDataP2, act, evaluate_A, evaluate_B
 from monadcalc.trivialize import (ChartPoint, NotConcentrated,
                                   default_sample_points, frame_matrix,
                                   section_s1, section_s2, transition_xi,
@@ -110,6 +110,32 @@ def test_transition_identity_on_overlap():
         # independent oracle: generic solve of the frame system
         generic = solve(frame_matrix(m, p1), s2)
         assert generic == vstack([xi1, xi2])
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_long_series_transition_matches_closed_form(k):
+    """a1 = N, a2 = N^2 for one Jordan block N, conjugated, with c = 0
+    and b's last row nonzero: the series run to a1^(k-1) b and to more
+    than one a2 word, which no seeded family reaches."""
+    r_ = rng(160 + k)
+    r = 2
+    entries = [qi(r_.randint(-3, 3), r_.randint(-2, 2)) for _ in range(k * r)]
+    entries[(k - 1) * r] = qi(r_.choice((1, 2, -3)))
+    N = _shift(k)
+    m = act(random_invertible(r_, k),
+            MonadDataP2(N, N @ N, Matrix(k, r, entries), Matrix.zeros(r, k)))
+    W = trivialize._words(p2._integer(m))
+    assert len(W[0]) == k and len(W) == (k + 1) // 2 > 1
+    assert verify_trivialization(m)
+    eye = Matrix.identity(k)
+    for p in default_sample_points(10):
+        a2c, a3c = p.coord_a, p.coord_b
+        closed = (inverse(eye - m.a1.scale(a3c))
+                  @ inverse(eye.scale(a2c) - m.a2.scale(a3c)) @ m.b).scale(a3c)
+        for i in range(1, r + 1):
+            xi1, xi2 = transition_xi(m, i, a2c, a3c)
+            assert xi1 == closed.col_matrix(i - 1)
+            assert xi2 == Matrix.identity(r).col_matrix(i - 1)
 
 
 def test_default_sample_points_deterministic():

@@ -10,13 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trivialize_oracle as oracle
-from conftest import rng
+from conftest import is_integrable, rng
 from monadcalc import p2, trivialize
 from monadcalc.field import I, ONE, ZERO, qi
 from monadcalc.generate import GenSpec, generate, random_invertible
 from monadcalc.matrix import Matrix
-from monadcalc.p2 import (MonadDataP2, act, is_concentrated_at_origin,
-                          is_integrable)
+from monadcalc.p2 import MonadDataP2, act, is_concentrated_at_origin
 from monadcalc.trivialize import (ChartPoint, NotConcentrated,
                                   default_sample_points, frame_matrix,
                                   section_s1, section_s2, transition_xi,
@@ -78,8 +77,8 @@ def test_longest_series_match_oracle(monkeypatch, k):
     b = Matrix(k, r, entries)
     m = act(random_invertible(r_, k),
             MonadDataP2(N, N @ N, b, Matrix.zeros(r, k)))
-    words = trivialize._words(p2._integer(m))
-    assert len(words.a1b) == k and len(words.a2b) == (k + 1) // 2
+    W = trivialize._words(p2._integer(m))
+    assert len(W[0]) == k and len(W) == (k + 1) // 2
     assert all(_verdicts_match_oracle(monkeypatch, m))
 
 
