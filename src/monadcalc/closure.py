@@ -46,14 +46,14 @@ def invariant_closure(generators: Sequence[Matrix], seed: Subspace) -> Subspace:
     """Smallest subspace containing ``seed`` and invariant under all generators.
 
     The invariant-subspace spin of Parker's MeatAxe (Computational Group
-    Theory, 1984) on Gaussian-integer numerators.  The vectors w(g) v,
-    for words w in the generators and basis columns v of the seed, are
-    visited breadth-first, in length-lex order of (word, column), and
-    only a vector independent of those kept before is kept and extended
-    by every generator.  The images of a dependent vector are
-    combinations of images of kept ones, so the kept vectors span the
-    closure.  Each kept vector's reduction against the earlier ones joins
-    one fraction-free echelon basis, divided by its gcd once.
+    Theory, 1984) on Gaussian-integer numerators.  It visits the vectors
+    w(g) v, for words w and seed basis columns v, breadth-first, queueing
+    each kept vector's images together: one length comes in lexicographic
+    order of (column, word), the word read from its first-acting letter.
+    Only a vector independent of those kept before is kept and extended
+    by every generator; the images of a dependent one are combinations of
+    images of kept ones.  Each kept vector's reduction joins one
+    fraction-free echelon basis, divided by its gcd once.
     """
     n = seed.ambient_dim
     _check_generators(generators, n)

@@ -34,8 +34,8 @@ from .closure import is_nilpotent
 from .errors import (DimensionMismatch, FloatOverflow, IrrationalSpectrum,
                      NonCommuting, NonSquareMatrix, check_invariant)
 from .field import ONE, QI, ZERO, Rat
-from .matrix import (Gauss, Matrix, Subspace, _berkowitz, _primitive, _ZiMatrix,
-                     _clear, block, inverse, invariant_split, kernel_basis, vstack)
+from .matrix import (Gauss, Matrix, Subspace, _berkowitz, _clear, _invariant_split,
+                     _primitive, _ZiMatrix, block, kernel_basis, vstack)
 
 
 def char_poly(M: Matrix) -> List[QI]:
@@ -365,23 +365,24 @@ def commuting_reduce(mats: Sequence[Matrix]) -> Tuple[Matrix, List[Matrix]]:
 
     Returns (g, [T1, ..., Ts]) with g invertible and Ti = g^-1 @ Mi @ g
     exactly upper triangular.  The diagonal lists the joint eigenvalues
-    with multiplicity in the order of :func:`joint_spectrum`.
+    with multiplicity in the order of :func:`joint_spectrum`.  Each step
+    is one ``matrix._invariant_split``, whose P and P^-1 extend g and g^-1.
     """
     mats = list(mats)
     spectrum = joint_spectrum(mats)
-    k = len(spectrum)
-    g, ms = Matrix.identity(k), mats
+    g = ginv = Matrix.identity(len(spectrum))
+    forms = [_ZiMatrix.of(M) for M in mats]
     # split off the least remaining joint eigenvalue: the first canonical
     # basis vector of its joint eigenspace starts the next basis
     for t, values in enumerate(spectrum[:-1]):
-        n, eye = k - t, Matrix.identity(k - t)
-        joint = kernel_basis(vstack([M - eye.scale(lam)
-                                     for M, lam in zip(ms, values)]))
-        P, _, _, ms = invariant_split(ms, Subspace(n, joint.basis.col_matrix(0)))
-        g = g @ block([[Matrix.identity(t), Matrix.zeros(t, n)],
-                       [Matrix.zeros(n, t), P]])
-    ginv = inverse(g)
-    check_invariant(ginv is not None, "triangularizing basis is singular")
+        n = forms[0].rows
+        v = kernel_basis(vstack([Z.matrix() - Matrix.identity(n).scale(lam)
+                                 for Z, lam in zip(forms, values)])).basis.col_matrix(0)
+        P, Pinv, _, forms = _invariant_split(forms, Subspace(n, v))
+        # g <- g diag(I_t, P) and g^-1 <- diag(I_t, P^-1) g^-1
+        corner, right, below = Matrix.identity(t), Matrix.zeros(t, n), Matrix.zeros(n, t)
+        g = g @ block([[corner, right], [below, P.matrix()]])
+        ginv = block([[corner, right], [below, Pinv.matrix()]]) @ ginv
     tris = [ginv @ M @ g for M in mats]
     check_invariant(all(T.is_upper_triangular() for T in tris),
                     "reduced family is not upper triangular")

@@ -12,15 +12,15 @@ integer denominator) runs chains of products, stacks and solves without
 elimination over Z[i]: rref, rank, solve and inverse (and the kernels and
 spans built on them) convert to it, eliminate, and convert back.  The
 group actions ``p2.act`` and ``blowup.act2``, the seeded generators'
-products, the canonical reduction's basis changes (``invariant_split``
-and ``p2._split``) and ``eigen.joint_spectrum``'s commutation test run on
-it too, converting each input once and each result once.  So do the
-closure spin and the nilpotency test of ``closure``; the latter reads
-``_berkowitz``, the division-free characteristic polynomial of the
-numerators that ``eigen.char_poly`` also wraps.  The separating form's
-powers and traces in ``eigen`` still multiply ``QI`` entries, as
-``Matrix`` products do.  ``_clear`` is the one place where denominators
-are cleared.
+products, ``_invariant_split`` (the one basis change of ``p2._split``
+and ``eigen.commuting_reduce``) and ``eigen.joint_spectrum``'s
+commutation test run on it too, converting each input once and each
+result once.  So do the closure spin and the nilpotency test of
+``closure``; the latter reads ``_berkowitz``, the division-free
+characteristic polynomial of the numerators that ``eigen.char_poly``
+also wraps.  The separating form's powers and traces in ``eigen`` still
+multiply ``QI`` entries, as ``Matrix`` products do.  ``_clear`` is the
+one place where denominators are cleared.
 """
 
 from __future__ import annotations
@@ -617,24 +617,9 @@ def basis_extension(space: Subspace) -> Matrix:
     return hstack([B, Matrix.identity(n).submatrix(range(n), others)])
 
 
-def invariant_split(mats: Sequence[Matrix], space: Subspace):
-    """Change basis so that a subspace invariant under every M comes first.
-
-    Returns ``(P, P^-1, tops, bottoms)`` with P = basis_extension(space):
-    each P^-1 M P is block upper triangular, and ``tops`` and ``bottoms``
-    hold its diagonal blocks, M on the subspace and M on the quotient.
-    The basis change, the invariance check and the blocks run on the
-    integer form (:func:`_invariant_split`); each input and each result
-    is converted once.
-    """
-    P, Pinv, tops, bottoms = _invariant_split([_ZiMatrix.of(M) for M in mats],
-                                              space)
-    return (P.matrix(), Pinv.matrix(), [T.matrix() for T in tops],
-            [B.matrix() for B in bottoms])
-
-
 def _invariant_split(mats: Sequence[_ZiMatrix], space: Subspace):
-    """:func:`invariant_split` of integer forms, with integer forms out."""
+    """(P, P^-1, tops, bottoms) with P = basis_extension(space): ``tops`` and
+    ``bottoms`` hold each M on the invariant subspace and on the quotient."""
     P = _ZiMatrix.of(basis_extension(space))
     Pinv = P.inverse()
     check_invariant(Pinv is not None, "basis extension is singular")

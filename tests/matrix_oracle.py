@@ -10,7 +10,7 @@ that ``tests/test_char_poly_oracle.py`` compares ``char_poly`` against.
 The group actions and the generators' products on ``QI`` entries are
 what ``act``, ``act2``, ``random_invertible`` and ``_poly_in`` computed
 before they ran on the integer form, and ``invariant_split`` and
-``split`` are the reduction's basis changes (``matrix.invariant_split``
+``split`` are the reduction's basis changes (``matrix._invariant_split``
 and ``p2._split``) on ``QI`` entries; ``tests/test_matrix_oracle.py``
 compares them.  ``invariant_closure`` and ``max_invariant_in_kernel``
 are the breadth-first closures the package computed before it spun one

@@ -112,6 +112,11 @@ MUTANTS = (
            "nb, nc = Pinv @ t.b, t.c @ P",
            "nb, nc = P @ t.b, t.c @ P",
            ("tests/test_matrix_oracle.py",)),
+    Mutant("commuting_reduce multiplies g^-1 on the wrong side",
+           "src/monadcalc/eigen.py",
+           "ginv = block([[corner, right], [below, Pinv.matrix()]]) @ ginv",
+           "ginv = ginv @ block([[corner, right], [below, Pinv.matrix()]])",
+           ("tests/test_eigen.py",)),
     Mutant("a sign in _gdot",
            "src/monadcalc/matrix.py",
            "re += a * c - b * d",

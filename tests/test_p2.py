@@ -12,7 +12,7 @@ from monadcalc.errors import (DimensionMismatch, IntegrabilityViolation,
                               SingularGroupElement)
 from monadcalc.field import qi
 from monadcalc.generate import GenSpec, generate, random_invertible
-from monadcalc.matrix import Matrix, invariant_split, inverse, rank
+from monadcalc.matrix import Matrix, _invariant_split, _ZiMatrix, inverse, rank
 from monadcalc.p2 import (MonadDataP2, ProjectivePoint, _shape, _split, act,
                           canonical_reduction, evaluate_A, evaluate_B,
                           fiber_dimension, integrability_defect,
@@ -258,7 +258,7 @@ def test_reduction_rejects_bad_mode():
 
 
 def test_split_and_commutation_test_make_no_matrix_products(monkeypatch):
-    """The reduction's basis changes (``invariant_split`` and
+    """The reduction's basis changes (``_invariant_split`` and
     ``p2._split``, on the special subspaces of seeded tuples) and the
     commutation test that rejects a pair in ``joint_spectrum`` run on
     the integer form: no Matrix product in any of them."""
@@ -279,7 +279,7 @@ def test_split_and_commutation_test_make_no_matrix_products(monkeypatch):
 
     monkeypatch.setattr(Matrix, "__matmul__", counting)
     for t, V in cases:
-        invariant_split([t.a1, t.a2], V)
+        _invariant_split([_ZiMatrix.of(t.a1), _ZiMatrix.of(t.a2)], V)
         _split(t, V)
     with pytest.raises(NonCommuting):
         joint_spectrum([E12, E21])

@@ -4,6 +4,7 @@ import ast
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -164,3 +165,16 @@ def test_public_functions_are_exported_or_used():
               and not any(node.name in names for s, names in statements
                           if s is not node)]
     assert unused == []
+
+
+def test_readme_module_names_resolve():
+    """Every backticked ``module.name`` in README.md whose module is one
+    of the package's names an attribute of that module."""
+    readme = TRACER.parents[1] / "README.md"
+    modules = {path.stem for path in SRC.glob("*.py")}
+    named = re.findall(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)`",
+                       readme.read_text(encoding="utf-8"))
+    missing = [f"{module}.{name}" for module, name in named if module in modules
+               and not hasattr(importlib.import_module(f"monadcalc.{module}"), name)]
+    assert [module for module, _ in named if module in modules]
+    assert missing == []

@@ -1,5 +1,7 @@
 """Pushforward and the fully-degenerate stratum classifier."""
 
+from itertools import product
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,7 +9,7 @@ from conftest import family_instances, is_integrable, raw_blowup_tuples, rng
 from monadcalc.blowup import MonadDataBlowup, blowup_defect
 from monadcalc.field import I, ONE, ZERO, qi
 from monadcalc.generate import GenSpec, generate, random_invertible
-from monadcalc.matrix import Matrix
+from monadcalc.matrix import Matrix, kernel_basis
 from monadcalc.closure import nilpotency_index
 from monadcalc.p2 import (integrability_defect, is_concentrated_at_origin,
                           min_b_special)
@@ -142,6 +144,66 @@ def test_failing_word_is_shortest_and_agrees_with_oracle():
     assert rep.witness == (1, 1) and rep.krylov_dim == 3
     assert classify_s0_oracle(mt, 1)       # words up to length 1 all vanish
     assert not classify_s0_oracle(mt, 2)   # (1, 1) is reached at length 2
+
+
+def _first_failing_word(m):
+    """The length-lex least word w over {1, 2}, up to length 2k, with
+    c . w(a1, a2) . b != 0 (the word's first letter acts first), from
+    ``itertools.product``; None when there is none."""
+    gens, vec = {1: m.a1, 2: m.a2}, {(): m.b}
+    for n in range(2 * m.k + 1):
+        for word in product((1, 2), repeat=n):
+            if word:
+                v = vec[word[:-1]]
+                vec[word] = v if v.is_zero() else gens[word[-1]] @ v
+            if not (m.c @ vec[word]).is_zero():
+                return word
+    return None
+
+
+def test_witness_is_the_least_failing_word_not_the_spins_first_pair():
+    # d = I, a1 e1 = e2, a2 e0 = e3, b = [e0 | e1 | 0] and c's last row
+    # e2^T + e3^T (0-based): c a1 b and c a2 b both fail.  The spin queues
+    # the images of e0 before those of e1, so its first failing pair is
+    # ((2,), column 0); the witness is the length-lex least word, (1,).
+    a1 = Matrix.from_rows([[0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]])
+    a2 = Matrix.from_rows([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]])
+    mt = MonadDataBlowup(a1, a2, Matrix.identity(4),
+                         Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0],
+                                           [0, 0, 0]]),
+                         Matrix.from_rows([[0, 0, 0, 0], [0, 0, 0, 0],
+                                           [0, 0, 1, 1]]))
+    assert blowup_defect(mt).is_zero()
+    rep = classify_s0(mt)
+    assert not rep.is_s0 and rep.witness == (1,)
+    assert _first_failing_word(pushforward(mt)) == (1,)
+
+
+def test_witness_is_the_least_failing_word_on_left_kernel_draws():
+    """Raw tuples with d = I, strictly upper triangular a1 and a2 (so both
+    are nilpotent) and c drawn from the left kernel of b (so c b = 0):
+    the witness is the length-lex least failing word, often a one-letter
+    one, checked against ``itertools.product`` directly."""
+    r_ = rng(69)
+
+    def entry():
+        return qi(r_.randint(-2, 2))
+
+    one_letter = 0
+    for _ in range(150):
+        k, r = r_.randint(2, 4), r_.randint(2, 3)
+        a1, a2 = (Matrix(k, k, [entry() if i < j else ZERO
+                                for i in range(k) for j in range(k)])
+                  for _ in range(2))
+        b = Matrix(k, r, [entry() for _ in range(k * r)])
+        left = kernel_basis(b.transpose()).basis
+        c = Matrix(r, left.cols, [entry() for _ in range(r * left.cols)]) \
+            @ left.transpose()
+        mt = MonadDataBlowup(a1, a2, Matrix.identity(k), b, c)
+        word = _first_failing_word(pushforward(mt))
+        assert classify_s0(mt).witness == word
+        one_letter += word is not None and len(word) == 1
+    assert one_letter > 30
 
 
 def test_classification_is_group_invariant():
