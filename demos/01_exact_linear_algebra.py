@@ -21,11 +21,11 @@ V = Subspace.from_span(Matrix.from_rows([[1, 3], [2, 6], [0, 0]]))
 print("\nspan of two proportional columns has dim", V.dim)
 
 # Invariant closure: the smallest subspace containing a seed and stable
-# under a family of operators.  With the nilpotent shift J (J e2 = e1),
-# the closure of e2 is the whole plane; the closure of e1 is just e1.
+# under a family of operators; the seed is given by spanning columns.
+# With the nilpotent shift J (J e2 = e1), the closure of e2 is the whole
+# plane; the closure of e1 is just e1.
 J = Matrix.from_rows([[0, 1], [0, 0]])
-e1 = Subspace.from_span(Matrix.column([1, 0]))
-e2 = Subspace.from_span(Matrix.column([0, 1]))
+e1, e2 = Matrix.column([1, 0]), Matrix.column([0, 1])
 print("\nclosure of e2 under J has dim", invariant_closure([J], e2).dim)
 print("closure of e1 under J has dim", invariant_closure([J], e1).dim)
 

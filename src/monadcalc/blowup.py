@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from .errors import (IntegrabilityViolation, InvalidPoint, PointOnExceptionalLine,
                      SingularGroupElement, SurjectivityViolation)
 from .field import qi
-from .matrix import (Matrix, _ZiMatrix, block, column_space, hstack,
-                     kernel_basis, rank, solve)
+from .matrix import (Matrix, _ZiMatrix, block, hstack, kernel_basis, rank,
+                     solve)
 from .p2 import (ProjectivePoint, _fiber_dim, _integer, _MonadData, _rational,
                  monad_maps)
 from .polymat import PolyMatrix, linear_polymatrix, poly_matmul
@@ -199,6 +199,6 @@ def fiber_projection_check(mt: MonadDataBlowup, p: BlowupPoint) -> bool:
         return False
     # Preimage of Im A inside Ker B~: parametrize v = Kt.basis @ t and
     # require the projection of v to be annihilated by the annihilator
-    # of Im A.
-    cond = column_space(A).annihilator().basis.transpose() @ PK
+    # of Im A, which is Ker A^T.
+    cond = kernel_basis(A.transpose()).basis.transpose() @ PK
     return cond.cols - rank(cond) == rank_At

@@ -5,10 +5,10 @@ form ``matrix._ZiMatrix``) and make no ``Matrix`` product.
 :func:`is_nilpotent` reads the characteristic polynomial of the
 numerators, from Berkowitz's division-free algorithm
 (``matrix._berkowitz``): a k x k matrix is nilpotent iff it is t^k.
-:func:`invariant_closure` grows one fraction-free echelon basis over
-Z[i] by the invariant-subspace spin of Parker's MeatAxe and ends in one
-canonical ``Subspace.from_span``.  :func:`nilpotency_index` takes powers
-of ``Matrix`` values, for the reports that show the index.
+:func:`invariant_closure` spins any columns that span its seed into one
+fraction-free echelon basis over Z[i] (Parker's MeatAxe) and
+canonicalizes once.  :func:`nilpotency_index` takes powers of
+``Matrix`` values, for the reports that show the index.
 """
 
 from __future__ import annotations
@@ -19,13 +19,6 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import DimensionMismatch, NonSquareMatrix
 from .matrix import (Gauss, Matrix, Subspace, _berkowitz, _gdot, _primitive,
                      _ZiMatrix)
-
-
-def _check_generators(generators: Sequence[Matrix], n: int):
-    for g in generators:
-        if not g.is_square() or g.rows != n:
-            raise DimensionMismatch(
-                f"generator shape {g.rows}x{g.cols} does not match ambient {n}")
 
 
 def _reduce(v: List[Gauss], echelon: List[Tuple[int, List[Gauss]]]) -> List[Gauss]:
@@ -42,24 +35,28 @@ def _reduce(v: List[Gauss], echelon: List[Tuple[int, List[Gauss]]]) -> List[Gaus
     return v
 
 
-def invariant_closure(generators: Sequence[Matrix], seed: Subspace) -> Subspace:
-    """Smallest subspace containing ``seed`` and invariant under all generators.
+def invariant_closure(generators: Sequence[Matrix], seed: Matrix) -> Subspace:
+    """Smallest subspace containing seed's columns, invariant under all generators.
 
     The invariant-subspace spin of Parker's MeatAxe (Computational Group
     Theory, 1984) on Gaussian-integer numerators.  It visits the vectors
-    w(g) v, for words w and seed basis columns v, breadth-first, queueing
-    each kept vector's images together: one length comes in lexicographic
-    order of (column, word), the word read from its first-acting letter.
-    Only a vector independent of those kept before is kept and extended
-    by every generator; the images of a dependent one are combinations of
-    images of kept ones.  Each kept vector's reduction joins one
-    fraction-free echelon basis, divided by its gcd once.
+    w(g) v, for words w and columns v of ``seed`` (any spanning set),
+    breadth-first, queueing each kept vector's images together: one
+    length comes in lexicographic order of (column, word), the word read
+    from its first-acting letter.  Only a vector independent of those
+    kept before is kept and extended by every generator; the images of a
+    dependent one are combinations of images of kept ones.  Each kept
+    vector's reduction joins one fraction-free echelon basis, divided by
+    its gcd once.
     """
-    n = seed.ambient_dim
-    _check_generators(generators, n)
+    n = seed.rows
+    for g in generators:
+        if not g.is_square() or g.rows != n:
+            raise DimensionMismatch(
+                f"generator shape {g.rows}x{g.cols} does not match ambient {n}")
     # numerators only: a nonzero multiple of a vector has the same span
     gens = [_ZiMatrix.of(g)._rows() for g in generators]
-    queue = deque(_ZiMatrix.of(seed.basis.transpose())._rows())
+    queue = deque(_ZiMatrix.of(seed.transpose())._rows())
     echelon: List[Tuple[int, List[Gauss]]] = []
     while queue and len(echelon) < n:
         v = queue.popleft()
@@ -77,11 +74,10 @@ def invariant_closure(generators: Sequence[Matrix], seed: Subspace) -> Subspace:
 def max_invariant_in_kernel(generators: Sequence[Matrix], c: Matrix) -> Subspace:
     """Largest subspace invariant under all generators and contained in Ker c.
 
-    Computed dually: the annihilator of the invariant closure of the row
-    space of ``c`` under the transposed generators.
+    Computed dually: the annihilator of the invariant closure of the rows
+    of ``c`` (the columns of c^T) under the transposed generators.
     """
-    row_space = Subspace.from_span(c.transpose())
-    closed = invariant_closure([g.transpose() for g in generators], row_space)
+    closed = invariant_closure([g.transpose() for g in generators], c.transpose())
     return closed.annihilator()
 
 

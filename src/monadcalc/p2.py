@@ -31,7 +31,7 @@ from .errors import (DimensionMismatch, IntegrabilityViolation, InvalidPoint,
                      SingularGroupElement)
 from .field import QI, qi
 from .matrix import (Gauss, Matrix, Subspace, _clear, _invariant_split,
-                     _ZiMatrix, column_space, rank)
+                     _ZiMatrix, rank)
 from .polymat import PolyMatrix, linear_polymatrix, poly_matmul
 
 
@@ -151,7 +151,7 @@ def act(g: Matrix, m: MonadDataP2) -> MonadDataP2:
 
 def min_b_special(m: MonadDataP2) -> Subspace:
     """Smallest (a1, a2)-invariant subspace containing Im b."""
-    return invariant_closure([m.a1, m.a2], column_space(m.b))
+    return invariant_closure([m.a1, m.a2], m.b)
 
 
 def max_c_special(m: MonadDataP2) -> Subspace:

@@ -32,12 +32,12 @@ when it holds at tq.  The sections equal the chart closed forms (see
 :func:`section_s1`, :func:`section_s2`); at [1 : alpha2 : alpha3] xi1
 equals the closed form of :func:`transition_xi`.  The identity checks
 are what verify the series: each overlap point costs one elimination,
-of [A | sections | other sections].  All r framing indices are treated
-at once: the sections at a point are the columns of one (2k+r) x r
-matrix and the transition data the columns of one k x r matrix, so the
-per-index helpers are column extractions and
-:func:`verify_trivialization` checks every identity as a matrix
-identity.
+of [A | sections | other sections], whose solution is the transition
+check.  All r framing indices are treated at once: the sections at a
+point are the columns of one (2k+r) x r matrix and the transition data
+the columns of one k x r matrix, so the per-index helpers are column
+extractions and :func:`verify_trivialization` checks every identity as
+a matrix identity.
 
 The frames are built, and verified, on Gaussian-integer numerators over
 one integer denominator (``matrix._ZiMatrix``; the tuple is converted
@@ -285,18 +285,16 @@ def verify_trivialization(m: MonadDataP2,
 
     Concentration is checked once, here.  At each sample point all r
     sections of its chart lie in Ker B and the frame [A | sections] has
-    full column rank; on the overlap the transition identity
-    s2 - s1 = A xi1 holds with c xi1 = 0, and an independent generic
-    solve of the point's frame against the other chart's sections gives
+    full column rank.  On the overlap the generic solve of the frame
+    against the other chart's sections, unique at full rank, must give
     (xi1, 1) on U1 (frame_U1 . xi = s2) and (-xi1, 1) on U2
-    (frame_U2 . eta = s1).  Each identity is checked for all r framing
-    indices at once, at the point's chart coordinates (the identities
-    are invariant under rescaling the point), on Gaussian-integer
-    numerators: per point one evaluation of the monad maps, the Neumann
-    series of the sections from words formed once per call, and one
-    elimination of [A | sections | other sections] (of [A | sections]
-    off the overlap), which gives the frame's rank and the generic solve
-    together.
+    (frame_U2 . eta = s1): that is the transition identity s2 - s1 = A xi1,
+    whose C^r rows give c xi1 = 0, checked with no product.  Each identity
+    is checked for all r framing indices at once, at the point's chart
+    coordinates, on Gaussian-integer numerators: per point one evaluation
+    of the monad maps, the Neumann series of the sections from words
+    formed once per call, and one elimination of [A | sections | other
+    sections] ([A | sections] off the overlap) for the rank and the solve.
 
     Raises ValueError when there is no point to check: n_samples < 1
     without sample_points, or an empty sample_points.
@@ -321,12 +319,7 @@ def verify_trivialization(m: MonadDataP2,
                 return False
             continue
         rank, generic = F.solve(T)
-        if rank != k + r:
-            return False
-        if not ((f.S2 - f.S1 - f.A @ f.xi1).is_zero() and
-                (t.c @ f.xi1).is_zero()):
-            return False
         xi = f.xi1 if p.chart == "U1" else -f.xi1
-        if generic is None or generic != _ZiMatrix.vstack([xi, eye]):
+        if rank != k + r or generic != _ZiMatrix.vstack([xi, eye]):
             return False
     return True

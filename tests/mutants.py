@@ -122,6 +122,21 @@ MUTANTS = (
            "re += a * c - b * d",
            "re += a * c + b * d",
            ("tests/test_matrix_oracle.py",)),
+    Mutant("classify_s0 names da1 for a non-nilpotent da2",
+           "src/monadcalc/stratify.py",
+           'witness="da2 not nilpotent"',
+           'witness="da1 not nilpotent"',
+           ("tests/test_stratify.py",)),
+    Mutant("the overlap check compares only the rank",
+           "src/monadcalc/trivialize.py",
+           "if rank != k + r or generic != _ZiMatrix.vstack([xi, eye]):",
+           "if rank != k + r:",
+           ("tests/test_trivialize.py",)),
+    Mutant("max_invariant_in_kernel seeds with c for c^T",
+           "src/monadcalc/closure.py",
+           "for g in generators], c.transpose())",
+           "for g in generators], c)",
+           ("tests/test_closure_oracle.py",)),
 )
 
 

@@ -181,6 +181,19 @@ def test_classify_oracle_length_must_be_nonnegative(tmp_path, capsys):
     assert _last_json(capsys)["oracle_agrees"] is True
 
 
+def test_classify_da2_not_nilpotent(tmp_path, capsys):
+    """d = a2 = identity, a1 = b = c = 0: only d a2 fails nilpotency."""
+    path = tmp_path / "mt.json"
+    jsonio.write_file(path, MonadDataBlowup(
+        Matrix.zeros(2, 2), Matrix.identity(2), Matrix.identity(2),
+        Matrix.zeros(2, 1), Matrix.zeros(1, 2)))
+    assert main(["classify", str(path), "--oracle-maxlen", "4"]) == EXIT_OK
+    assert _last_json(capsys) == {
+        "is_s0": False, "nilpotency": {"da1": 1, "da2": None},
+        "krylov_dim": 0, "witness": "da2 not nilpotent",
+        "oracle": False, "oracle_agrees": True}
+
+
 def test_classify_rejects_p2_document(tmp_path, capsys):
     path = _write(tmp_path, "m.json", "commuting_points", 2, 1)
     assert main(["classify", path]) == EXIT_IO

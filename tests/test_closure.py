@@ -24,14 +24,14 @@ def _random_matrix(r_, rows, cols, bound=5):
 # -- invariant_closure ---------------------------------------------------
 
 def test_closure_examples():
-    assert invariant_closure([Matrix.zeros(2, 2)], E1) == E1
-    assert invariant_closure([J2], E2).is_full()
-    assert invariant_closure([J2], E1) == E1
+    assert invariant_closure([Matrix.zeros(2, 2)], E1.basis) == E1
+    assert invariant_closure([J2], E2.basis).is_full()
+    assert invariant_closure([J2], E1.basis) == E1
 
 
 def test_closure_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        invariant_closure([Matrix.zeros(3, 3)], E1)
+        invariant_closure([Matrix.zeros(3, 3)], E1.basis)
 
 
 def test_closure_properties_random():
@@ -40,15 +40,15 @@ def test_closure_properties_random():
         n = r_.randint(1, 5)
         gens = [_random_matrix(r_, n, n) for _ in range(r_.randint(1, 3))]
         seed = Subspace.from_span(_random_matrix(r_, n, r_.randint(0, n)))
-        V = invariant_closure(gens, seed)
+        V = invariant_closure(gens, seed.basis)
         # contains the seed; invariant; idempotent
         assert V.contains_space(seed)
         for g in gens:
             assert solve(V.basis, g @ V.basis) is not None
-        assert invariant_closure(gens, V) == V
+        assert invariant_closure(gens, V.basis) == V
         # monotone in the seed
         smaller = Subspace.from_span(seed.basis)  # same seed, same result
-        assert invariant_closure(gens, smaller) == V
+        assert invariant_closure(gens, smaller.basis) == V
 
 
 # -- max_invariant_in_kernel --------------------------------------------
@@ -78,7 +78,7 @@ def test_max_invariant_is_maximal_bruteforce():
         # every invariant candidate inside Ker c is contained in V
         for _ in range(30):
             seed = Subspace.from_span(_random_matrix(r_, n, 1))
-            W = invariant_closure(gens, seed)
+            W = invariant_closure(gens, seed.basis)
             if (c @ W.basis).is_zero():
                 assert V.contains_space(W)
 
@@ -157,7 +157,7 @@ def test_nilpotency_test_and_closures_make_no_matrix_products(monkeypatch):
     verdicts = set()
     for m, seed in zip(tuples, seeds):
         verdicts |= {is_nilpotent(m.a1), is_nilpotent(m.a2)}
-        invariant_closure([m.a1, m.a2], seed)
+        invariant_closure([m.a1, m.a2], seed.basis)
         max_invariant_in_kernel([m.a1, m.a2], m.c)
     assert verdicts == {True, False}
     assert products == []

@@ -7,7 +7,8 @@ with ``nilpotency_index`` (powers of the matrix) and
 ``is_concentrated_at_origin`` with the rule written on those indices and
 the closure of Im b: on the six seeded families (k = 0-5; a blowup
 tuple through its pushforward), on raw plane and blowup tuples, on raw
-generator families with invariant subspaces, on trace-free matrices
+generator families with invariant subspaces, on seeds and c with zero,
+repeated and dependent columns or rows, on trace-free matrices
 that are not nilpotent, and on the hypothesis strategies of
 test_stratify.py and test_trivialize_oracle.py.
 """
@@ -22,8 +23,9 @@ from monadcalc.closure import (invariant_closure, is_nilpotent,
 from monadcalc.errors import InfeasibleSpec, NonSquareMatrix
 from monadcalc.field import I, ONE, ZERO, qi
 from monadcalc.generate import FAMILIES, GenSpec, generate, random_invertible
-from monadcalc.matrix import Matrix, Subspace, column_space
-from monadcalc.p2 import MonadDataP2, is_concentrated_at_origin
+from monadcalc.matrix import Matrix, Subspace, column_space, hstack
+from monadcalc.p2 import (MonadDataP2, is_concentrated_at_origin, max_c_special,
+                          min_b_special)
 from monadcalc.stratify import pushforward
 from test_matrix_oracle import _matrix, _random_case
 from test_stratify import _blowup_tuples
@@ -42,7 +44,7 @@ def _compare(m):
     for M in gens:
         assert is_nilpotent(M) == (nilpotency_index(M) is not None), M
     seed = column_space(m.b)
-    closure = invariant_closure(gens, seed)
+    closure = invariant_closure(gens, seed.basis)
     assert closure == oracle.invariant_closure(gens, seed), m
     inside = max_invariant_in_kernel(gens, m.c)
     assert inside == oracle.max_invariant_in_kernel(gens, m.c), m
@@ -52,17 +54,22 @@ def _compare(m):
     return verdict, 0 < closure.dim < m.k, 0 < inside.dim < m.k
 
 
-def test_seeded_families_match_oracle():
-    outcomes, nilpotent = [], []
+def _seeded_tuples():
+    """The six seeded families, k = 0-5, r = 1-3, as plane tuples."""
     for family in FAMILIES:
         for k in range(6):
             for r, seed in ((1, 151), (2, 152), (3, 153)):
                 try:
-                    m = _plane(generate(GenSpec(k=k, r=r, seed=seed, family=family)))
+                    yield _plane(generate(GenSpec(k=k, r=r, seed=seed, family=family)))
                 except InfeasibleSpec:
                     continue
-                outcomes.append(_compare(m))
-                nilpotent.append(is_nilpotent(m.a1))
+
+
+def test_seeded_families_match_oracle():
+    outcomes, nilpotent = [], []
+    for m in _seeded_tuples():
+        outcomes.append(_compare(m))
+        nilpotent.append(is_nilpotent(m.a1))
     assert len(outcomes) > 70 and len(set(nilpotent)) == 2
     assert {v for v, _, _ in outcomes} == {True, False}
     assert any(p for _, p, _ in outcomes) and any(p for _, _, p in outcomes)
@@ -94,7 +101,7 @@ def test_raw_generator_families_match_oracle():
             gens.append(g @ T @ ginv)
         inside = g.submatrix(range(n), range(d)) @ _matrix(r_, d, r_.randint(0, d))
         for seed in (column_space(inside), column_space(_matrix(r_, n, r_.randint(0, 2)))):
-            V = invariant_closure(gens, seed)
+            V = invariant_closure(gens, seed.basis)
             assert V == oracle.invariant_closure(gens, seed)
             dims.add((V.dim, n))
         c = _random_case(r_, r_.randint(1, 3), n)
@@ -139,9 +146,63 @@ def test_zero_and_full_seeds():
     gens = [_shift(3), Matrix.diagonal([1, 2, 3])]
     zero, full = Subspace.from_span(Matrix.zeros(3, 0)), column_space(Matrix.identity(3))
     for seed in (zero, full):
-        assert invariant_closure(gens, seed) == seed == oracle.invariant_closure(gens, seed)
-    assert invariant_closure([], column_space(Matrix.column([1, 2, 0]))).dim == 1
-    assert invariant_closure([], Subspace.from_span(Matrix.zeros(0, 0))).dim == 0
+        assert invariant_closure(gens, seed.basis) == seed == oracle.invariant_closure(gens, seed)
+    assert invariant_closure([], column_space(Matrix.column([1, 2, 0])).basis).dim == 1
+    assert invariant_closure([], Subspace.from_span(Matrix.zeros(0, 0)).basis).dim == 0
+
+
+def _spanning(r_, X):
+    """Columns with the span of X's: X's own, zero, repeated and
+    dependent ones, shuffled."""
+    n, m = X.rows, X.cols
+    cols = [X.col_matrix(j) for j in range(m)] + [Matrix.zeros(n, 1)]
+    cols += [X.col_matrix(r_.randrange(m)) for _ in range(m)] if m else []
+    cols += [X @ _matrix(r_, m, 1) for _ in range(2)] if m else []
+    r_.shuffle(cols)
+    return hstack(cols)
+
+
+def test_seeds_need_only_span():
+    """invariant_closure takes any spanning columns: with zero, repeated
+    and dependent columns, and with none (n x 0), it gives the closure of
+    their span."""
+    r_ = rng(158)
+    for _ in range(80):
+        n = r_.randint(0, 5)
+        gens = [_random_case(r_, n, n) for _ in range(r_.randint(0, 3))]
+        X = _matrix(r_, n, r_.randint(0, 3))
+        for seed in (X, _spanning(r_, X), Matrix.zeros(n, 0)):
+            expected = oracle.invariant_closure(gens, Subspace.from_span(seed))
+            assert invariant_closure(gens, seed) == expected
+
+
+def test_kernel_side_needs_only_rows_that_span():
+    """max_invariant_in_kernel with zero and duplicate rows in c."""
+    r_ = rng(159)
+    for _ in range(60):
+        n = r_.randint(0, 5)
+        gens = [_random_case(r_, n, n) for _ in range(r_.randint(1, 3))]
+        c = _spanning(r_, _matrix(r_, n, r_.randint(0, 2))).transpose()
+        assert max_invariant_in_kernel(gens, c) == oracle.max_invariant_in_kernel(gens, c)
+
+
+def test_special_subspaces_canonicalize_once(monkeypatch):
+    """min_b_special and max_c_special each make one Subspace.from_span
+    call, the spin's own: no seed is canonicalized before the spin."""
+    tuples = list(_seeded_tuples()) + raw_p2_tuples(40, seed=154, kmax=5)
+    calls = []
+    real = Subspace.from_span
+
+    def counting(cls, columns):
+        calls.append(columns)
+        return real(columns)
+
+    monkeypatch.setattr(Subspace, "from_span", classmethod(counting))
+    for m in tuples:
+        for special in (min_b_special, max_c_special):
+            calls.clear()
+            special(m)
+            assert len(calls) == 1, special
 
 
 @settings(max_examples=100, deadline=None, database=None)

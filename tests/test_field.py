@@ -78,6 +78,19 @@ def test_is_zero_and_bool():
     assert not qi(0, "1/9").is_zero()
 
 
+def test_rational_like_components():
+    """Anything with a numerator and a denominator is read as their
+    quotient: sympy rationals, and a minimal object with just those two."""
+    import sympy
+
+    class Ratio:
+        def __init__(self, numerator, denominator):
+            self.numerator, self.denominator = numerator, denominator
+
+    assert QI(sympy.Rational(1, 3), sympy.Rational(-2, 5)) == qi("1/3", "-2/5")
+    assert QI(Ratio(1, 3), Ratio(-2, 5)) == qi("1/3", "-2/5")
+
+
 def test_bad_input_rejected():
     with pytest.raises(TypeError):
         QI(1.5)

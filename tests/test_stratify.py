@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import family_instances, is_integrable, raw_blowup_tuples, rng
-from monadcalc.blowup import MonadDataBlowup, blowup_defect
+from monadcalc.blowup import MonadDataBlowup, blowup_defect, validate
 from monadcalc.field import I, ONE, ZERO, qi
 from monadcalc.generate import GenSpec, generate, random_invertible
 from monadcalc.matrix import Matrix, kernel_basis
@@ -57,6 +57,18 @@ def test_classify_witness_non_nilpotent():
     assert not rep.is_s0
     assert rep.witness == "da1 not nilpotent"
     assert dict(rep.nilpotency)["da1"] is None
+    assert not classify_s0_oracle(mt, 4)
+
+
+def test_classify_witness_da2_not_nilpotent():
+    # d = a2 = identity, a1 = b = c = 0 (k = 2, r = 1): only d a2 fails
+    mt = validate(MonadDataBlowup(Matrix.zeros(2, 2), Matrix.identity(2),
+                                  Matrix.identity(2), Matrix.zeros(2, 1),
+                                  Matrix.zeros(1, 2)))
+    rep = classify_s0(mt)
+    assert not rep.is_s0
+    assert rep.nilpotency == (("da1", 1), ("da2", None))
+    assert rep.witness == "da2 not nilpotent"
     assert not classify_s0_oracle(mt, 4)
 
 

@@ -112,18 +112,25 @@ def test_transition_identity_on_overlap():
         assert generic == vstack([xi1, xi2])
 
 
-@pytest.mark.parametrize("k", [3, 4, 5])
-def test_long_series_transition_matches_closed_form(k):
-    """a1 = N, a2 = N^2 for one Jordan block N, conjugated, with c = 0
-    and b's last row nonzero: the series run to a1^(k-1) b and to more
-    than one a2 word, which no seeded family reaches."""
+def _jordan_tuple(k):
+    """a1 = N, a2 = N^2 for one Jordan block N, conjugated, with r = 2,
+    c = 0 and b's last row nonzero: the series run to a1^(k-1) b and to
+    more than one a2 word, which no seeded family reaches."""
     r_ = rng(160 + k)
     r = 2
     entries = [qi(r_.randint(-3, 3), r_.randint(-2, 2)) for _ in range(k * r)]
     entries[(k - 1) * r] = qi(r_.choice((1, 2, -3)))
     N = _shift(k)
-    m = act(random_invertible(r_, k),
-            MonadDataP2(N, N @ N, Matrix(k, r, entries), Matrix.zeros(r, k)))
+    return act(random_invertible(r_, k),
+               MonadDataP2(N, N @ N, Matrix(k, r, entries), Matrix.zeros(r, k)))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_long_series_transition_matches_closed_form(k):
+    """The transition of the Jordan tuples (:func:`_jordan_tuple`) against
+    its closed form."""
+    m = _jordan_tuple(k)
+    r = m.r
     W = trivialize._words(p2._integer(m))
     assert len(W[0]) == k and len(W) == (k + 1) // 2 > 1
     assert verify_trivialization(m)
@@ -292,6 +299,47 @@ def test_verify_rejects_a_broken_frame(monkeypatch):
     assert not verify_trivialization(m, n_samples=4)
     u2 = [ChartPoint("U2", qi(3), qi(1))]  # checked through its own frame
     assert not verify_trivialization(m, sample_points=u2)
+
+
+def test_overlap_identity_holds_at_every_overlap_point():
+    """S2 - S1 = A xi1 and c xi1 = 0, as products, at every overlap point
+    of seeded block_concentrated tuples (k = 2..5) and of the Jordan
+    tuples: the identity that verify_trivialization reads off its one
+    solve."""
+    tuples = [generate(GenSpec(k=k, r=r, seed=75, family="block_concentrated"))
+              for k in range(2, 6) for r in (1, 2)]
+    tuples += [_jordan_tuple(k) for k in (3, 4, 5)]
+    overlap = 0
+    for m in tuples:
+        t = p2._integer(m)
+        W = trivialize._words(t)
+        for p in default_sample_points(10) + _EDGE_POINTS:
+            f = trivialize._frames(t, W, p.coords())
+            if f.xi1 is None:
+                continue
+            overlap += 1
+            assert (f.S2 - f.S1 - f.A @ f.xi1).is_zero()
+            assert (t.c @ f.xi1).is_zero()
+    assert any(not m.c.is_zero() for m in tuples)
+    assert overlap == len(tuples) * 14
+
+
+def test_verify_rejects_a_wrong_transition(monkeypatch):
+    """xi1 alone is off by a nonzero Z[i] matrix, the sections and the
+    solve are right: the one overlap check rejects it on both charts."""
+    m = generate(GenSpec(k=3, r=2, seed=6, family="block_concentrated"))
+    pts = [ChartPoint("U1", qi(2), qi(1)), ChartPoint("U2", qi(3), qi(1))]
+    assert all(verify_trivialization(m, sample_points=[p]) for p in pts)
+    real = trivialize._frames
+    D = _ZiMatrix(m.k, m.r, [(1, -2)] + [(0, 0)] * (m.k * m.r - 1))
+
+    def shifted(t, words, coords):
+        f = real(t, words, coords)
+        return f if f.xi1 is None else f._replace(xi1=f.xi1 + D)
+
+    monkeypatch.setattr(trivialize, "_frames", shifted)
+    for p in pts:
+        assert not verify_trivialization(m, sample_points=[p])
 
 
 @pytest.mark.parametrize("k, r", [(0, 0), (0, 2), (2, 0)])
