@@ -23,7 +23,8 @@ fields.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import List, NamedTuple, Sequence, Tuple
+from math import lcm
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .closure import invariant_closure, is_nilpotent, max_invariant_in_kernel
 from .eigen import _joint_key, joint_spectrum
@@ -170,7 +171,7 @@ class MonadMaps(NamedTuple):
     """The monad maps at a point, built from the pencil blocks
     P1 = x1 - x3 a1 and P2 = x2 - x3 a2: A = (P1; P2; c x3) and
     B = (-P2 | P1 | b x3).  :func:`monad_maps` holds them as ``Matrix``
-    values, ``_pencil`` as Gaussian-integer forms (``matrix._ZiMatrix``).
+    values, ``_pencil`` as Gaussian-integer forms, written block by block.
     """
 
     A: Matrix
@@ -179,15 +180,28 @@ class MonadMaps(NamedTuple):
 
 def _pencil(t: MonadDataP2, x: Sequence[Gauss], e: int) -> MonadMaps:
     """The monad maps at the point with homogeneous coordinates x / e
-    (Gaussian integers x, an integer e > 0), evaluated once on
-    Gaussian-integer numerators: no ``QI`` arithmetic.  t is a tuple of
-    integer forms (:func:`_integer`)."""
-    x1, x2, x3 = x
-    eye = _ZiMatrix.identity(t.a1.rows)
-    P1 = eye.scale(x1, e) - t.a1.scale(x3, e)
-    P2 = eye.scale(x2, e) - t.a2.scale(x3, e)
-    return MonadMaps(_ZiMatrix.vstack([P1, P2, t.c.scale(x3, e)]),
-                     _ZiMatrix.hstack([-P2, P1, t.b.scale(x3, e)]))
+    (Gaussian integers x, an integer e > 0), for a tuple t of integer
+    forms (:func:`_integer`): one pass forms the numerators of A and B
+    over e times the lcm of t's denominators, and each map is reduced
+    once.  No ``QI`` arithmetic."""
+    (x1, x2, x3), k, r = x, t.k, t.r
+    den = lcm(t.a1.den, t.a2.den, t.b.den, t.c.den)
+
+    def times(g: Gauss, M, diagonal: Optional[Gauss] = None) -> List[Gauss]:
+        # the numerators over den of g M, plus the diagonal's if given
+        (gr, gi), s = g, den // M.den
+        nums = [(s * (gr * u - gi * v), s * (gr * v + gi * u)) for u, v in M.nums]
+        for i in range(0, k * k, k + 1) if diagonal else ():
+            nums[i] = (nums[i][0] + den * diagonal[0], nums[i][1] + den * diagonal[1])
+        return nums
+
+    minus_x3 = (-x3[0], -x3[1])
+    P1, P2 = times(minus_x3, t.a1, x1), times(minus_x3, t.a2, x2)
+    bx, minus_P2 = times(x3, t.b), [(-u, -v) for u, v in P2]
+    B = [z for i in range(k) for z in (minus_P2[i * k:(i + 1) * k]
+                                       + P1[i * k:(i + 1) * k] + bx[i * r:(i + 1) * r])]
+    return MonadMaps(_ZiMatrix(2 * k + r, k, P1 + P2 + times(x3, t.c), den * e),
+                     _ZiMatrix(k, 2 * k + r, B, den * e))
 
 
 def monad_maps(m: MonadDataP2, p: ProjectivePoint) -> MonadMaps:

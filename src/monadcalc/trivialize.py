@@ -31,13 +31,13 @@ identity that :func:`verify_trivialization` checks holds at q exactly
 when it holds at tq.  The sections equal the chart closed forms (see
 :func:`section_s1`, :func:`section_s2`); at [1 : alpha2 : alpha3] xi1
 equals the closed form of :func:`transition_xi`.  The identity checks
-are what verify the series: each overlap point costs one elimination,
-of [A | sections | other sections], whose solution is the transition
-check.  All r framing indices are treated at once: the sections at a
-point are the columns of one (2k+r) x r matrix and the transition data
-the columns of one k x r matrix, so the per-index helpers are column
-extractions and :func:`verify_trivialization` checks every identity as
-a matrix identity.
+verify the series with no elimination of the frame system: per point one
+(k+r) x (k+r) minor certifies the frame's rank and, on the overlap, one
+product checks the transition.  All r framing indices are treated at
+once: the sections at a point are the columns of one (2k+r) x r matrix
+and the transition data the columns of one k x r matrix, so the
+per-index helpers are column extractions and
+:func:`verify_trivialization` checks every identity as a matrix identity.
 
 The frames are built, and verified, on Gaussian-integer numerators over
 one integer denominator (``matrix._ZiMatrix``; the tuple is converted
@@ -283,18 +283,18 @@ def verify_trivialization(m: MonadDataP2,
                           n_samples: int = 10) -> bool:
     """Exact verification of the trivialization identities on samples.
 
-    Concentration is checked once, here.  At each sample point all r
-    sections of its chart lie in Ker B and the frame [A | sections] has
-    full column rank.  On the overlap the generic solve of the frame
-    against the other chart's sections, unique at full rank, must give
-    (xi1, 1) on U1 (frame_U1 . xi = s2) and (-xi1, 1) on U2
-    (frame_U2 . eta = s1): that is the transition identity s2 - s1 = A xi1,
-    whose C^r rows give c xi1 = 0, checked with no product.  Each identity
-    is checked for all r framing indices at once, at the point's chart
-    coordinates, on Gaussian-integer numerators: per point one evaluation
-    of the monad maps, the Neumann series of the sections from words
-    formed once per call, and one elimination of [A | sections | other
-    sections] ([A | sections] off the overlap) for the rank and the solve.
+    Concentration is checked once, here.  At each sample point the r
+    sections S of its chart lie in Ker B, and F = [A | S] has full column
+    rank k + r, certified by one (k+r) x (k+r) minor: the rows of the
+    chart's own pencil block and the C^r rows, [[P, 0], [c x3, I]] with
+    det P = 1 (a nilpotent); F's rank is read only where that is singular.
+    On the overlap F X = T, T the other chart's sections, then has at most
+    one solution, which is (xi1, 1) on U1 and (-xi1, 1) on U2 exactly when
+    F (+-xi1, 1) = T: the transition identity s2 - s1 = A xi1, whose C^r
+    rows give c xi1 = 0.  All r framing indices are checked at once, at
+    the point's chart coordinates, on Gaussian-integer numerators: per
+    point one evaluation of the monad maps and of the Neumann series, one
+    elimination of the minor and, on the overlap, one product; no solve.
 
     Raises ValueError when there is no point to check: n_samples < 1
     without sample_points, or an empty sample_points.
@@ -307,19 +307,20 @@ def verify_trivialization(m: MonadDataP2,
         raise ValueError("sample_points is empty")
     t, W = _checked(m)
     k, r = m.k, m.r
-    eye = _ZiMatrix.identity(r)
+    eye, tail = _ZiMatrix.identity(r), [*range(2 * k, 2 * k + r)]
     for p in sample_points:
         f = _frames(t, W, p.coords())
-        S, T = (f.S1, f.S2) if p.chart == "U1" else (f.S2, f.S1)
+        S, T, own = ((f.S1, f.S2, range(k)) if p.chart == "U1"
+                     else (f.S2, f.S1, range(k, 2 * k)))
         if not (f.B @ S).is_zero():
             return False
         F = _ZiMatrix.hstack([f.A, S])
+        if (F.submatrix([*own, *tail], range(k + r)).rank() != k + r
+                and F.rank() != k + r):
+            return False
         if f.xi1 is None:  # off the overlap U1 ∩ U2
-            if F.rank() != k + r:
-                return False
             continue
-        rank, generic = F.solve(T)
         xi = f.xi1 if p.chart == "U1" else -f.xi1
-        if rank != k + r or generic != _ZiMatrix.vstack([xi, eye]):
+        if F @ _ZiMatrix.vstack([xi, eye]) != T:
             return False
     return True

@@ -127,11 +127,21 @@ MUTANTS = (
            'witness="da2 not nilpotent"',
            'witness="da1 not nilpotent"',
            ("tests/test_stratify.py",)),
-    Mutant("the overlap check compares only the rank",
+    Mutant("the overlap product check compares only the shape",
            "src/monadcalc/trivialize.py",
-           "if rank != k + r or generic != _ZiMatrix.vstack([xi, eye]):",
-           "if rank != k + r:",
+           "if F @ _ZiMatrix.vstack([xi, eye]) != T:",
+           "if (F @ _ZiMatrix.vstack([xi, eye])).rows != T.rows:",
            ("tests/test_trivialize.py",)),
+    Mutant("a rank certificate that always passes",
+           "src/monadcalc/trivialize.py",
+           "if (F.submatrix([*own, *tail], range(k + r)).rank() != k + r",
+           "if (k + r != k + r",
+           ("tests/test_trivialize.py",)),
+    Mutant("the pencil's diagonal stride is k",
+           "src/monadcalc/p2.py",
+           "for i in range(0, k * k, k + 1) if diagonal else ():",
+           "for i in range(0, k * k, k) if diagonal else ():",
+           ("tests/test_monad_oracle.py",)),
     Mutant("max_invariant_in_kernel seeds with c for c^T",
            "src/monadcalc/closure.py",
            "for g in generators], c.transpose())",

@@ -7,7 +7,7 @@ from monadcalc.closure import (invariant_closure, is_nilpotent,
                                max_invariant_in_kernel, nilpotency_index)
 from monadcalc.errors import DimensionMismatch, NonSquareMatrix
 from monadcalc.field import qi
-from monadcalc.matrix import Matrix, Subspace, solve
+from monadcalc.matrix import Matrix, Subspace, hstack, solve
 from monadcalc.stratify import pushforward
 
 # J e2 = e1 (upper shift)
@@ -46,9 +46,28 @@ def test_closure_properties_random():
         for g in gens:
             assert solve(V.basis, g @ V.basis) is not None
         assert invariant_closure(gens, V.basis) == V
-        # monotone in the seed
-        smaller = Subspace.from_span(seed.basis)  # same seed, same result
-        assert invariant_closure(gens, smaller.basis) == V
+        # the same seed gives the same result
+        same = Subspace.from_span(seed.basis)
+        assert invariant_closure(gens, same.basis) == V
+        # monotone in the seed: the closure of a proper sub-seed, the
+        # first column, lies in V
+        if seed.dim > 1:
+            first = seed.basis.col_matrix(0)
+            assert V.contains_space(invariant_closure(gens, first))
+    # random generators mostly close to the whole space; upper triangular
+    # ones keep each span(e1..ej), so a first column with zeros below row j
+    # closes inside it, strictly inside the closure of a seed that leaves it
+    r_ = rng(12)
+    for _ in range(10):
+        n = r_.randint(2, 5)
+        j = r_.randint(1, n - 1)
+        gens = [Matrix(n, n, [qi(r_.randint(-5, 5)) if a <= b else 0
+                              for a in range(n) for b in range(n)])
+                for _ in range(r_.randint(1, 3))]
+        first = Matrix.column([r_.randint(1, 5) if a < j else 0 for a in range(n)])
+        seed = hstack([first, Matrix.column([r_.randint(1, 5) for _ in range(n)])])
+        V, U = invariant_closure(gens, seed), invariant_closure(gens, first)
+        assert V.contains_space(U) and U.dim <= j and U != V
 
 
 # -- max_invariant_in_kernel --------------------------------------------

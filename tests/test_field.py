@@ -35,6 +35,29 @@ def test_field_axioms_spot_checks():
     assert I * I == qi(-1)
 
 
+def test_reflected_subtraction():
+    a = qi("1/2", -3)
+    assert 2 - a == qi("3/2", 3) == -(a - 2)
+    assert 0 - a == -a
+
+
+@pytest.mark.parametrize("name", ["__add__", "__sub__", "__rsub__", "__mul__",
+                                  "__truediv__", "__rtruediv__", "__eq__"])
+def test_operations_with_other_types_are_not_implemented(name):
+    """Each binary operation hands an operand that is not a QI or an int
+    back to Python, which then raises TypeError (or compares unequal)."""
+    a = qi(1, 2)
+    for other in ("1", 1.5, Fraction(1, 2), None):
+        assert getattr(a, name)(other) is NotImplemented
+    assert a != "1" and a != 1.5
+    with pytest.raises(TypeError):
+        a - "1"
+    with pytest.raises(TypeError):
+        "1" - a
+    with pytest.raises(TypeError):
+        1.5 / a
+
+
 def test_inverse_and_division():
     a = qi("3/4", "-2/5")
     assert a * a.inverse() == ONE

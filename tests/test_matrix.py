@@ -6,8 +6,9 @@ from conftest import rng
 from monadcalc.errors import DimensionMismatch, NonSquareMatrix
 from monadcalc.field import I, ONE, qi
 from monadcalc.generate import random_invertible
-from monadcalc.matrix import (Matrix, Subspace, block, column_space, hstack,
-                              inverse, kernel_basis, rank, rref, solve, vstack)
+from monadcalc.matrix import (Matrix, Subspace, _ZiMatrix, block, column_space,
+                              hstack, inverse, kernel_basis, rank, rref, solve,
+                              vstack)
 
 
 def _random_matrix(r_, rows, cols, bound=9):
@@ -193,6 +194,20 @@ def test_inverse():
     assert inverse(Matrix.from_rows([[1, 2], [2, 4]])) is None
     with pytest.raises(NonSquareMatrix):
         inverse(Matrix.zeros(2, 3))
+
+
+def test_matrix_forms_compare_only_with_their_own_type():
+    """``Matrix``, its integer form and ``Subspace`` return NotImplemented
+    against any other type, so those compare unequal."""
+    M = Matrix.from_rows([[1, qi("1/2", 1)]])
+    Z = _ZiMatrix.of(M)
+    V = Subspace.from_span(M.transpose())
+    assert Z == _ZiMatrix.of(Matrix.from_rows([[1, qi("1/2", 1)]]))
+    for x, others in ((M, (Z, V, M.entries)), (Z, (M, V, Z.nums)),
+                      (V, (M, Z, V.basis))):
+        for other in others:
+            assert x.__eq__(other) is NotImplemented
+            assert x != other
 
 
 # -- subspaces ----------------------------------------------------------

@@ -299,7 +299,7 @@ def test_seeded_family_eliminations_match_oracle(monkeypatch):
     # trivialization and the reduction's basis changes eliminate on the
     # integer form
     _recording_integer_form(monkeypatch, seen)
-    for m in family_instances("block_concentrated", 6, seed=3):
+    for m in family_instances("block_concentrated", 12, seed=3):
         verify_trivialization(m, n_samples=2)
         canonical_reduction(m)
     for m in family_instances("commuting_points", 5, seed=3):

@@ -5,13 +5,14 @@ import pytest
 
 import monad_oracle as oracle
 from conftest import (family_instances, fiber_dimension_blowup,
-                      random_raw_blowup, random_raw_p2, rng)
+                      random_raw_blowup, random_raw_p2, raw_p2_tuples, rng)
+from monadcalc import p2
 from monadcalc.blowup import (BlowupPoint, MonadDataBlowup,
                               evaluate_A_blowup, evaluate_B_blowup,
                               fiber_projection_check, symbolic_blowup_product)
 from monadcalc.errors import PointOnExceptionalLine
 from monadcalc.field import qi
-from monadcalc.matrix import Matrix
+from monadcalc.matrix import Matrix, _clear
 from monadcalc.p2 import (MonadDataP2, ProjectivePoint, evaluate_A,
                           evaluate_B, fiber_dimension, symbolic_monad_product)
 
@@ -100,6 +101,32 @@ def test_symbolic_products_match_coefficient_forms():
     for m in _raw_p2():
         assert (list(symbolic_monad_product(m).items())
                 == list(oracle.symbolic_monad_product(m).items()))
+
+
+def test_pencil_matches_stacked_blocks():
+    """``p2._pencil`` writes the numerators of A and B in one pass over one
+    denominator; its forms equal the old build from scaled, subtracted and
+    stacked blocks, on raw tuples (r = 0 included) at the unit points, at
+    random normalized points and at random coordinate triples, which give
+    denominators e > 1 and Gaussian coordinates."""
+    r_ = rng(707)
+    tuples = (_raw_p2() + raw_p2_tuples(30, seed=708, kmax=6)
+              + [random_raw_p2(r_, k, 0) for k in (0, 2, 3)])
+    checked = set()
+    for m in tuples:
+        t = p2._integer(m)
+        coords = [p.coords() for p in p2._UNITS]
+        coords += [_plane_point(r_).coords() for _ in range(3)]
+        coords += [tuple(_scalar(r_) for _ in range(3)) for _ in range(3)]
+        for c in coords:
+            x, e = _clear(c)
+            maps = p2._pencil(t, x, e)
+            assert maps == oracle.pencil(t, x, e), (m, c)
+            assert (maps.A.rows, maps.A.cols) == (2 * m.k + m.r, m.k)
+            assert (maps.B.rows, maps.B.cols) == (m.k, 2 * m.k + m.r)
+            checked.add((m.k, m.r, e > 1))
+    assert {(k, e) for k, _, e in checked} >= {(k, e) for k in range(5)
+                                                 for e in (False, True)}
 
 
 def test_plane_fiber_dimension_matches():

@@ -133,6 +133,16 @@ def test_projective_point_rejects_all_zero_coordinates():
     assert ProjectivePoint(0, 0, 2).coords() == (qi(0), qi(0), qi(1))
 
 
+def test_projective_points_equal_after_normalization():
+    """Rescaled coordinates give equal points with equal hashes; a
+    non-point compares unequal through NotImplemented."""
+    p, q = ProjectivePoint(2, 4, qi(0, 6)), ProjectivePoint(qi(0, 1), qi(0, 2), -3)
+    assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+    assert p != ProjectivePoint(1, 2, 3)
+    assert ProjectivePoint(0, 3, 1) == ProjectivePoint(0, qi("3/2"), qi("1/2"))
+    assert p.__eq__(p.coords()) is NotImplemented and p != p.coords()
+
+
 def test_monad_complex_at_points():
     m = generate(GenSpec(k=3, r=2, seed=2, family="block_concentrated"))
     for coords in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3), (-1, "1/2", 5)]:

@@ -281,21 +281,49 @@ def test_frame_columns_match_per_index_helpers():
                 assert xi2 == e
 
 
+def _doubled_u2_framing(f):
+    """The frames with the C^r block of every U2 section doubled."""
+    if f.S2 is None:
+        return f
+    k, r = f.A.cols, f.S2.cols
+    S2 = f.S2.matrix() + vstack([Matrix.zeros(2 * k, r), Matrix.identity(r)])
+    return f._replace(S2=_ZiMatrix.of(S2))
+
+
+def _shifted_transition(f):
+    """The frames with xi1 alone off by a nonzero Z[i] matrix."""
+    if f.xi1 is None or not f.xi1.nums:
+        return f
+    n = len(f.xi1.nums)
+    return f._replace(xi1=f.xi1 + _ZiMatrix(f.xi1.rows, f.xi1.cols,
+                                            [(1, -2)] + [(0, 0)] * (n - 1)))
+
+
+def _zero_first_column(X):
+    return _ZiMatrix(X.rows, X.cols, [(0, 0) if t % X.cols == 0 else v
+                                      for t, v in enumerate(X.nums)], X.den)
+
+
+def _rank_deficient(f):
+    """The frames with the first column of A zeroed."""
+    return f._replace(A=_zero_first_column(f.A)) if f.A.cols else f
+
+
+# each takes the frames at one point to wrong ones
+BROKEN_FRAMES = (_doubled_u2_framing, _shifted_transition, _rank_deficient)
+
+
+def break_frames(monkeypatch, broken):
+    """Route every frame that trivialize builds through ``broken``."""
+    real = trivialize._frames
+    monkeypatch.setattr(trivialize, "_frames",
+                        lambda t, words, coords: broken(real(t, words, coords)))
+
+
 def test_verify_rejects_a_broken_frame(monkeypatch):
     """The identity checks still fire when the sections are wrong."""
     m = generate(GenSpec(k=3, r=2, seed=6, family="block_concentrated"))
-    real = trivialize._frames
-
-    def broken_frames(t, words, coords):
-        f = real(t, words, coords)
-        if f.S2 is None:
-            return f
-        # double the C^r block of every U2 section
-        S2 = f.S2.matrix() + vstack([Matrix.zeros(2 * m.k, m.r),
-                                     Matrix.identity(m.r)])
-        return f._replace(S2=_ZiMatrix.of(S2))
-
-    monkeypatch.setattr(trivialize, "_frames", broken_frames)
+    break_frames(monkeypatch, _doubled_u2_framing)
     assert not verify_trivialization(m, n_samples=4)
     u2 = [ChartPoint("U2", qi(3), qi(1))]  # checked through its own frame
     assert not verify_trivialization(m, sample_points=u2)
@@ -326,18 +354,11 @@ def test_overlap_identity_holds_at_every_overlap_point():
 
 def test_verify_rejects_a_wrong_transition(monkeypatch):
     """xi1 alone is off by a nonzero Z[i] matrix, the sections and the
-    solve are right: the one overlap check rejects it on both charts."""
+    frame are right: the one overlap check rejects it on both charts."""
     m = generate(GenSpec(k=3, r=2, seed=6, family="block_concentrated"))
     pts = [ChartPoint("U1", qi(2), qi(1)), ChartPoint("U2", qi(3), qi(1))]
     assert all(verify_trivialization(m, sample_points=[p]) for p in pts)
-    real = trivialize._frames
-    D = _ZiMatrix(m.k, m.r, [(1, -2)] + [(0, 0)] * (m.k * m.r - 1))
-
-    def shifted(t, words, coords):
-        f = real(t, words, coords)
-        return f if f.xi1 is None else f._replace(xi1=f.xi1 + D)
-
-    monkeypatch.setattr(trivialize, "_frames", shifted)
+    break_frames(monkeypatch, _shifted_transition)
     for p in pts:
         assert not verify_trivialization(m, sample_points=[p])
 
@@ -351,50 +372,50 @@ def test_verify_degenerate_shapes(k, r):
     assert verify_trivialization(m, sample_points=_EDGE_POINTS)
 
 
-def _zero_first_column(X):
-    return _ZiMatrix(X.rows, X.cols, [(0, 0) if t % X.cols == 0 else v
-                                      for t, v in enumerate(X.nums)], X.den)
-
-
 @pytest.mark.parametrize("point", [
-    ChartPoint("U1", ZERO, qi(2)),   # off the overlap: the rank check
-    ChartPoint("U1", qi(2), qi(1))])  # on it: the rank of the joint elimination
+    ChartPoint("U1", ZERO, qi(2)),   # off the overlap: the rank check alone
+    ChartPoint("U1", qi(2), qi(1))])  # on it: the rank check, then the product
 def test_verify_rejects_a_rank_deficient_frame(monkeypatch, point):
     m = generate(GenSpec(k=3, r=2, seed=6, family="block_concentrated"))
     assert verify_trivialization(m, sample_points=[point])
-    real = trivialize._frames
-
-    def rank_deficient(t, words, coords):
-        f = real(t, words, coords)
-        return f._replace(A=_zero_first_column(f.A))
-
-    monkeypatch.setattr(trivialize, "_frames", rank_deficient)
+    break_frames(monkeypatch, _rank_deficient)
     assert not verify_trivialization(m, sample_points=[point])
 
 
 def test_verify_rejects_a_wrong_generic_solve(monkeypatch):
-    """The one solve left, of the non-square frame against the other
-    chart's sections, is perturbed."""
+    """At full rank the generic solve of the frame against the other
+    chart's sections is unique, and it is (+-xi1, 1) exactly when the
+    product F (+-xi1, 1) equals those sections; that product, the one
+    product of the frame's shape, is perturbed on both charts."""
     m = generate(GenSpec(k=3, r=2, seed=6, family="block_concentrated"))
-    real = _ZiMatrix.solve
+    pts = [ChartPoint("U1", qi(2), qi(1)), ChartPoint("U2", qi(3), qi(1))]
+    assert all(verify_trivialization(m, sample_points=[p]) for p in pts)
+    real = _ZiMatrix.__matmul__
+    frame_shape = (2 * m.k + m.r, m.k + m.r)
+    perturbed = []
 
-    def perturbed(self, rhs):
-        rank_, X = real(self, rhs)
-        if self.rows != self.cols and X is not None:
+    def perturbing(self, other):
+        X = real(self, other)
+        if (self.rows, self.cols) == frame_shape:
+            perturbed.append(X)
             X = X.scale((2, 0))
-        return rank_, X
+        return X
 
-    monkeypatch.setattr(_ZiMatrix, "solve", perturbed)
-    assert not verify_trivialization(m, sample_points=[ChartPoint("U1", qi(2), qi(1))])
-    assert not verify_trivialization(m, sample_points=[ChartPoint("U2", qi(3), qi(1))])
+    monkeypatch.setattr(_ZiMatrix, "__matmul__", perturbing)
+    for p in pts:
+        perturbed.clear()
+        assert not verify_trivialization(m, sample_points=[p])
+        assert len(perturbed) == 1
 
 
 def test_verify_operation_counts(monkeypatch):
     """After the concentration check, per default point (all on the
-    overlap): one elimination (of [A | S1 | S2], which gives the frame's
-    rank and the generic solve; the sections come from the Neumann
-    series), and no Matrix product and no QI value at all."""
-    counts = {"eliminate": 0, "matmul": 0, "qi_mul": 0, "qi_new": 0}
+    overlap): one elimination, of the (k+r) x (k+r) chart minor of the
+    frame that certifies its rank (the sections come from the Neumann
+    series, the overlap identity is one product), no solve, and no Matrix
+    product and no QI value at all."""
+    counts = {"eliminate": 0, "solve": 0, "matmul": 0, "qi_mul": 0, "qi_new": 0}
+    shapes = []
 
     def counting(name, fn):
         def wrapper(*args):
@@ -402,10 +423,15 @@ def test_verify_operation_counts(monkeypatch):
             return fn(*args)
         return wrapper
 
+    def eliminate(rows):
+        shapes.append((len(rows), len(rows[0]) if rows else 0))
+        return real_eliminate(rows)
+
     pts = default_sample_points(10)
     assert all(not p.coord_a.is_zero() for p in pts)
-    monkeypatch.setattr(matrix, "_eliminate",
-                        counting("eliminate", matrix._eliminate))
+    real_eliminate = matrix._eliminate
+    monkeypatch.setattr(matrix, "_eliminate", counting("eliminate", eliminate))
+    monkeypatch.setattr(_ZiMatrix, "solve", counting("solve", _ZiMatrix.solve))
     monkeypatch.setattr(Matrix, "__matmul__",
                         counting("matmul", Matrix.__matmul__))
     monkeypatch.setattr(QI, "__mul__", counting("qi_mul", QI.__mul__))
@@ -417,6 +443,8 @@ def test_verify_operation_counts(monkeypatch):
     for m in family_instances("block_concentrated", 4, seed=74):
         for name in counts:
             counts[name] = 0
+        shapes.clear()
         assert verify_trivialization(m, sample_points=pts)
-        assert counts == {"eliminate": len(pts), "matmul": 0,
+        assert counts == {"eliminate": len(pts), "solve": 0, "matmul": 0,
                           "qi_mul": 0, "qi_new": 0}
+        assert shapes == [(m.k + m.r, m.k + m.r)] * len(pts)

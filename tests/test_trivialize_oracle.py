@@ -3,7 +3,11 @@ kept in trivialize_oracle.py: verdicts, and the values of the public
 helpers, on seeded concentrated instances, on raw tuples that are
 concentrated but not integrable, and on hypothesis-drawn tuples with
 nilpotent a1 and a2, where NotConcentrated must be raised exactly when
-the tuple is not concentrated."""
+the tuple is not concentrated.  The chart-minor rank check and the
+overlap product are also compared with the elimination of the frame
+system that they replaced (``trivialize_oracle.verify_by_solve``), with
+correct and with broken frames, and on entries far above the seeded
+families' heights."""
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +24,8 @@ from monadcalc.trivialize import (ChartPoint, NotConcentrated,
                                   default_sample_points, frame_matrix,
                                   section_s1, section_s2, transition_xi,
                                   verify_trivialization)
-from test_trivialize import _EDGE_POINTS
+from test_trivialize import (BROKEN_FRAMES, _EDGE_POINTS, _jordan_tuple,
+                             break_frames)
 
 # the default points, U2 points on the overlap, and points off it
 POINTS = (default_sample_points(10)
@@ -59,8 +64,7 @@ def test_seeded_instances_match_oracle(monkeypatch, k, seed):
     assert all(_verdicts_match_oracle(monkeypatch, m))
 
 
-@pytest.mark.parametrize("k", range(1, 7))
-def test_longest_series_match_oracle(monkeypatch, k):
+def _longest_series_tuple(k):
     """a1 = N, a2 = N^2 for one nilpotent Jordan block N of size k,
     conjugated, with a random b and c = 0: the a1 words of b run to
     a1^(k-1) b, the longest series the data allow."""
@@ -75,8 +79,14 @@ def test_longest_series_match_oracle(monkeypatch, k):
     entries = [entry() for _ in range(k * r)]
     entries[(k - 1) * r] = qi(r_.choice((1, 2, -3)))  # b's last row is nonzero
     b = Matrix(k, r, entries)
-    m = act(random_invertible(r_, k),
-            MonadDataP2(N, N @ N, b, Matrix.zeros(r, k)))
+    return act(random_invertible(r_, k),
+               MonadDataP2(N, N @ N, b, Matrix.zeros(r, k)))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_longest_series_match_oracle(monkeypatch, k):
+    """The tuples of :func:`_longest_series_tuple`."""
+    m = _longest_series_tuple(k)
     W = trivialize._words(p2._integer(m))
     assert len(W[0]) == k and len(W) == (k + 1) // 2
     assert all(_verdicts_match_oracle(monkeypatch, m))
@@ -142,3 +152,88 @@ def test_hypothesis_tuples_match_oracle(m):
         return
     with pytest.MonkeyPatch.context() as mp:
         _verdicts_match_oracle(mp, m)
+
+
+# -- the minor and the product against the elimination they replaced ----
+
+def _seeded(k, r):
+    """A seeded block_concentrated tuple; for r = 0 (which the generator
+    does not draw) the r = 1 tuple with its framing dropped, which stays
+    concentrated."""
+    m = generate(GenSpec(k=k, r=max(r, 1), seed=170 + 4 * k + r,
+                         family="block_concentrated"))
+    if r:
+        return m
+    return MonadDataP2(m.a1, m.a2, Matrix.zeros(k, 0), Matrix.zeros(0, k))
+
+
+def _height_rung(k=6, digits=10):
+    """One rung of the height ladder: a seeded block_concentrated tuple
+    and a long-series tuple, acted on by g with random digits-digit
+    Gaussian-integer entries."""
+    r_ = rng(180)
+    lo, hi = 10 ** (digits - 1), 10 ** digits - 1
+
+    def part():
+        return r_.choice((1, -1)) * r_.randint(lo, hi)
+
+    g = Matrix(k, k, [qi(part(), part()) for _ in range(k * k)])
+    return [act(g, generate(GenSpec(k=k, r=2, seed=181, family="block_concentrated"))),
+            act(g, _longest_series_tuple(k))]
+
+
+def _bits(m):
+    """The largest bit length of a numerator or denominator in m."""
+    return max((q.numerator.bit_length(), q.denominator.bit_length())[s]
+               for M in (m.a1, m.a2, m.b, m.c) for x in M.entries
+               for q in (x.re, x.im) for s in (0, 1))
+
+
+def _differential_corpus():
+    return ([_seeded(k, r) for k in range(7) for r in range(4)]
+            + [_jordan_tuple(k) for k in (3, 4, 5)]
+            + [_longest_series_tuple(k) for k in range(1, 7)]
+            + _height_rung())
+
+
+def _same_verdicts(m, points=POINTS):
+    """Each point's verdict, and the verdict on all of them, equal the
+    solve path's; returns the per-point verdicts."""
+    verdicts = [verify_trivialization(m, sample_points=[p]) for p in points]
+    assert verdicts == [oracle.verify_by_solve(m, [p]) for p in points], m
+    assert (verify_trivialization(m, sample_points=points)
+            == oracle.verify_by_solve(m, points) == all(verdicts))
+    return verdicts
+
+
+def test_verdicts_match_the_solve_path(monkeypatch):
+    """Seeded block_concentrated k = 0..6, r = 0..3, the Jordan tuples,
+    the longest series and the height rung, at the default points, U2
+    points and the edge points: every verdict is yes on both paths."""
+    corpus = _differential_corpus()
+    assert all(is_concentrated_at_origin(m) for m in corpus)
+    monkeypatch.setattr(trivialize, "is_concentrated_at_origin", lambda m_: True)
+    for m in corpus:
+        assert all(_same_verdicts(m))
+
+
+@pytest.mark.parametrize("broken", BROKEN_FRAMES, ids=lambda b: b.__name__)
+def test_broken_frames_match_the_solve_path(monkeypatch, broken):
+    """Under each frame breaker of test_trivialize, which both paths read,
+    the verdicts agree point by point, and the breaker is rejected
+    somewhere on every tuple with k > 0 and r > 0."""
+    corpus = _differential_corpus()
+    monkeypatch.setattr(trivialize, "is_concentrated_at_origin", lambda m_: True)
+    break_frames(monkeypatch, broken)
+    for m in corpus:
+        verdicts = _same_verdicts(m)
+        if m.k and m.r:
+            assert not all(verdicts), m
+
+
+def test_height_rung_exceeds_the_seeded_heights():
+    """The rung's entries are far above the 79 bits that the seeded
+    families reach, and its verdicts come from the exact path."""
+    for m in _height_rung():
+        assert _bits(m) > 200
+        assert verify_trivialization(m)

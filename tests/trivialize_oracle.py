@@ -7,12 +7,19 @@ and the frame's rank and the generic solve eliminated [A | S1] twice.
 That path is kept here, as it was, so that the current code can be
 compared against it.  Concentration is assumed, as in the private
 builder it mirrors.
+
+Before the frame's rank was certified by one chart minor and the overlap
+identity by one product, each point's check eliminated the frame system
+[A | sections | other sections] on the integer form and compared its
+generic solution with (±xi1, 1).  :func:`verify_by_solve` keeps that
+check.
 """
 
 from typing import NamedTuple, Optional
 
+from monadcalc import p2, trivialize
 from monadcalc.errors import check_invariant
-from monadcalc.matrix import Matrix, hstack, rank, solve, vstack
+from monadcalc.matrix import Matrix, _ZiMatrix, hstack, rank, solve, vstack
 
 
 class Frames(NamedTuple):
@@ -95,5 +102,33 @@ def verify(m, sample_points) -> bool:
             return False
         generic = solve(F if p.chart == "U1" else hstack([f.A, f.S1]), f.S2)
         if generic is None or generic != vstack([f.xi1, Matrix.identity(m.r)]):
+            return False
+    return True
+
+
+def verify_by_solve(m, sample_points) -> bool:
+    """The per-point checks of verify_trivialization on Gaussian-integer
+    forms, with one elimination per point: of [A | S | T] on the overlap,
+    whose pivots give the frame's rank and whose generic solution must be
+    (xi1, 1) on U1 and (-xi1, 1) on U2, and of [A | S] off it.  The frames
+    are read through ``trivialize._frames`` when called, so a test that
+    patches it reaches this path too."""
+    t = p2._integer(m)
+    W = trivialize._words(t)
+    k, r = m.k, m.r
+    eye = _ZiMatrix.identity(r)
+    for p in sample_points:
+        f = trivialize._frames(t, W, p.coords())
+        S, T = (f.S1, f.S2) if p.chart == "U1" else (f.S2, f.S1)
+        if not (f.B @ S).is_zero():
+            return False
+        F = _ZiMatrix.hstack([f.A, S])
+        if f.xi1 is None:  # off the overlap U1 ∩ U2
+            if F.rank() != k + r:
+                return False
+            continue
+        rank_, generic = F.solve(T)
+        xi = f.xi1 if p.chart == "U1" else -f.xi1
+        if rank_ != k + r or generic != _ZiMatrix.vstack([xi, eye]):
             return False
     return True
