@@ -287,7 +287,7 @@ def verify_trivialization(m: MonadDataP2,
     sections S of its chart lie in Ker B, and F = [A | S] has full column
     rank k + r, certified by one (k+r) x (k+r) minor: the rows of the
     chart's own pencil block and the C^r rows, [[P, 0], [c x3, I]] with
-    det P = 1 (a nilpotent); F's rank is read only where that is singular.
+    det P = 1 (a nilpotent), so a singular minor is a broken frame.
     On the overlap F X = T, T the other chart's sections, then has at most
     one solution, which is (xi1, 1) on U1 and (-xi1, 1) on U2 exactly when
     F (+-xi1, 1) = T: the transition identity s2 - s1 = A xi1, whose C^r
@@ -315,8 +315,7 @@ def verify_trivialization(m: MonadDataP2,
         if not (f.B @ S).is_zero():
             return False
         F = _ZiMatrix.hstack([f.A, S])
-        if (F.submatrix([*own, *tail], range(k + r)).rank() != k + r
-                and F.rank() != k + r):
+        if F.submatrix([*own, *tail], range(k + r)).rank() != k + r:
             return False
         if f.xi1 is None:  # off the overlap U1 ∩ U2
             continue

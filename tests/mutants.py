@@ -134,8 +134,8 @@ MUTANTS = (
            ("tests/test_trivialize.py",)),
     Mutant("a rank certificate that always passes",
            "src/monadcalc/trivialize.py",
-           "if (F.submatrix([*own, *tail], range(k + r)).rank() != k + r",
-           "if (k + r != k + r",
+           "if F.submatrix([*own, *tail], range(k + r)).rank() != k + r:",
+           "if k + r != k + r:",
            ("tests/test_trivialize.py",)),
     Mutant("the pencil's diagonal stride is k",
            "src/monadcalc/p2.py",
