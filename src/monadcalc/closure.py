@@ -5,34 +5,22 @@ form ``matrix._ZiMatrix``) and make no ``Matrix`` product.
 :func:`is_nilpotent` reads the characteristic polynomial of the
 numerators, from Berkowitz's division-free algorithm
 (``matrix._berkowitz``): a k x k matrix is nilpotent iff it is t^k.
-:func:`invariant_closure` spins any columns that span its seed into one
-fraction-free echelon basis over Z[i] (Parker's MeatAxe) and
-canonicalizes once.  :func:`nilpotency_index` takes powers of
-``Matrix`` values, for the reports that show the index.
+:func:`invariant_closure` spins any columns that span its seed into
+``matrix._Echelon`` (Parker's MeatAxe), the one fraction-free echelon
+over Z[i] that every elimination of the package builds, and reads the
+canonical basis off it: it canonicalizes once.
+:func:`nilpotency_index` takes powers of ``Matrix`` values, for the
+reports that show the index.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, NonSquareMatrix
-from .matrix import (Gauss, Matrix, Subspace, _berkowitz, _gdot, _primitive,
+from .matrix import (Matrix, Subspace, _berkowitz, _Echelon, _gdot, _primitive,
                      _ZiMatrix)
-
-
-def _reduce(v: List[Gauss], echelon: List[Tuple[int, List[Gauss]]]) -> List[Gauss]:
-    """A Z[i]-multiple of v minus a combination of the echelon vectors,
-    zero at each of their pivots: v <- e[p] v - v[p] e in turn, for each
-    echelon vector e with pivot p (zero at the pivots before its own)."""
-    for p, e in echelon:
-        xr, xi = v[p]
-        if xr or xi:
-            qr, qi = e[p]
-            v = [(qr * ar - qi * ai - xr * br + xi * bi,
-                  qr * ai + qi * ar - xr * bi - xi * br)
-                 for (ar, ai), (br, bi) in zip(v, e)]
-    return v
 
 
 def invariant_closure(generators: Sequence[Matrix], seed: Matrix) -> Subspace:
@@ -43,11 +31,12 @@ def invariant_closure(generators: Sequence[Matrix], seed: Matrix) -> Subspace:
     w(g) v, for words w and columns v of ``seed`` (any spanning set),
     breadth-first, queueing each kept vector's images together: one
     length comes in lexicographic order of (column, word), the word read
-    from its first-acting letter.  Only a vector independent of those
-    kept before is kept and extended by every generator; the images of a
-    dependent one are combinations of images of kept ones.  Each kept
-    vector's reduction joins one fraction-free echelon basis, divided by
-    its gcd once.
+    from its first-acting letter.  Each visited vector is added to one
+    fraction-free echelon (``matrix._Echelon``), which keeps it only if
+    it is independent of those kept before.  Only a kept vector is
+    extended by every generator; the images of a dependent one are
+    combinations of images of kept ones.  The canonical basis is read
+    off the echelon with one division, so the spin canonicalizes once.
     """
     n = seed.rows
     for g in generators:
@@ -56,19 +45,14 @@ def invariant_closure(generators: Sequence[Matrix], seed: Matrix) -> Subspace:
                 f"generator shape {g.rows}x{g.cols} does not match ambient {n}")
     # numerators only: a nonzero multiple of a vector has the same span
     gens = [_ZiMatrix.of(g)._rows() for g in generators]
-    queue = deque(_ZiMatrix.of(seed.transpose())._rows())
-    echelon: List[Tuple[int, List[Gauss]]] = []
-    while queue and len(echelon) < n:
+    queue = deque(_ZiMatrix.of(seed)._columns())
+    echelon = _Echelon(n)
+    while queue and len(echelon.rows) < n:
         v = queue.popleft()
-        r = _reduce(v, echelon)
-        p = next((i for i, (a, b) in enumerate(r) if a or b), None)
-        if p is None:
-            continue
-        echelon.append((p, _primitive(r)))
-        v = _primitive(v)
-        queue.extend([_gdot(row, v) for row in G] for G in gens)
-    return Subspace.from_span(_ZiMatrix(n, len(echelon), [
-        e[i] for i in range(n) for _, e in echelon]).matrix())
+        if echelon.add(v):
+            v = _primitive(v)
+            queue.extend([_gdot(row, v) for row in G] for G in gens)
+    return echelon.subspace()
 
 
 def max_invariant_in_kernel(generators: Sequence[Matrix], c: Matrix) -> Subspace:

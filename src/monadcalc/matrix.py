@@ -8,23 +8,25 @@ Entries are Gaussian rationals in and Gaussian rationals out.  ``Matrix``
 products, powers and traces work on the ``QI`` entries directly.  The
 private integer form ``_ZiMatrix`` (Gaussian-integer numerators over one
 integer denominator) runs chains of products, stacks and solves without
-``QI`` arithmetic, and it is the one front end of fraction-free
-elimination over Z[i]: rref, rank, solve and inverse (and the kernels and
-spans built on them) convert to it, eliminate, and convert back.  The
-group actions ``p2.act`` and ``blowup.act2``, the seeded generators'
-products, ``_invariant_split`` (the one basis change of ``p2._split``
-and ``eigen.commuting_reduce``) and ``eigen.joint_spectrum``'s
-commutation test run on it too, converting each input once and each
-result once.  So do the closure spin and the nilpotency test of
-``closure``; the latter reads ``_berkowitz``, the division-free
-characteristic polynomial of the numerators that ``eigen.char_poly``
-also wraps.  The separating form's powers and traces in ``eigen`` still
-multiply ``QI`` entries, as ``Matrix`` products do.  ``_clear`` is the
-one place where denominators are cleared.
+``QI`` arithmetic.  Exact elimination has one reducer, ``_Echelon``: a
+fraction-free Gauss-Jordan form over Z[i] that grows one row at a time.
+rref, rank, solve, inverse, kernels, spans and the closure spin of
+``closure`` each add their rows to one echelon and read the result off
+it with one division.  The group actions ``p2.act`` and
+``blowup.act2``, the seeded generators' products, ``_invariant_split``
+(the one basis change of ``p2._split`` and ``eigen.commuting_reduce``)
+and ``eigen.joint_spectrum``'s commutation test run on the integer form
+too, converting each input once and each result once.  So does the
+nilpotency test of ``closure``, which reads ``_berkowitz``, the
+division-free characteristic polynomial of the numerators that
+``eigen.char_poly`` also wraps.  The separating form's powers and traces
+in ``eigen`` still multiply ``QI`` entries, as ``Matrix`` products do.
+``_clear`` is the one place where denominators are cleared.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -246,13 +248,16 @@ def block(rows_of_blocks: Sequence[Sequence[Matrix]]) -> Matrix:
 #
 # Gaussian integers a + b i are (a, b) pairs.  Elimination never leaves
 # Z[i]: a matrix enters it as the integer form ``_ZiMatrix`` (numerators
-# over one common denominator), and each row is first divided by the gcd
-# of its numerators (row scaling keeps the RREF, and keeps Bareiss's
-# pivots from growing with the other rows' denominators).  Fraction-free
-# Gauss-Jordan (Bareiss, Math. Comp. 22, 1968) then updates every other
-# row as (p * row - f * pivot_row) / d, with p the new pivot and d the
-# previous one; each division is exact.  ``rref``, ``rank``, ``solve``
-# and ``inverse`` convert to the integer form and back.
+# over one common denominator), and its rows join one ``_Echelon``, a
+# fraction-free Gauss-Jordan form (Bareiss, Math. Comp. 22, 1968) that
+# grows one row at a time.  Each incoming row is first divided by the gcd
+# of its numerators (row scaling keeps the span, and keeps the pivots
+# from growing with the other rows' denominators).  Every kept row is d
+# times its RREF row, so one pass against the kept rows reduces a new
+# one, and a new pivot updates the kept rows with one exact division by
+# d.  ``rref``, ``rank``, ``solve``, ``inverse``, ``kernel_basis``,
+# ``Subspace.from_span`` and the closure spin each build one echelon, and
+# read the result off it with one division by d.
 
 Gauss = Tuple[int, int]
 
@@ -285,37 +290,47 @@ def _primitive(v: List[Gauss]) -> List[Gauss]:
     return [(a // g, b // g) for a, b in v] if g > 1 else v
 
 
-def _eliminate(rows: List[List[Gauss]]) -> Tuple[Gauss, Tuple[int, ...]]:
-    """Fraction-free Gauss-Jordan over Z[i], in place.
+class _Echelon:
+    """The fraction-free RREF over Z[i] of the rows added so far.
 
-    Returns ``(d, pivots)``: afterwards row r is d times row r of the
-    RREF for r < len(pivots), and the rows below are zero.
+    Each kept row is d times its RREF row: it holds d at its pivot, which
+    is its leading entry, and 0 at every other pivot.  The kept rows are
+    in increasing order of their pivots ``pivots``.
     """
-    rows[:] = [_primitive(row) for row in rows]
-    nr, nc = len(rows), len(rows[0]) if rows else 0
-    pivots = []
-    dr, di = 1, 0  # the previous pivot
-    for c in range(nc):
-        r = len(pivots)
-        if r == nr:
-            break
-        for i in range(r, nr):
-            if rows[i][c] != (0, 0):
+
+    __slots__ = ("cols", "pivots", "rows", "d")
+
+    def __init__(self, cols: int, rows: Iterable[List[Gauss]] = ()):
+        self.cols, self.pivots, self.rows, self.d = cols, [], [], (1, 0)
+        for v in rows:
+            self.add(v)
+
+    def add(self, v: List[Gauss]) -> bool:
+        """Keep v's remainder w = d v - sum v[p] row_p if it is nonzero,
+        and say whether it was kept.  w is Bareiss's bordered minor, so
+        no division is needed; its leading entry w[q] becomes the new d,
+        and each kept row becomes (w[q] row - row[q] w) / d."""
+        v = _primitive(v)
+        dr, di = self.d
+        w = v if dr == 1 and not di else [(dr * a - di * b, dr * b + di * a)
+                                          for a, b in v]
+        for p, row in zip(self.pivots, self.rows):
+            fr, fi = v[p]
+            if fr or fi:
+                w = [(ar - fr * br + fi * bi, ai - fr * bi - fi * br)
+                     for (ar, ai), (br, bi) in zip(w, row)]
+        for q, (pr, pi) in enumerate(w):
+            if pr or pi:
                 break
         else:
-            continue
-        rows[r], rows[i] = rows[i], rows[r]
-        prow = rows[r]
-        pr, pi = prow[c]
+            return False
         nd = dr * dr + di * di
-        for i, row in enumerate(rows):
-            if i == r:
-                continue
-            fr, fi = row[c]
+        for i, row in enumerate(self.rows):
+            fr, fi = row[q]
             if not (fr or fi) and pr == dr and pi == di:
                 continue  # p * row / d = row
             new = []
-            for (xr, xi), (yr, yi) in zip(row, prow):
+            for (xr, xi), (yr, yi) in zip(row, w):
                 ar = pr * xr - pi * xi - fr * yr + fi * yi
                 ai = pr * xi + pi * xr - fr * yi - fi * yr
                 if di:
@@ -323,10 +338,26 @@ def _eliminate(rows: List[List[Gauss]]) -> Tuple[Gauss, Tuple[int, ...]]:
                 elif dr != 1:
                     ar, ai = ar // dr, ai // dr
                 new.append((ar, ai))
-            rows[i] = new
-        pivots.append(c)
-        dr, di = pr, pi
-    return (dr, di), tuple(pivots)
+            self.rows[i] = new
+        i = bisect(self.pivots, q)
+        self.pivots.insert(i, q)
+        self.rows.insert(i, w)
+        self.d = (pr, pi)
+        return True
+
+    def divided(self, rows: int, cols: int, nums: Iterable[Gauss]) -> "_ZiMatrix":
+        """The matrix of the numerators ``nums`` divided by d:
+        x / d = x conj(d) / |d|^2."""
+        dr, di = self.d
+        return _ZiMatrix(rows, cols, [(a * dr + b * di, b * dr - a * di)
+                                      for a, b in nums], dr * dr + di * di)
+
+    def subspace(self) -> "Subspace":
+        """The span of the rows added, as the columns of its reduced
+        column echelon basis."""
+        n, rows = self.cols, self.rows
+        return Subspace(n, self.divided(
+            n, len(rows), [row[i] for i in range(n) for row in rows]).matrix())
 
 
 class _ZiMatrix:
@@ -335,9 +366,9 @@ class _ZiMatrix:
 
     ``nums`` is the row-major list of (re, im) pairs.  Products, stacks
     and linear combinations cost integer arithmetic and one gcd per
-    result; rank, solve and rref eliminate the numerators with
-    ``_eliminate``, and the module's ``rref``, ``rank``, ``solve`` and
-    ``inverse`` run through them.
+    result; rank and solve add the rows of the numerators to one
+    ``_Echelon``, and the module's ``rank``, ``solve`` and ``inverse`` run
+    through them.
     ``of`` and ``matrix`` convert from and to ``Matrix``.
     """
 
@@ -372,6 +403,9 @@ class _ZiMatrix:
     def _rows(self) -> List[List[Gauss]]:
         c = self.cols
         return [self.nums[i * c:(i + 1) * c] for i in range(self.rows)]
+
+    def _columns(self) -> List[List[Gauss]]:
+        return [self.nums[j::self.cols] for j in range(self.cols)]
 
     def _over(self, den: int) -> List[Gauss]:
         """The numerators over ``den``, a multiple of the denominator."""
@@ -410,10 +444,9 @@ class _ZiMatrix:
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        p = other.cols
-        columns = [other.nums[j::p] for j in range(p)]
+        columns = other._columns()
         out = [_gdot(row, col) for row in self._rows() for col in columns]
-        return _ZiMatrix(self.rows, p, out, self.den * other.den)
+        return _ZiMatrix(self.rows, other.cols, out, self.den * other.den)
 
     @staticmethod
     def hstack(mats: Sequence["_ZiMatrix"]) -> "_ZiMatrix":
@@ -447,25 +480,24 @@ class _ZiMatrix:
     __hash__ = None
 
     def rank(self) -> int:
-        return len(_eliminate(self._rows())[1])
+        return len(_Echelon(self.cols, self._rows()).pivots)
 
     def solve(self, B: "_ZiMatrix") -> Tuple[int, Optional["_ZiMatrix"]]:
         """The rank of this matrix A and a particular solution X of
-        A X = B (None if there is none), from one elimination of [A | B]:
+        A X = B (None if there is none), from one echelon of [A | B]:
         the pivots left of the B block give the rank, a pivot inside it
         means inconsistency, and the pivot rows give X."""
         if self.rows != B.rows:
             raise DimensionMismatch("solve with mismatched row counts")
         n = self.cols
-        rows = _ZiMatrix.hstack([self, B])._rows()
-        d, pivots = _eliminate(rows)
-        rank = sum(p < n for p in pivots)
-        if rank < len(pivots):
+        E = _Echelon(n + B.cols, _ZiMatrix.hstack([self, B])._rows())
+        rank = sum(p < n for p in E.pivots)
+        if rank < len(E.pivots):
             return rank, None
         X = [[(0, 0)] * B.cols for _ in range(n)]
-        for row, p in zip(rows, pivots):
+        for p, row in zip(E.pivots, E.rows):
             X[p] = row[n:]
-        return rank, _ZiMatrix._divided(X, B.cols, d)
+        return rank, E.divided(n, B.cols, chain.from_iterable(X))
 
     def inverse(self) -> Optional["_ZiMatrix"]:
         """The inverse, or None if the matrix is singular."""
@@ -473,21 +505,6 @@ class _ZiMatrix:
             raise NonSquareMatrix("inverse needs a square matrix")
         # A X = I is inconsistent exactly when A is singular
         return self.solve(_ZiMatrix.identity(self.rows))[1]
-
-    def rref(self) -> Tuple["_ZiMatrix", Tuple[int, ...]]:
-        """The reduced row echelon form and its pivot columns."""
-        rows = self._rows()
-        d, pivots = _eliminate(rows)
-        return _ZiMatrix._divided(rows, self.cols, d), pivots
-
-    @staticmethod
-    def _divided(rows: List[List[Gauss]], cols: int, d: Gauss) -> "_ZiMatrix":
-        """The matrix with the given rows divided by the Gaussian integer
-        d != 0: x / d = x conj(d) / |d|^2."""
-        dr, di = d
-        return _ZiMatrix(len(rows), cols, [(a * dr + b * di, b * dr - a * di)
-                                           for row in rows for a, b in row],
-                         dr * dr + di * di)
 
 
 def _berkowitz(Z: _ZiMatrix) -> List[Gauss]:
@@ -518,8 +535,10 @@ def _berkowitz(Z: _ZiMatrix) -> List[Gauss]:
 
 def rref(M: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
     """Reduced row echelon form and pivot columns (Gauss-Jordan, exact)."""
-    R, pivots = _ZiMatrix.of(M).rref()
-    return R.matrix(), pivots
+    E = _Echelon(M.cols, _ZiMatrix.of(M)._rows())
+    rows = E.rows + [[(0, 0)] * M.cols] * (M.rows - len(E.rows))
+    return (E.divided(M.rows, M.cols, chain.from_iterable(rows)).matrix(),
+            tuple(E.pivots))
 
 
 def rank(M: Matrix) -> int:
@@ -558,9 +577,7 @@ class Subspace:
     @classmethod
     def from_span(cls, columns: Matrix) -> "Subspace":
         """Canonicalize the span of the given columns."""
-        R, pivots = rref(columns.transpose())
-        return cls(columns.rows,
-                   R.submatrix(range(len(pivots)), range(R.cols)).transpose())
+        return _Echelon(columns.rows, _ZiMatrix.of(columns)._columns()).subspace()
 
     @property
     def dim(self) -> int:
@@ -632,25 +649,27 @@ def _invariant_split(mats: Sequence[_ZiMatrix], space: Subspace):
 
 
 def kernel_basis(M: Matrix) -> Subspace:
-    """Canonical basis of the right kernel of M, from one elimination.
+    """Canonical basis of the right kernel of M, from one echelon.
 
     Reverse the columns of M.  In the RREF of the result, each free
     column f gives the kernel vector that is 1 at f, 0 at the other free
     columns and 0 after f.  Reversed back, these vectors start with 1 at
     distinct coordinates where all the others are 0: in order of that
-    leading coordinate, they are the reduced column echelon basis.
+    leading coordinate, they are the reduced column echelon basis.  Each
+    is formed d times over, from the echelon's rows, and divided by d once.
     """
     n = M.cols
-    R, pivots = rref(M.submatrix(range(M.rows), range(n - 1, -1, -1)))
+    E = _Echelon(n, [row[::-1] for row in _ZiMatrix.of(M)._rows()])
     cols = []
-    for f in reversed([j for j in range(n) if j not in pivots]):
-        v = [ZERO] * n
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -R[r, f]
+    for f in reversed([j for j in range(n) if j not in E.pivots]):
+        v = [(0, 0)] * n
+        v[f] = E.d
+        for row, p in zip(E.rows, E.pivots):
+            a, b = row[f]
+            v[p] = (-a, -b)
         cols.append(v[::-1])
-    return Subspace(n, Matrix(n, len(cols), [c[i] for i in range(n)
-                                             for c in cols]))
+    return Subspace(n, E.divided(n, len(cols), [c[i] for i in range(n)
+                                                for c in cols]).matrix())
 
 
 def column_space(M: Matrix) -> Subspace:

@@ -87,10 +87,15 @@ MUTANTS = (
            "if (m.c @ closure.basis).is_zero():",
            "if True:",
            ("tests/test_stratify.py",)),
-    Mutant("_eliminate's pivot search skips the last row",
+    Mutant("the echelon's reduction skips the last kept row",
            "src/monadcalc/matrix.py",
-           "for i in range(r, nr):",
-           "for i in range(r, nr - 1):",
+           "zip(self.pivots, self.rows)",
+           "zip(self.pivots[:-1], self.rows)",
+           ("tests/test_matrix_oracle.py",)),
+    Mutant("a sign in the echelon's Gaussian division",
+           "src/monadcalc/matrix.py",
+           "(ai * dr - ar * di) // nd",
+           "(ai * dr + ar * di) // nd",
            ("tests/test_matrix_oracle.py",)),
     Mutant("Matrix.@ conjugates its left factor",
            "src/monadcalc/matrix.py",

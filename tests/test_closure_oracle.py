@@ -6,10 +6,11 @@ breadth-first closures of ``matrix_oracle``, ``is_nilpotent`` must agree
 with ``nilpotency_index`` (powers of the matrix) and
 ``is_concentrated_at_origin`` with the rule written on those indices and
 the closure of Im b: on the six seeded families (k = 0-5; a blowup
-tuple through its pushforward), on raw plane and blowup tuples, on raw
-generator families with invariant subspaces, on seeds and c with zero,
-repeated and dependent columns or rows, on trace-free matrices
-that are not nilpotent, and on the hypothesis strategies of
+tuple through its pushforward) and a rung of the height ladder, on raw
+plane and blowup tuples, on raw generator families with invariant
+subspaces, on seeds and c with zero, repeated and dependent columns or
+rows, on a seed whose images have ever earlier pivots, on trace-free
+matrices that are not nilpotent, and on the hypothesis strategies of
 test_stratify.py and test_trivialize_oracle.py.
 """
 
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 
 import matrix_oracle as oracle
 from conftest import raw_blowup_tuples, raw_p2_tuples, rng
+from monadcalc import matrix
 from monadcalc.closure import (invariant_closure, is_nilpotent,
                                max_invariant_in_kernel, nilpotency_index)
 from monadcalc.errors import InfeasibleSpec, NonSquareMatrix
@@ -29,7 +31,7 @@ from monadcalc.p2 import (MonadDataP2, is_concentrated_at_origin, max_c_special,
 from monadcalc.stratify import pushforward
 from test_matrix_oracle import _matrix, _random_case
 from test_stratify import _blowup_tuples
-from test_trivialize_oracle import _nilpotent_tuples
+from test_trivialize_oracle import _height_rung, _nilpotent_tuples
 
 
 def _plane(t):
@@ -66,8 +68,10 @@ def _seeded_tuples():
 
 
 def test_seeded_families_match_oracle():
+    """The seeded families, and a rung of the height ladder (over 200
+    bits)."""
     outcomes, nilpotent = [], []
-    for m in _seeded_tuples():
+    for m in list(_seeded_tuples()) + _height_rung():
         outcomes.append(_compare(m))
         nilpotent.append(is_nilpotent(m.a1))
     assert len(outcomes) > 70 and len(set(nilpotent)) == 2
@@ -147,6 +151,11 @@ def test_zero_and_full_seeds():
     zero, full = Subspace.from_span(Matrix.zeros(3, 0)), column_space(Matrix.identity(3))
     for seed in (zero, full):
         assert invariant_closure(gens, seed.basis) == seed == oracle.invariant_closure(gens, seed)
+    # the shift's images of e3 have ever earlier pivots: each is kept and
+    # updates the vectors kept before it
+    e3 = Matrix.column([0, 0, qi(2, 1)])
+    assert invariant_closure(gens[:1], e3) == full == \
+        oracle.invariant_closure(gens[:1], Subspace.from_span(e3))
     assert invariant_closure([], column_space(Matrix.column([1, 2, 0])).basis).dim == 1
     assert invariant_closure([], Subspace.from_span(Matrix.zeros(0, 0)).basis).dim == 0
 
@@ -187,22 +196,30 @@ def test_kernel_side_needs_only_rows_that_span():
 
 
 def test_special_subspaces_canonicalize_once(monkeypatch):
-    """min_b_special and max_c_special each make one Subspace.from_span
-    call, the spin's own: no seed is canonicalized before the spin."""
+    """min_b_special and max_c_special make no Subspace.from_span and no
+    rref call: the spin reads its canonical basis off its own echelon.
+    min_b_special builds that one echelon; max_c_special builds it and
+    the annihilator's kernel echelon."""
     tuples = list(_seeded_tuples()) + raw_p2_tuples(40, seed=154, kmax=5)
     calls = []
-    real = Subspace.from_span
 
-    def counting(cls, columns):
-        calls.append(columns)
-        return real(columns)
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(Subspace, "from_span", classmethod(counting))
+    real_span = Subspace.__dict__["from_span"].__func__
+    monkeypatch.setattr(Subspace, "from_span",
+                        classmethod(counting("from_span", real_span)))
+    monkeypatch.setattr(matrix, "rref", counting("rref", matrix.rref))
+    monkeypatch.setattr(matrix._Echelon, "__init__",
+                        counting("echelon", matrix._Echelon.__init__))
     for m in tuples:
-        for special in (min_b_special, max_c_special):
+        for special, echelons in ((min_b_special, 1), (max_c_special, 2)):
             calls.clear()
             special(m)
-            assert len(calls) == 1, special
+            assert calls == ["echelon"] * echelons, special
 
 
 @settings(max_examples=100, deadline=None, database=None)

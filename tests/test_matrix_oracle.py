@@ -1,16 +1,20 @@
 """The fraction-free elimination kernel against the QI Gauss-Jordan oracle.
 
-``rref``, ``rank``, ``solve``, ``inverse`` and ``kernel_basis`` must give
-exactly what the same functions built on ``matrix_oracle.rref`` give: on
-random shapes (empty, all-zero, rank-deficient, identity blocks), on
-entries with 200-bit numerators, on every matrix they receive while the
-seeded families run, and on hypothesis-drawn small matrices.  While the
-seeded families run, the rank, solve and inverse of the integer form
-``matrix._ZiMatrix`` are checked the same way.  The group actions ``act``
-and ``act2`` and the generators ``random_invertible`` and ``_poly_in``,
-which run on the integer form, must give the ``QI`` products of
-``matrix_oracle`` on raw random tuples and on hypothesis draws, and
-raise the same typed errors.  ``_invariant_split`` and ``p2._split``, the
+``rref``, ``rank``, ``solve``, ``inverse``, ``kernel_basis`` and
+``Subspace.from_span``, which all build one ``matrix._Echelon``, must
+give exactly what the same functions built on ``matrix_oracle.rref``
+give: on random shapes (empty, all-zero, rank-deficient, identity
+blocks, later rows with earlier Gaussian pivots, rows with content > 1
+or a factor 1 + i, zero, repeated and dependent rows), on entries with
+200-bit numerators and on a rung of the height ladder, on every matrix
+they receive while the seeded families run, and on hypothesis-drawn
+small matrices.  While the seeded families run, the rank, solve and
+inverse of the integer form ``matrix._ZiMatrix`` and the subspaces that
+the closure spin reads off its echelon are checked the same way.  The
+group actions ``act`` and ``act2`` and the generators
+``random_invertible`` and ``_poly_in``, which run on the integer form,
+must give the ``QI`` products of ``matrix_oracle`` on raw random tuples
+and on hypothesis draws, and raise the same typed errors.  ``_invariant_split`` and ``p2._split``, the
 reduction's basis changes on the integer form, must give the oracle's
 ``QI`` basis changes on the special subspaces of the seeded plane
 families and on raw block triangular families, and ``joint_spectrum``
@@ -35,7 +39,7 @@ from monadcalc.errors import (DimensionMismatch, InfeasibleSpec,
                               InvariantViolation, IrrationalSpectrum,
                               MonadcalcError, NonCommuting, NonSquareMatrix,
                               SingularGroupElement)
-from monadcalc.field import ONE, QI, ZERO, qi
+from monadcalc.field import I, ONE, QI, ZERO, qi
 from monadcalc.generate import GenSpec, _poly_in, generate, random_invertible
 from monadcalc.matrix import (Matrix, Subspace, _invariant_split, _ZiMatrix,
                               hstack, inverse, kernel_basis, rank, rref, solve)
@@ -43,6 +47,7 @@ from monadcalc.p2 import (MonadDataP2, ProjectivePoint, _split, act,
                           canonical_reduction, max_c_special, min_b_special)
 from monadcalc.stratify import classify_s0, pushforward
 from monadcalc.trivialize import verify_trivialization
+from test_trivialize_oracle import _bits, _height_rung
 
 ELIMINATION = ("rref", "rank", "solve", "inverse", "kernel_basis")
 
@@ -54,9 +59,11 @@ def _assert_matches_oracle(name, args, out=None):
 
 
 def _assert_all_match(M, B):
-    """Every elimination entry point on M (and the right-hand side B)."""
+    """Every elimination entry point on M (and the right-hand side B),
+    and the span of M's columns."""
     for name in ("rref", "rank", "kernel_basis"):
         _assert_matches_oracle(name, (M,))
+    assert Subspace.from_span(M) == oracle.from_span(M), M
     _assert_matches_oracle("solve", (M, B))
     if M.is_square():
         _assert_matches_oracle("inverse", (M,))
@@ -74,8 +81,13 @@ def _matrix(r_, rows, cols, **kw):
     return Matrix(rows, cols, [_entry(r_, **kw) for _ in range(rows * cols)])
 
 
+# factors whose rows have content > 1 over Z[i], or a factor 1 + i
+CONTENTS = (qi(6), qi(1, 1), qi(3, -3), qi(0, 2), qi(-5, 10))
+
+
 def _random_case(r_, rows, cols):
-    kind = r_.choice(("dense", "low rank", "zero", "identity block"))
+    kind = r_.choice(("dense", "low rank", "zero", "identity block",
+                      "late pivots", "scaled rows", "repeated rows"))
     if kind == "low rank" and rows and cols:
         k = r_.randint(1, min(rows, cols))
         return _matrix(r_, rows, k) @ _matrix(r_, k, cols)
@@ -87,6 +99,25 @@ def _random_case(r_, rows, cols):
         if rows > k:
             return matrix.vstack([eye, _matrix(r_, rows - k, cols)])
         return hstack([_matrix(r_, rows, cols - k), eye]) if cols > k else eye
+    if kind == "late pivots" and rows and cols:
+        # a row echelon form, last row first: each row has an earlier pivot
+        # than the rows before it, so each updates every row kept before
+        # it, and the Gaussian pivots make those updates divide by them
+        leads = sorted(r_.sample(range(cols), min(rows, cols)))
+        out = [[ZERO] * s + [qi(r_.randint(-5, 5) or 1, r_.randint(1, 5))]
+               + [_entry(r_) for _ in range(cols - s - 1)] for s in leads]
+        out += [[ZERO] * cols] * (rows - len(out))
+        return Matrix.from_rows(out[::-1])
+    if kind == "scaled rows":
+        M = _matrix(r_, rows, cols)
+        return Matrix(rows, cols, [M[i, j] * CONTENTS[i % len(CONTENTS)]
+                                   for i in range(rows) for j in range(cols)])
+    if kind == "repeated rows" and rows:
+        # zero, repeated and dependent rows of a few random ones
+        pool = [_matrix(r_, 1, cols) for _ in range(r_.randint(1, 2))]
+        pool += [Matrix.zeros(1, cols), pool[0].scale(r_.choice(CONTENTS)),
+                 pool[0] + pool[-1]]
+        return matrix.vstack([r_.choice(pool) for _ in range(rows)])
     return _matrix(r_, rows, cols)
 
 
@@ -113,7 +144,8 @@ def test_random_shapes_match_oracle():
 def test_integer_form_matches_qi_arithmetic():
     """``matrix._ZiMatrix`` converts back exactly, agrees with ``Matrix``
     on products, differences, scaling and stacks, keeps one form per
-    value, and its rank, rref and solve agree with the oracle."""
+    value, and its rank and solve, and the module's rref, agree with the
+    oracle."""
     Z = matrix._ZiMatrix
     r_ = rng(84)
     for _ in range(80):
@@ -134,8 +166,7 @@ def test_integer_form_matches_qi_arithmetic():
         assert Z.hstack([zM, Z.of(B)]).matrix() == hstack([M, B])
         assert Z.vstack([zM, Z.of(N)]).matrix() == matrix.vstack([M, N])
         assert zM.rank() == oracle.rank(M)
-        R, pivots = zM.rref()
-        assert (R.matrix(), pivots) == oracle.rref(M)
+        assert rref(M) == oracle.rref(M)
         r, X = zM.solve(Z.of(B))
         expected = oracle.solve(M, B)
         assert r == oracle.rank(M)
@@ -174,6 +205,45 @@ def test_large_entries_match_oracle():
         M = matrix.vstack([Matrix(rows - 1, cols, ints[cols:]), Matrix(1, cols, [
             qi(Fraction(r_.getrandbits(70) - 2 ** 69, 10 ** 20)) for _ in range(cols)])])
         _assert_all_match(M, Matrix(rows, 1, ints[:rows]))
+    # a rung of the height ladder: tuples acted on by a g with 10-digit
+    # Gaussian-integer entries, over 200 bits
+    for m in _height_rung():
+        assert _bits(m) > 200
+        for M, B in ((m.a1, m.b), (m.a2, m.b), (m.c, m.c @ m.b),
+                     (hstack([m.a1, m.a2, m.b]), m.b)):
+            _assert_all_match(M, B)
+
+
+def test_echelon_updates_match_oracle():
+    """Rows that take ``matrix._Echelon`` down each of its paths: each
+    later row with an earlier pivot, Gaussian pivots (the division by a d
+    with a nonzero imaginary part), rows with content 6, 1 + i or
+    3 (1 - i), and zero, repeated and dependent rows.  The kept rows stay
+    d times their RREF rows, in pivot order."""
+    c = qi(1, 2)
+    late = Matrix.from_rows([[0, 0, 0, c], [0, 0, qi(0, 3), 1],
+                             [0, qi(2, 1), 1, qi(-1, 1)], [qi(1, -3), 1, 0, 1]])
+    cases = [
+        late,
+        Matrix.from_rows([[6 * x for x in late.row_list(0)],
+                          [x * qi(1, 1) for x in late.row_list(1)],
+                          [x * qi(3, -3) for x in late.row_list(2)]]),
+        Matrix.from_rows([[0, 0, 0, 0], late.row_list(1), late.row_list(1),
+                          [x * qi(1, 1) for x in late.row_list(1)],
+                          [x + y for x, y in zip(late.row_list(0), late.row_list(1))],
+                          late.row_list(3)]),
+        Matrix.from_rows([[qi(2, 2), qi(0, 4)], [qi(1, 1), qi(1, 1)]]),
+    ]
+    for M in cases:
+        _assert_all_match(M, M @ Matrix.column([1, I, 0, 2][:M.cols]))
+        _assert_matches_oracle("inverse", (M.submatrix(range(2), range(2)),))
+        E = matrix._Echelon(M.cols, _ZiMatrix.of(M)._rows())
+        R, pivots = oracle.rref(M)
+        assert tuple(E.pivots) == pivots
+        d = qi(*E.d)
+        for row, i in zip(E.rows, range(len(pivots))):
+            assert [qi(*x) for x in row] == [d * x for x in R.row_list(i)]
+    assert qi(*matrix._Echelon(4, _ZiMatrix.of(late)._rows()).d).im != 0
 
 
 def test_inconsistent_and_singular_give_none():
@@ -294,11 +364,40 @@ def _recording_integer_form(monkeypatch, seen):
     monkeypatch.setattr(Z, "inverse", inverse_)
 
 
+def _recording_echelon_spans(monkeypatch, seen):
+    """Record each subspace read off a ``matrix._Echelon`` (the closure
+    spin's) into ``seen`` as the ``from_span`` call of the vectors that
+    were added to it, kept or not."""
+    E = matrix._Echelon
+    real_init, real_add, real_subspace = E.__init__, E.add, E.subspace
+    added = {}
+
+    def init_(self, cols, rows=()):
+        added[id(self)] = []
+        real_init(self, cols, rows)
+
+    def add_(self, v):
+        added[id(self)].append(v)
+        return real_add(self, v)
+
+    def subspace_(self):
+        out = real_subspace(self)
+        vs = added[id(self)]
+        columns = _ZiMatrix(len(vs), self.cols, [x for v in vs for x in v])
+        seen.append(("from_span", (columns.matrix().transpose(),), out))
+        return out
+
+    monkeypatch.setattr(E, "__init__", init_)
+    monkeypatch.setattr(E, "add", add_)
+    monkeypatch.setattr(E, "subspace", subspace_)
+
+
 def test_seeded_family_eliminations_match_oracle(monkeypatch):
     seen = _recording(monkeypatch, ELIMINATION)
     # trivialization and the reduction's basis changes eliminate on the
-    # integer form
+    # integer form, and the closures read their subspaces off the echelon
     _recording_integer_form(monkeypatch, seen)
+    _recording_echelon_spans(monkeypatch, seen)
     for m in family_instances("block_concentrated", 12, seed=3):
         verify_trivialization(m, n_samples=2)
         canonical_reduction(m)
@@ -312,7 +411,10 @@ def test_seeded_family_eliminations_match_oracle(monkeypatch):
             canonical_reduction(pushforward(mt))
         except IrrationalSpectrum:
             pass
-    assert {name for name, _, _ in seen} == set(ELIMINATION)
+    # no package path calls the module's rref: it is checked on its own
+    # inputs above
+    assert {name for name, _, _ in seen} == \
+        set(ELIMINATION) - {"rref"} | {"from_span"}
     checked = set()
     for name, args, out in seen:
         if (name, args) not in checked:

@@ -5,14 +5,15 @@ from dataclasses import fields
 import pytest
 
 from conftest import family_instances, is_integrable, raw_p2_tuples, rng
-from monadcalc.blowup import MonadDataBlowup
+from monadcalc.blowup import BlowupPoint, MonadDataBlowup
 from monadcalc.eigen import joint_spectrum
 from monadcalc.errors import (DimensionMismatch, IntegrabilityViolation,
                               InvalidPoint, MonadcalcError, NonCommuting,
                               SingularGroupElement)
 from monadcalc.field import qi
 from monadcalc.generate import GenSpec, generate, random_invertible
-from monadcalc.matrix import Matrix, _invariant_split, _ZiMatrix, inverse, rank
+from monadcalc.matrix import (Matrix, Subspace, _invariant_split, _ZiMatrix,
+                              inverse, rank)
 from monadcalc.p2 import (MonadDataP2, ProjectivePoint, _shape, _split, act,
                           canonical_reduction, evaluate_A, evaluate_B,
                           fiber_dimension, integrability_defect,
@@ -141,6 +142,20 @@ def test_projective_points_equal_after_normalization():
     assert p != ProjectivePoint(1, 2, 3)
     assert ProjectivePoint(0, 3, 1) == ProjectivePoint(0, qi("3/2"), qi("1/2"))
     assert p.__eq__(p.coords()) is NotImplemented and p != p.coords()
+
+
+def test_reprs_are_pinned():
+    """The texts of Subspace, ProjectivePoint and BlowupPoint values, in
+    their normalized coordinates."""
+    assert repr(Subspace.from_span(Matrix.from_rows([[1, 3], [2, 6], [0, 0]]))) \
+        == "Subspace(dim 1 of 3)"
+    assert repr(Subspace.from_span(Matrix.zeros(2, 0))) == "Subspace(dim 0 of 2)"
+    assert repr(ProjectivePoint(qi(2, 1), 0, qi("1/2"))) == \
+        "[QI(1):QI(0):QI(1/5, -1/10)]"
+    assert repr(BlowupPoint.over(ProjectivePoint(1, 2, 1))) == \
+        "BlowupPoint([QI(1):QI(2):QI(1)], [QI(1):QI(-1/2)])"
+    assert repr(BlowupPoint(ProjectivePoint(0, 0, 1), qi(0, 2), 3)) == \
+        "BlowupPoint([QI(0):QI(0):QI(1)], [QI(1):QI(0, -3/2)])"
 
 
 def test_monad_complex_at_points():

@@ -410,11 +410,12 @@ def test_verify_rejects_a_wrong_generic_solve(monkeypatch):
 
 def test_verify_operation_counts(monkeypatch):
     """After the concentration check, per default point (all on the
-    overlap): one elimination, of the (k+r) x (k+r) chart minor of the
-    frame that certifies its rank (the sections come from the Neumann
-    series, the overlap identity is one product), no solve, and no Matrix
-    product and no QI value at all."""
-    counts = {"eliminate": 0, "solve": 0, "matmul": 0, "qi_mul": 0, "qi_new": 0}
+    overlap): one echelon, of the k + r rows of length k + r of the chart
+    minor of the frame that certifies its rank (the sections come from
+    the Neumann series, the overlap identity is one product), no solve,
+    and no Matrix product and no QI value at all."""
+    counts = {"echelon": 0, "add": 0, "solve": 0, "matmul": 0, "qi_mul": 0,
+              "qi_new": 0}
     shapes = []
 
     def counting(name, fn):
@@ -423,14 +424,21 @@ def test_verify_operation_counts(monkeypatch):
             return fn(*args)
         return wrapper
 
-    def eliminate(rows):
-        shapes.append((len(rows), len(rows[0]) if rows else 0))
-        return real_eliminate(rows)
+    def echelon(self, cols, rows=()):
+        rows = list(rows)
+        shapes.append((len(rows), cols))
+        real_echelon(self, cols, rows)
+
+    def add(self, v):
+        assert len(v) == self.cols
+        return real_add(self, v)
 
     pts = default_sample_points(10)
     assert all(not p.coord_a.is_zero() for p in pts)
-    real_eliminate = matrix._eliminate
-    monkeypatch.setattr(matrix, "_eliminate", counting("eliminate", eliminate))
+    real_echelon, real_add = matrix._Echelon.__init__, matrix._Echelon.add
+    monkeypatch.setattr(matrix._Echelon, "__init__",
+                        counting("echelon", echelon))
+    monkeypatch.setattr(matrix._Echelon, "add", counting("add", add))
     monkeypatch.setattr(_ZiMatrix, "solve", counting("solve", _ZiMatrix.solve))
     monkeypatch.setattr(Matrix, "__matmul__",
                         counting("matmul", Matrix.__matmul__))
@@ -445,6 +453,7 @@ def test_verify_operation_counts(monkeypatch):
             counts[name] = 0
         shapes.clear()
         assert verify_trivialization(m, sample_points=pts)
-        assert counts == {"eliminate": len(pts), "solve": 0, "matmul": 0,
-                          "qi_mul": 0, "qi_new": 0}
-        assert shapes == [(m.k + m.r, m.k + m.r)] * len(pts)
+        n = m.k + m.r
+        assert counts == {"echelon": len(pts), "add": n * len(pts), "solve": 0,
+                          "matmul": 0, "qi_mul": 0, "qi_new": 0}
+        assert shapes == [(n, n)] * len(pts)
