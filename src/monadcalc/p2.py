@@ -5,8 +5,9 @@ A tuple (a1, a2, b, c) with a_i in End(W), b: C^r -> W, c: W -> C^r and
 is a framed torsion-free sheaf of rank r and charge k = dim W.  This
 module implements the tuple calculus: validation, the GL(W) action,
 special subspaces and nondegeneracy, pointwise evaluation of the monad
-maps (once, on Gaussian-integer numerators, in ``_pencil``; the public
-evaluators are its ``Matrix`` view), reduction to a nondegenerate part
+maps (``_pencil`` forms the pencil blocks P1 = x1 - x3 a1 and
+P2 = x2 - x3 a2 on Gaussian-integer numerators; the public evaluators
+stack them into A and B), reduction to a nondegenerate part
 plus a point multiset (two splits, along the maximal c-special and the
 minimal b-special subspace), and the charge-at-the-origin test
 :func:`is_concentrated_at_origin`, the package's one concentration test:
@@ -23,8 +24,7 @@ fields.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from math import lcm
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .closure import invariant_closure, is_nilpotent, max_invariant_in_kernel
 from .eigen import _joint_key, joint_spectrum
@@ -168,47 +168,30 @@ def is_nondegenerate(m: MonadDataP2) -> bool:
 # -- pointwise monad maps ----------------------------------------------
 
 class MonadMaps(NamedTuple):
-    """The monad maps at a point, built from the pencil blocks
-    P1 = x1 - x3 a1 and P2 = x2 - x3 a2: A = (P1; P2; c x3) and
-    B = (-P2 | P1 | b x3).  :func:`monad_maps` holds them as ``Matrix``
-    values, ``_pencil`` as Gaussian-integer forms, written block by block.
-    """
+    """The monad maps at a point, as ``Matrix`` values, stacked from the
+    pencil blocks P1 = x1 - x3 a1 and P2 = x2 - x3 a2 of ``_pencil``:
+    A = (P1; P2; c x3) and B = (-P2 | P1 | b x3)."""
 
     A: Matrix
     B: Matrix
 
 
-def _pencil(t: MonadDataP2, x: Sequence[Gauss], e: int) -> MonadMaps:
-    """The monad maps at the point with homogeneous coordinates x / e
-    (Gaussian integers x, an integer e > 0), for a tuple t of integer
-    forms (:func:`_integer`): one pass forms the numerators of A and B
-    over e times the lcm of t's denominators, and each map is reduced
-    once.  No ``QI`` arithmetic."""
-    (x1, x2, x3), k, r = x, t.k, t.r
-    den = lcm(t.a1.den, t.a2.den, t.b.den, t.c.den)
-
-    def times(g: Gauss, M, diagonal: Optional[Gauss] = None) -> List[Gauss]:
-        # the numerators over den of g M, plus the diagonal's if given
-        (gr, gi), s = g, den // M.den
-        nums = [(s * (gr * u - gi * v), s * (gr * v + gi * u)) for u, v in M.nums]
-        for i in range(0, k * k, k + 1) if diagonal else ():
-            nums[i] = (nums[i][0] + den * diagonal[0], nums[i][1] + den * diagonal[1])
-        return nums
-
-    minus_x3 = (-x3[0], -x3[1])
-    P1, P2 = times(minus_x3, t.a1, x1), times(minus_x3, t.a2, x2)
-    bx, minus_P2 = times(x3, t.b), [(-u, -v) for u, v in P2]
-    B = [z for i in range(k) for z in (minus_P2[i * k:(i + 1) * k]
-                                       + P1[i * k:(i + 1) * k] + bx[i * r:(i + 1) * r])]
-    return MonadMaps(_ZiMatrix(2 * k + r, k, P1 + P2 + times(x3, t.c), den * e),
-                     _ZiMatrix(k, 2 * k + r, B, den * e))
+def _pencil(t: MonadDataP2, x: Sequence[Gauss], e: int) -> Tuple[_ZiMatrix, _ZiMatrix]:
+    """The pencil blocks P1 = x1 - x3 a1 and P2 = x2 - x3 a2 at the point
+    with homogeneous coordinates x / e (Gaussian integers x, an integer
+    e > 0), for a tuple t of integer forms (:func:`_integer`), with no
+    ``QI`` arithmetic.  This is the one place where they are formed."""
+    (x1, x2, x3), eye = x, _ZiMatrix.identity(t.k)
+    return (eye.scale(x1, e) - t.a1.scale(x3, e),
+            eye.scale(x2, e) - t.a2.scale(x3, e))
 
 
 def monad_maps(m: MonadDataP2, p: ProjectivePoint) -> MonadMaps:
-    """A(p) and B(p) from one evaluation of the pencil at p: the
-    ``Matrix`` view of ``_pencil``."""
-    return MonadMaps(*(X.matrix() for X in
-                       _pencil(_integer(m), *_clear(p.coords()))))
+    """A(p) and B(p), stacked from one evaluation of the pencil at p."""
+    t, (x, e) = _integer(m), _clear(p.coords())
+    P1, P2 = _pencil(t, x, e)
+    return MonadMaps(_ZiMatrix.vstack([P1, P2, t.c.scale(x[2], e)]).matrix(),
+                     _ZiMatrix.hstack([-P2, P1, t.b.scale(x[2], e)]).matrix())
 
 
 def evaluate_A(m: MonadDataP2, p: ProjectivePoint) -> Matrix:

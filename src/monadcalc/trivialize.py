@@ -9,9 +9,10 @@ and the exact transition solution on the overlap.
 Concentration is checked once per public call, by ``_checked``
 (:func:`p2.is_concentrated_at_origin`); the private builder assumes it.
 It works at a point q = [x1 : x2 : x3], on the pencil blocks
-P1 = x1 - x3 a1 and P2 = x2 - x3 a2, which are the first two blocks of
-A(q) = (P1; P2; c x3) and, as (-P2 | P1 | b x3), of B(q).  Because a1
-and a2 are nilpotent, their inverses are finite Neumann series,
+P1 = x1 - x3 a1 and P2 = x2 - x3 a2 (``p2._pencil``), of which the
+monad maps are A(q) = (P1; P2; c x3) and B(q) = (-P2 | P1 | b x3).
+Because a1 and a2 are nilpotent, their inverses are finite Neumann
+series,
 
   (x - x3 a)^-1 = sum_{j<k} x3^j a^j / x^(j+1),
 
@@ -22,26 +23,26 @@ combinations of the words a1^i b, a2^j b and a1^i a2^j b:
   U1 sections    (0, -sum_i z^(i+1) a1^i b, 1)          where x1 != 0
   transition     xi1 = (1/x2) sum_j y^j sum_i z^(i+1) a1^i a2^j b
 
-on the overlap.  These are (x3 P2^-1 b, 0, 1), (0, -x3 P1^-1 b, 1) and
-x3 P1^-1 P2^-1 b.  The word table W[j][i] = a1^i a2^j b is formed once
-per call (each list stops at its first zero word); a point then costs a
-Horner evaluation of each sum, with no solve.  Rescaling q by t leaves
-the sections unchanged, scales A and B by t and xi1 by 1/t, so every
+on the overlap.  These are (Y, 0, 1), (0, Z, 1) and xi1 for the k x r
+blocks Y = x3 P2^-1 b, Z = -x3 P1^-1 b and xi1 = x3 P1^-1 P2^-1 b.  The
+word table W[j][i] = a1^i a2^j b is formed once per call (each list
+stops at its first zero word); a point then costs a Horner evaluation
+of each sum, with no solve.  Rescaling q by t leaves the sections
+unchanged, scales P1, P2 and x3 b by t and xi1 by 1/t, so every
 identity that :func:`verify_trivialization` checks holds at q exactly
 when it holds at tq.  The sections equal the chart closed forms (see
 :func:`section_s1`, :func:`section_s2`); at [1 : alpha2 : alpha3] xi1
 equals the closed form of :func:`transition_xi`.  The identity checks
-verify the series with no elimination of the frame system: per point one
-(k+r) x (k+r) minor certifies the frame's rank and, on the overlap, one
-product checks the transition.  All r framing indices are treated at
-once: the sections at a point are the columns of one (2k+r) x r matrix
-and the transition data the columns of one k x r matrix, so the
-per-index helpers are column extractions and
-:func:`verify_trivialization` checks every identity as a matrix identity.
+verify the series on the blocks, by products and one k x k rank per
+point, with no stacked matrix and no elimination of the frame system.
+All r framing indices are treated at once: Y, Z and xi1 are k x r, so
+the per-index helpers are column extractions and every identity is a
+matrix identity.  Only the public helpers stack the sections into
+(2k+r) x r matrices (:meth:`_Frames.sections`).
 
 The frames are built, and verified, on Gaussian-integer numerators over
 one integer denominator (``matrix._ZiMatrix``; the tuple is converted
-once by ``p2._integer`` and A, B are evaluated by ``p2._pencil``):
+once by ``p2._integer`` and P1, P2 are formed by ``p2._pencil``):
 between the concentration check and the verdict no ``QI`` value is
 built.  Only the public helpers convert their result to ``Matrix``.
 
@@ -61,9 +62,9 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .errors import (InvalidPoint, MonadcalcError, OverlapViolation,
                      check_invariant)
 from .field import ONE, QI, qi
-from .matrix import Gauss, Matrix, _clear, _ZiMatrix
+from .matrix import Gauss, Matrix, _clear, _ZiMatrix, hstack
 from .p2 import (MonadDataP2, ProjectivePoint, _integer, _pencil,
-                 is_concentrated_at_origin)
+                 is_concentrated_at_origin, monad_maps)
 
 
 class NotConcentrated(MonadcalcError):
@@ -113,21 +114,25 @@ def _check_index(m: MonadDataP2, i: int):
 
 
 class _Frames(NamedTuple):
-    """The monad maps and the frame data at one point, as Gaussian-integer
-    forms.
-
-    S1 (the U1 sections) is None where x1 = 0, S2 (the U2 sections)
-    where x2 = 0, and xi1 (the transition) off the overlap U1 ∩ U2.
+    """The pencil blocks and the frame data at one point, as
+    Gaussian-integer forms: P1 and P2, the k x r blocks Y = x3 P2^-1 b
+    (None where x2 = 0) and Z = -x3 P1^-1 b (None where x1 = 0) of the
+    sections, and the transition xi1 (None off the overlap U1 ∩ U2).
     """
 
-    A: _ZiMatrix
-    B: _ZiMatrix
-    S1: Optional[_ZiMatrix]
-    S2: Optional[_ZiMatrix]
+    P1: _ZiMatrix
+    P2: _ZiMatrix
+    Y: Optional[_ZiMatrix]
+    Z: Optional[_ZiMatrix]
     xi1: Optional[_ZiMatrix]
 
     def sections(self, chart: str) -> _ZiMatrix:
-        return self.S1 if chart == "U1" else self.S2
+        """The chart's r sections as the columns of one (2k+r) x r
+        matrix: (0, Z, 1) on U1 and (Y, 0, 1) on U2."""
+        X = self.Z if chart == "U1" else self.Y
+        zero = _ZiMatrix.zeros(X.rows, X.cols)
+        return _ZiMatrix.vstack(([zero, X] if chart == "U1" else [X, zero])
+                                + [_ZiMatrix.identity(X.cols)])
 
 
 def _orbit(a: _ZiMatrix, v: _ZiMatrix) -> List[_ZiMatrix]:
@@ -181,29 +186,25 @@ def _frames(t: MonadDataP2, W: List[List[_ZiMatrix]],
     its word table W (:func:`_words`), at [x1 : x2 : x3] = coords, all r
     framing indices at once, from the Neumann series: no solve.
 
-    With z = x3/x1 and y = x3/x2: the U2 sections (y sum_j y^j a2^j b, 0,
-    1), the U1 sections (0, -z sum_i z^i a1^i b, 1) and, on the overlap,
+    With z = x3/x1 and y = x3/x2: Y = y sum_j y^j a2^j b,
+    Z = -z sum_i z^i a1^i b and, on the overlap,
     xi1 = (z/x2) sum_j y^j sum_i z^i a1^i a2^j b.
     """
     x, e = _clear(coords)
     x1, x2, x3 = x
-    k, r = t.b.rows, t.b.cols
-    A, B = _pencil(t, x, e)
-    zero, eye = _ZiMatrix.zeros(k, r), _ZiMatrix.identity(r)
-    S1 = S2 = xi1 = None
+    zero = _ZiMatrix.zeros(t.k, t.r)
+    Y = Z = xi1 = None
     if x2 != (0, 0):
         y = _ratio(x3, x2)
-        a2b = [row[0] for row in W]
-        S2 = _ZiMatrix.vstack([_horner(a2b, y, zero).scale(*y), zero, eye])
+        Y = _horner([row[0] for row in W], y, zero).scale(*y)
     if x1 != (0, 0):
         z = _ratio(x3, x1)
-        a1b = W[0] if W else []
-        S1 = _ZiMatrix.vstack([zero, -_horner(a1b, z, zero).scale(*z), eye])
-        if S2 is not None:
+        Z = -_horner(W[0] if W else [], z, zero).scale(*z)
+        if Y is not None:
             inner = [_horner(row, z, zero) for row in W]
             xi1 = (_horner(inner, y, zero).scale(*z)
                    .scale(*_ratio((e, 0), x2)))
-    return _Frames(A, B, S1, S2, xi1)
+    return _Frames(*_pencil(t, x, e), Y, Z, xi1)
 
 
 def _section(m: MonadDataP2, i: int, p: ChartPoint, chart: str) -> Matrix:
@@ -233,8 +234,9 @@ def frame_matrix(m: MonadDataP2, p: ChartPoint) -> Matrix:
     of that block (a1 nilpotent) forces maximal rank at every chart point.
     """
     t, W = _checked(m)
-    f = _frames(t, W, p.projective().coords())
-    return _ZiMatrix.hstack([f.A, f.sections(p.chart)]).matrix()
+    q = p.projective()
+    S = _frames(t, W, q.coords()).sections(p.chart)
+    return hstack([monad_maps(m, q).A, S.matrix()])
 
 
 def transition_xi(m: MonadDataP2, i: int, alpha2: QI, alpha3: QI) -> Tuple[Matrix, Matrix]:
@@ -283,18 +285,22 @@ def verify_trivialization(m: MonadDataP2,
                           n_samples: int = 10) -> bool:
     """Exact verification of the trivialization identities on samples.
 
-    Concentration is checked once, here.  At each sample point the r
-    sections S of its chart lie in Ker B, and F = [A | S] has full column
-    rank k + r, certified by one (k+r) x (k+r) minor: the rows of the
-    chart's own pencil block and the C^r rows, [[P, 0], [c x3, I]] with
-    det P = 1 (a nilpotent), so a singular minor is a broken frame.
-    On the overlap F X = T, T the other chart's sections, then has at most
-    one solution, which is (xi1, 1) on U1 and (-xi1, 1) on U2 exactly when
-    F (+-xi1, 1) = T: the transition identity s2 - s1 = A xi1, whose C^r
-    rows give c xi1 = 0.  All r framing indices are checked at once, at
-    the point's chart coordinates, on Gaussian-integer numerators: per
-    point one evaluation of the monad maps and of the Neumann series, one
-    elimination of the minor and, on the overlap, one product; no solve.
+    Concentration is checked once, here.  At each sample point, with the
+    chart's own pencil block P and section block X (P1 and Z on U1, P2
+    and Y on U2), three identities are checked on the blocks, for all r
+    framing indices at once, at the point's chart coordinates:
+
+    - Ker B: P1 Z = -x3 b on U1, P2 Y = x3 b on U2 (the rows of B S = 0);
+    - rank: rank P = k.  The chart minor [[P, 0], [c x3, I]] of the frame
+      F = [A | S] has rank r + rank P, and det P = 1 for nilpotent a, so
+      a singular P is a broken frame;
+    - on the overlap: P1 xi1 = Y, P2 xi1 = -Z and c xi1 = 0, the block
+      rows of F (+-xi1, 1) = T (T the other chart's sections) on either
+      chart.  At full rank F X = T has at most one solution, so this is
+      the transition identity s2 - s1 = A xi1.
+
+    Per point: products and one k x k rank on Gaussian-integer
+    numerators; no stacked matrix, no solve and no ``QI`` value.
 
     Raises ValueError when there is no point to check: n_samples < 1
     without sample_points, or an empty sample_points.
@@ -306,20 +312,16 @@ def verify_trivialization(m: MonadDataP2,
     elif not sample_points:
         raise ValueError("sample_points is empty")
     t, W = _checked(m)
-    k, r = m.k, m.r
-    eye, tail = _ZiMatrix.identity(r), [*range(2 * k, 2 * k + r)]
     for p in sample_points:
         f = _frames(t, W, p.coords())
-        S, T, own = ((f.S1, f.S2, range(k)) if p.chart == "U1"
-                     else (f.S2, f.S1, range(k, 2 * k)))
-        if not (f.B @ S).is_zero():
-            return False
-        F = _ZiMatrix.hstack([f.A, S])
-        if F.submatrix([*own, *tail], range(k + r)).rank() != k + r:
+        (_, _, x3), e = _clear(p.coords())
+        bx = t.b.scale(x3, e)
+        P, X, bx = (f.P1, f.Z, -bx) if p.chart == "U1" else (f.P2, f.Y, bx)
+        if P @ X != bx or P.rank() != m.k:
             return False
         if f.xi1 is None:  # off the overlap U1 ∩ U2
             continue
-        xi = f.xi1 if p.chart == "U1" else -f.xi1
-        if F @ _ZiMatrix.vstack([xi, eye]) != T:
+        if not (f.P1 @ f.xi1 == f.Y and f.P2 @ f.xi1 == -f.Z
+                and (t.c @ f.xi1).is_zero()):
             return False
     return True

@@ -5,33 +5,33 @@ blowup maps were evaluated from one coefficient matrix per monomial and
 both symbolic products were built from hand-written coefficient
 dictionaries; the fiber comparison projected with an explicit 0/1
 matrix.  Canonical reduction was a fixed-point loop that recomputed both
-special subspaces after every split.  The plane maps on Gaussian-integer
-forms were built from scaled, subtracted and stacked blocks, each one a
-normalized intermediate (:func:`pencil`).  Those paths are kept here, as
-they were, so that the current code can be compared against them.
+special subspaces after every split.  The plane's pencil blocks and
+monad maps were built on ``QI`` entries, from scaled, subtracted and
+stacked blocks (:func:`pencil`).  Those paths are kept here, as they
+were, so that the current code can be compared against them.
 """
 
 from monadcalc.blowup import BlowupPoint
 from monadcalc.eigen import _joint_key, joint_spectrum
 from monadcalc.errors import check_invariant
 from monadcalc.field import ONE, ZERO
-from monadcalc.matrix import (Matrix, _ZiMatrix, basis_extension, column_space,
+from monadcalc.matrix import (Matrix, basis_extension, column_space,
                               hstack, inverse, kernel_basis, rank, solve, vstack)
-from monadcalc.p2 import (DUPoint, MonadDataP2, MonadMaps, evaluate_A,
+from monadcalc.p2 import (DUPoint, MonadDataP2, evaluate_A,
                           evaluate_B, max_c_special, min_b_special)
 from monadcalc.polymat import poly_matmul
 
 
-def pencil(t, x, e) -> MonadMaps:
-    """A = (P1; P2; c x3) and B = (-P2 | P1 | b x3) at the point x / e,
-    for a tuple t of integer forms, with P1 = x1 - x3 a1 and
-    P2 = x2 - x3 a2 formed by scale, subtraction and stacking."""
-    x1, x2, x3 = x
-    eye = _ZiMatrix.identity(t.a1.rows)
-    P1 = eye.scale(x1, e) - t.a1.scale(x3, e)
-    P2 = eye.scale(x2, e) - t.a2.scale(x3, e)
-    return MonadMaps(_ZiMatrix.vstack([P1, P2, t.c.scale(x3, e)]),
-                     _ZiMatrix.hstack([-P2, P1, t.b.scale(x3, e)]))
+def pencil(m, coords):
+    """P1 = x1 - x3 a1, P2 = x2 - x3 a2, A = (P1; P2; c x3) and
+    B = (-P2 | P1 | b x3) at the coordinates (x1, x2, x3), as they were
+    built on ``QI`` entries: scaled, subtracted and stacked blocks."""
+    x1, x2, x3 = coords
+    eye = Matrix.identity(m.k)
+    P1 = eye.scale(x1) - m.a1.scale(x3)
+    P2 = eye.scale(x2) - m.a2.scale(x3)
+    return (P1, P2, vstack([P1, P2, m.c.scale(x3)]),
+            hstack([-P2, P1, m.b.scale(x3)]))
 
 
 def coefficient_matrices(mt):

@@ -132,20 +132,26 @@ MUTANTS = (
            'witness="da2 not nilpotent"',
            'witness="da1 not nilpotent"',
            ("tests/test_stratify.py",)),
-    Mutant("the overlap product check compares only the shape",
+    Mutant("the overlap check compares only the P1 row",
            "src/monadcalc/trivialize.py",
-           "if F @ _ZiMatrix.vstack([xi, eye]) != T:",
-           "if (F @ _ZiMatrix.vstack([xi, eye])).rows != T.rows:",
+           "f.P1 @ f.xi1 == f.Y and f.P2 @ f.xi1 == -f.Z\n"
+           "                and (t.c @ f.xi1).is_zero()",
+           "f.P1 @ f.xi1 == f.Y",
+           ("tests/test_trivialize.py",)),
+    Mutant("the overlap's P2 row compares with +Z",
+           "src/monadcalc/trivialize.py",
+           "f.P2 @ f.xi1 == -f.Z",
+           "f.P2 @ f.xi1 == f.Z",
            ("tests/test_trivialize.py",)),
     Mutant("a rank certificate that always passes",
            "src/monadcalc/trivialize.py",
-           "if F.submatrix([*own, *tail], range(k + r)).rank() != k + r:",
-           "if k + r != k + r:",
+           "or P.rank() != m.k:",
+           "or False:",
            ("tests/test_trivialize.py",)),
-    Mutant("the pencil's diagonal stride is k",
+    Mutant("the pencil's P2 is formed with x1",
            "src/monadcalc/p2.py",
-           "for i in range(0, k * k, k + 1) if diagonal else ():",
-           "for i in range(0, k * k, k) if diagonal else ():",
+           "eye.scale(x2, e)",
+           "eye.scale(x1, e)",
            ("tests/test_monad_oracle.py",)),
     Mutant("max_invariant_in_kernel seeds with c for c^T",
            "src/monadcalc/closure.py",

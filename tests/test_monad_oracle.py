@@ -104,11 +104,12 @@ def test_symbolic_products_match_coefficient_forms():
 
 
 def test_pencil_matches_stacked_blocks():
-    """``p2._pencil`` writes the numerators of A and B in one pass over one
-    denominator; its forms equal the old build from scaled, subtracted and
-    stacked blocks, on raw tuples (r = 0 included) at the unit points, at
-    random normalized points and at random coordinate triples, which give
-    denominators e > 1 and Gaussian coordinates."""
+    """``p2._pencil`` forms P1 and P2 on Gaussian-integer forms, and
+    ``monad_maps`` stacks them into A and B; both equal the ``QI`` build
+    of the oracle (:func:`monad_oracle.pencil`), on raw tuples (r = 0 and
+    k = 0 included) at the unit points, at random normalized points and
+    at random coordinate triples, which give denominators e > 1 and
+    Gaussian coordinates."""
     r_ = rng(707)
     tuples = (_raw_p2() + raw_p2_tuples(30, seed=708, kmax=6)
               + [random_raw_p2(r_, k, 0) for k in (0, 2, 3)])
@@ -120,13 +121,18 @@ def test_pencil_matches_stacked_blocks():
         coords += [tuple(_scalar(r_) for _ in range(3)) for _ in range(3)]
         for c in coords:
             x, e = _clear(c)
-            maps = p2._pencil(t, x, e)
-            assert maps == oracle.pencil(t, x, e), (m, c)
-            assert (maps.A.rows, maps.A.cols) == (2 * m.k + m.r, m.k)
-            assert (maps.B.rows, maps.B.cols) == (m.k, 2 * m.k + m.r)
+            blocks = tuple(P.matrix() for P in p2._pencil(t, x, e))
+            assert blocks == oracle.pencil(m, c)[:2], (m, c)
+            if any(not v.is_zero() for v in c):
+                q = ProjectivePoint(*c)
+                A, B = p2.monad_maps(m, q)
+                assert (A, B) == oracle.pencil(m, q.coords())[2:], (m, c)
+                assert (A.rows, A.cols) == (2 * m.k + m.r, m.k)
+                assert (B.rows, B.cols) == (m.k, 2 * m.k + m.r)
             checked.add((m.k, m.r, e > 1))
     assert {(k, e) for k, _, e in checked} >= {(k, e) for k in range(5)
                                                  for e in (False, True)}
+    assert {r for _, r, _ in checked} >= {0, 1, 2, 3}
 
 
 def test_plane_fiber_dimension_matches():

@@ -2,14 +2,15 @@
 
 import pytest
 
+import trivialize_oracle as oracle
 from conftest import family_instances, rng
 from monadcalc import matrix, p2, trivialize
 from monadcalc.errors import (InvalidPoint, InvariantViolation, MonadcalcError,
                               OverlapViolation)
 from monadcalc.field import ONE, QI, ZERO, qi
 from monadcalc.generate import GenSpec, _shift, generate, random_invertible
-from monadcalc.matrix import (Matrix, _ZiMatrix, hstack, inverse, rank, solve,
-                              vstack)
+from monadcalc.matrix import (Matrix, _ZiMatrix, hstack, inverse, kernel_basis,
+                              rank, solve, vstack)
 from monadcalc.p2 import MonadDataP2, act, evaluate_A, evaluate_B
 from monadcalc.trivialize import (ChartPoint, NotConcentrated,
                                   default_sample_points, frame_matrix,
@@ -247,28 +248,34 @@ def test_frame_columns_match_per_index_helpers():
             x1, x2, x3 = q.coords()
             t = p2._integer(m)
             f = trivialize._frames(t, trivialize._words(t), q.coords())
-            assert (f.S1 is None) == x1.is_zero()
-            assert (f.S2 is None) == x2.is_zero()
-            f = f._replace(**{name: X.matrix() for name, X
-                              in f._asdict().items() if X is not None})
-            S = f.sections(p.chart)
+            assert (f.Z is None) == x1.is_zero()
+            assert (f.Y is None) == x2.is_zero()
+            S = f.sections(p.chart).matrix()
             assert (S.rows, S.cols) == (2 * m.k + m.r, m.r)
             helper = section_s1 if p.chart == "U1" else section_s2
+            # the other chart's sections, where the point lies on it
+            other = {"U1": f.Z is not None and ChartPoint("U1", x2 / x1, x3 / x1),
+                     "U2": f.Y is not None and ChartPoint("U2", x1 / x2, x3 / x2)}
             for i in range(1, m.r + 1):
                 assert S.col_matrix(i - 1) == helper(m, i, p)
                 assert S.col_matrix(i - 1) == _closed_form_column(m, p, i)
-                # the other chart's sections, against its closed form
-                if p.chart == "U2" and f.S1 is not None:
-                    u1 = ChartPoint("U1", x2 / x1, x3 / x1)
-                    assert f.S1.col_matrix(i - 1) == _closed_form_column(m, u1, i)
-                if p.chart == "U1" and f.S2 is not None:
-                    u2 = ChartPoint("U2", x1 / x2, x3 / x2)
-                    assert f.S2.col_matrix(i - 1) == _closed_form_column(m, u2, i)
-            assert frame_matrix(m, p) == hstack([evaluate_A(m, q), S])
-            assert (f.A, f.B) == (evaluate_A(m, q), evaluate_B(m, q))
+                for chart, u in other.items():
+                    if u and chart != p.chart:
+                        T = f.sections(chart).matrix()
+                        assert T.col_matrix(i - 1) == _closed_form_column(m, u, i)
+            A, B = evaluate_A(m, q), evaluate_B(m, q)
+            assert frame_matrix(m, p) == hstack([A, S])
+            k, rows = m.k, range(m.k)
+            assert (A.submatrix(rows, rows), A.submatrix(range(k, 2 * k), rows),
+                    A.submatrix(range(2 * k, A.rows), rows)) == (
+                        f.P1.matrix(), f.P2.matrix(), m.c.scale(x3))
+            assert (B.submatrix(rows, rows), B.submatrix(rows, range(k, 2 * k)),
+                    B.submatrix(rows, range(2 * k, B.cols))) == (
+                        (-f.P2).matrix(), f.P1.matrix(), m.b.scale(x3))
             assert (f.xi1 is None) == (x1.is_zero() or x2.is_zero())
             if f.xi1 is None:
                 continue
+            X = f.xi1.matrix()
             # q is normalized, so on the overlap it reads [1 : alpha2 : alpha3]
             a2c, a3c = x2, x3
             shifted = inverse(Matrix.identity(m.k).scale(a2c) - m.a2.scale(a3c))
@@ -276,21 +283,17 @@ def test_frame_columns_match_per_index_helpers():
             for i in range(1, m.r + 1):
                 xi1, xi2 = transition_xi(m, i, a2c, a3c)
                 e = Matrix.identity(m.r).col_matrix(i - 1)
-                assert f.xi1.col_matrix(i - 1) == xi1
+                assert X.col_matrix(i - 1) == xi1
                 assert xi1 == (R1 @ shifted @ m.b @ e).scale(a3c)
                 assert xi2 == e
 
 
-def _doubled_u2_framing(f):
-    """The frames with the C^r block of every U2 section doubled."""
-    if f.S2 is None:
-        return f
-    k, r = f.A.cols, f.S2.cols
-    S2 = f.S2.matrix() + vstack([Matrix.zeros(2 * k, r), Matrix.identity(r)])
-    return f._replace(S2=_ZiMatrix.of(S2))
+def _doubled_u2_framing(f, t):
+    """The frames with Y, the W block of every U2 section, doubled."""
+    return f if f.Y is None else f._replace(Y=f.Y.scale((2, 0)))
 
 
-def _shifted_transition(f):
+def _shifted_transition(f, t):
     """The frames with xi1 alone off by a nonzero Z[i] matrix."""
     if f.xi1 is None or not f.xi1.nums:
         return f
@@ -299,17 +302,42 @@ def _shifted_transition(f):
                                             [(1, -2)] + [(0, 0)] * (n - 1)))
 
 
-def _zero_first_column(X):
-    return _ZiMatrix(X.rows, X.cols, [(0, 0) if t % X.cols == 0 else v
-                                      for t, v in enumerate(X.nums)], X.den)
+def _rank_deficient(f, t):
+    """The frames with each pencil block P replaced by P + u w^T, u = -P v,
+    where v is a vector of Ker c outside the span of the section blocks Y
+    and Z, and w^T v = 1 with w^T X = 0 for the block's own section block
+    X (Z for P1, Y for P2).  1 + w^T P^-1 u = 1 - w^T v = 0 makes P
+    singular, P X is kept, so the Ker-B identities still hold, and both
+    blocks kill v, so the stacked frame [A | S] loses rank too.  A v
+    exists where Ker c is larger than both spans, so at x3 = 0 (Y = Z = 0)
+    whenever r < k; where there is none the frames are left as they are."""
+    blocks = {"P1": f.Z, "P2": f.Y}
+    spans = [X.matrix() for X in blocks.values() if X is not None]
+    K = kernel_basis(t.c.matrix()).basis
+    candidates = [K.col_matrix(j) for j in range(K.cols)]
+    if K.cols:
+        candidates.append(Matrix.column([sum(K.row_list(i), ZERO)
+                                         for i in range(K.rows)]))
+    v = next((u for u in candidates
+              if all(rank(hstack([X, u])) > rank(X) for X in spans)), None)
+    if v is None:
+        return f
+
+    def singular(P, X):
+        W = (kernel_basis(X.matrix().transpose()).basis if X is not None
+             else Matrix.identity(t.k))
+        w = next(W.col_matrix(j) for j in range(W.cols)
+                 if not (W.col_matrix(j).transpose() @ v).is_zero())
+        w = w.scale((w.transpose() @ v)[0, 0].inverse())
+        P = P.matrix()
+        return _ZiMatrix.of(P - P @ v @ w.transpose())
+
+    return f._replace(**{name: singular(getattr(f, name), X)
+                         for name, X in blocks.items()})
 
 
-def _rank_deficient(f):
-    """The frames with the first column of A zeroed."""
-    return f._replace(A=_zero_first_column(f.A)) if f.A.cols else f
-
-
-# each takes the frames at one point to wrong ones
+# each takes the frames at one point, and the tuple's integer form, to
+# wrong frames
 BROKEN_FRAMES = (_doubled_u2_framing, _shifted_transition, _rank_deficient)
 
 
@@ -317,7 +345,7 @@ def break_frames(monkeypatch, broken):
     """Route every frame that trivialize builds through ``broken``."""
     real = trivialize._frames
     monkeypatch.setattr(trivialize, "_frames",
-                        lambda t, words, coords: broken(real(t, words, coords)))
+                        lambda t, words, coords: broken(real(t, words, coords), t))
 
 
 def test_verify_rejects_a_broken_frame(monkeypatch):
@@ -330,10 +358,10 @@ def test_verify_rejects_a_broken_frame(monkeypatch):
 
 
 def test_overlap_identity_holds_at_every_overlap_point():
-    """S2 - S1 = A xi1 and c xi1 = 0, as products, at every overlap point
-    of seeded block_concentrated tuples (k = 2..5) and of the Jordan
-    tuples: the identity that verify_trivialization reads off its one
-    solve."""
+    """S2 - S1 = A xi1 and c xi1 = 0, on the stacked monad maps and
+    sections, at every overlap point of seeded block_concentrated tuples
+    (k = 2..5) and of the Jordan tuples: the identity whose three block
+    rows verify_trivialization checks."""
     tuples = [generate(GenSpec(k=k, r=r, seed=75, family="block_concentrated"))
               for k in range(2, 6) for r in (1, 2)]
     tuples += [_jordan_tuple(k) for k in (3, 4, 5)]
@@ -346,7 +374,8 @@ def test_overlap_identity_holds_at_every_overlap_point():
             if f.xi1 is None:
                 continue
             overlap += 1
-            assert (f.S2 - f.S1 - f.A @ f.xi1).is_zero()
+            A, _, S1, S2 = oracle.stacked(t, f, p.coords())
+            assert (S2 - S1 - A @ f.xi1).is_zero()
             assert (t.c @ f.xi1).is_zero()
     assert any(not m.c.is_zero() for m in tuples)
     assert overlap == len(tuples) * 14
@@ -373,9 +402,11 @@ def test_verify_degenerate_shapes(k, r):
 
 
 @pytest.mark.parametrize("point", [
-    ChartPoint("U1", ZERO, qi(2)),   # off the overlap: the rank check alone
-    ChartPoint("U1", qi(2), qi(1))])  # on it: the rank check, then the product
+    ChartPoint("U1", ZERO, qi(2)),   # off the overlap
+    ChartPoint("U1", qi(2), qi(1))])  # on it
 def test_verify_rejects_a_rank_deficient_frame(monkeypatch, point):
+    """The breaker keeps the Ker-B identity, so off the overlap the rank
+    check alone rejects it."""
     m = generate(GenSpec(k=3, r=2, seed=6, family="block_concentrated"))
     assert verify_trivialization(m, sample_points=[point])
     break_frames(monkeypatch, _rank_deficient)
@@ -385,37 +416,46 @@ def test_verify_rejects_a_rank_deficient_frame(monkeypatch, point):
 def test_verify_rejects_a_wrong_generic_solve(monkeypatch):
     """At full rank the generic solve of the frame against the other
     chart's sections is unique, and it is (+-xi1, 1) exactly when the
-    product F (+-xi1, 1) equals those sections; that product, the one
-    product of the frame's shape, is perturbed on both charts."""
+    three block rows P1 xi1 = Y, P2 xi1 = -Z and c xi1 = 0 hold.  Each of
+    the three products is perturbed alone, on both charts, and each
+    perturbation rejects the point."""
     m = generate(GenSpec(k=3, r=2, seed=6, family="block_concentrated"))
     pts = [ChartPoint("U1", qi(2), qi(1)), ChartPoint("U2", qi(3), qi(1))]
     assert all(verify_trivialization(m, sample_points=[p]) for p in pts)
-    real = _ZiMatrix.__matmul__
-    frame_shape = (2 * m.k + m.r, m.k + m.r)
-    perturbed = []
+    frames, perturbed = [], []
+    real_frames, real = trivialize._frames, _ZiMatrix.__matmul__
+    rows = {"P1": lambda f, L: L is f.P1, "P2": lambda f, L: L is f.P2,
+            "c": lambda f, L: (L.rows, L.cols) == (m.r, m.k)}
+
+    def recording(*args):
+        frames.append(real_frames(*args))
+        return frames[-1]
 
     def perturbing(self, other):
         X = real(self, other)
-        if (self.rows, self.cols) == frame_shape:
+        if frames and other is frames[-1].xi1 and row(frames[-1], self):
             perturbed.append(X)
-            X = X.scale((2, 0))
+            X = X + _ZiMatrix(X.rows, X.cols, [(1, 0)] + [(0, 0)] * (len(X.nums) - 1))
         return X
 
+    monkeypatch.setattr(trivialize, "_frames", recording)
     monkeypatch.setattr(_ZiMatrix, "__matmul__", perturbing)
-    for p in pts:
-        perturbed.clear()
-        assert not verify_trivialization(m, sample_points=[p])
-        assert len(perturbed) == 1
+    for row in rows.values():
+        for p in pts:
+            perturbed.clear()
+            assert not verify_trivialization(m, sample_points=[p])
+            assert len(perturbed) == 1
+    assert (m.k, m.r) == (3, 2)  # the shapes tell c from the pencil blocks
 
 
 def test_verify_operation_counts(monkeypatch):
     """After the concentration check, per default point (all on the
-    overlap): one echelon, of the k + r rows of length k + r of the chart
-    minor of the frame that certifies its rank (the sections come from
-    the Neumann series, the overlap identity is one product), no solve,
+    overlap): one echelon, of the k rows of length k of the chart's own
+    pencil block, whose rank certifies the frame's; no stacked matrix
+    (the identities are checked on the blocks, by products), no solve,
     and no Matrix product and no QI value at all."""
     counts = {"echelon": 0, "add": 0, "solve": 0, "matmul": 0, "qi_mul": 0,
-              "qi_new": 0}
+              "qi_new": 0, "hstack": 0, "vstack": 0}
     shapes = []
 
     def counting(name, fn):
@@ -440,6 +480,9 @@ def test_verify_operation_counts(monkeypatch):
                         counting("echelon", echelon))
     monkeypatch.setattr(matrix._Echelon, "add", counting("add", add))
     monkeypatch.setattr(_ZiMatrix, "solve", counting("solve", _ZiMatrix.solve))
+    for name in ("hstack", "vstack"):
+        monkeypatch.setattr(_ZiMatrix, name,
+                            staticmethod(counting(name, getattr(_ZiMatrix, name))))
     monkeypatch.setattr(Matrix, "__matmul__",
                         counting("matmul", Matrix.__matmul__))
     monkeypatch.setattr(QI, "__mul__", counting("qi_mul", QI.__mul__))
@@ -453,7 +496,8 @@ def test_verify_operation_counts(monkeypatch):
             counts[name] = 0
         shapes.clear()
         assert verify_trivialization(m, sample_points=pts)
-        n = m.k + m.r
-        assert counts == {"echelon": len(pts), "add": n * len(pts), "solve": 0,
-                          "matmul": 0, "qi_mul": 0, "qi_new": 0}
-        assert shapes == [(n, n)] * len(pts)
+        k = m.k
+        assert counts == {"echelon": len(pts), "add": k * len(pts), "solve": 0,
+                          "matmul": 0, "qi_mul": 0, "qi_new": 0, "hstack": 0,
+                          "vstack": 0}
+        assert shapes == [(k, k)] * len(pts)

@@ -3,11 +3,11 @@ kept in trivialize_oracle.py: verdicts, and the values of the public
 helpers, on seeded concentrated instances, on raw tuples that are
 concentrated but not integrable, and on hypothesis-drawn tuples with
 nilpotent a1 and a2, where NotConcentrated must be raised exactly when
-the tuple is not concentrated.  The chart-minor rank check and the
-overlap product are also compared with the elimination of the frame
-system that they replaced (``trivialize_oracle.verify_by_solve``), with
-correct and with broken frames, and on entries far above the seeded
-families' heights."""
+the tuple is not concentrated.  The checks on the pencil blocks (one
+k x k rank and the overlap's block products) are also compared with the
+elimination of the stacked frame system that they replaced
+(``trivialize_oracle.verify_by_solve``), with correct and with broken
+frames, and on entries far above the seeded families' heights."""
 
 import pytest
 from hypothesis import given, settings
@@ -221,7 +221,9 @@ def test_verdicts_match_the_solve_path(monkeypatch):
 def test_broken_frames_match_the_solve_path(monkeypatch, broken):
     """Under each frame breaker of test_trivialize, which both paths read,
     the verdicts agree point by point, and the breaker is rejected
-    somewhere on every tuple with k > 0 and r > 0."""
+    somewhere on every tuple with k > 0 and r > 0.  The rank-deficient
+    breaker, which needs a vector of Ker c outside the sections' spans,
+    is rejected at every point of every tuple with r < k."""
     corpus = _differential_corpus()
     monkeypatch.setattr(trivialize, "is_concentrated_at_origin", lambda m_: True)
     break_frames(monkeypatch, broken)
@@ -229,6 +231,8 @@ def test_broken_frames_match_the_solve_path(monkeypatch, broken):
         verdicts = _same_verdicts(m)
         if m.k and m.r:
             assert not all(verdicts), m
+        if broken.__name__ == "_rank_deficient" and m.r < m.k:
+            assert not any(verdicts), m
 
 
 def test_height_rung_exceeds_the_seeded_heights():

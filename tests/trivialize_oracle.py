@@ -8,18 +8,20 @@ That path is kept here, as it was, so that the current code can be
 compared against it.  Concentration is assumed, as in the private
 builder it mirrors.
 
-Before the frame's rank was certified by one chart minor and the overlap
-identity by one product, each point's check eliminated the frame system
-[A | sections | other sections] on the integer form and compared its
-generic solution with (±xi1, 1).  :func:`verify_by_solve` keeps that
-check.
+Before the frame's rank and the overlap identity were certified by
+products and one small rank per point, each point's check stacked the
+monad maps and the sections, eliminated the frame system [A | sections |
+other sections] on the integer form and compared its generic solution
+with (±xi1, 1).  :func:`verify_by_solve` keeps that check, and
+:func:`stacked` the stacking.
 """
 
 from typing import NamedTuple, Optional
 
 from monadcalc import p2, trivialize
 from monadcalc.errors import check_invariant
-from monadcalc.matrix import Matrix, _ZiMatrix, hstack, rank, solve, vstack
+from monadcalc.matrix import (Matrix, _clear, _ZiMatrix, hstack, rank, solve,
+                              vstack)
 
 
 class Frames(NamedTuple):
@@ -106,23 +108,39 @@ def verify(m, sample_points) -> bool:
     return True
 
 
+def stacked(t, f, coords):
+    """The stacked forms of the frames f of ``trivialize._frames`` at
+    coords: A = (P1; P2; c x3), B = (-P2 | P1 | b x3), and the sections
+    (0, Z, 1) and (Y, 0, 1) (None off their charts)."""
+    (_, _, x3), e = _clear(coords)
+    k, r = t.k, t.r
+    zero, eye = _ZiMatrix.zeros(k, r), _ZiMatrix.identity(r)
+    A = _ZiMatrix.vstack([f.P1, f.P2, t.c.scale(x3, e)])
+    B = _ZiMatrix.hstack([-f.P2, f.P1, t.b.scale(x3, e)])
+    S1 = None if f.Z is None else _ZiMatrix.vstack([zero, f.Z, eye])
+    S2 = None if f.Y is None else _ZiMatrix.vstack([f.Y, zero, eye])
+    return A, B, S1, S2
+
+
 def verify_by_solve(m, sample_points) -> bool:
     """The per-point checks of verify_trivialization on Gaussian-integer
-    forms, with one elimination per point: of [A | S | T] on the overlap,
-    whose pivots give the frame's rank and whose generic solution must be
-    (xi1, 1) on U1 and (-xi1, 1) on U2, and of [A | S] off it.  The frames
-    are read through ``trivialize._frames`` when called, so a test that
-    patches it reaches this path too."""
+    forms, on the stacked monad maps and sections, with one elimination
+    per point: of [A | S | T] on the overlap, whose pivots give the
+    frame's rank and whose generic solution must be (xi1, 1) on U1 and
+    (-xi1, 1) on U2, and of [A | S] off it.  The blocks are read through
+    ``trivialize._frames`` when called, so a test that patches it reaches
+    this path too."""
     t = p2._integer(m)
     W = trivialize._words(t)
     k, r = m.k, m.r
     eye = _ZiMatrix.identity(r)
     for p in sample_points:
         f = trivialize._frames(t, W, p.coords())
-        S, T = (f.S1, f.S2) if p.chart == "U1" else (f.S2, f.S1)
-        if not (f.B @ S).is_zero():
+        A, B, S1, S2 = stacked(t, f, p.coords())
+        S, T = (S1, S2) if p.chart == "U1" else (S2, S1)
+        if not (B @ S).is_zero():
             return False
-        F = _ZiMatrix.hstack([f.A, S])
+        F = _ZiMatrix.hstack([A, S])
         if f.xi1 is None:  # off the overlap U1 ∩ U2
             if F.rank() != k + r:
                 return False
