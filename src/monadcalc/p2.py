@@ -5,7 +5,7 @@ A tuple (a1, a2, b, c) with a_i in End(W), b: C^r -> W, c: W -> C^r and
 is a framed torsion-free sheaf of rank r and charge k = dim W.  This
 module implements the tuple calculus: validation, the GL(W) action,
 special subspaces and nondegeneracy, pointwise evaluation of the monad
-maps (``_pencil`` forms the pencil blocks P1 = x1 - x3 a1 and
+maps (``_pencil`` writes the pencil blocks P1 = x1 - x3 a1 and
 P2 = x2 - x3 a2 on Gaussian-integer numerators; the public evaluators
 stack them into A and B), reduction to a nondegenerate part
 plus a point multiset (two splits, along the maximal c-special and the
@@ -26,12 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .closure import invariant_closure, is_nilpotent, max_invariant_in_kernel
+from .closure import (_nilpotent, _spin, invariant_closure,
+                      max_invariant_in_kernel)
 from .eigen import _joint_key, joint_spectrum
 from .errors import (DimensionMismatch, IntegrabilityViolation, InvalidPoint,
                      SingularGroupElement)
 from .field import QI, qi
-from .matrix import (Gauss, Matrix, Subspace, _clear, _invariant_split,
+from .matrix import (Gauss, Matrix, Subspace, _clear, _gdot, _invariant_split,
                      _ZiMatrix, rank)
 from .polymat import PolyMatrix, linear_polymatrix, poly_matmul
 
@@ -168,9 +169,8 @@ def is_nondegenerate(m: MonadDataP2) -> bool:
 # -- pointwise monad maps ----------------------------------------------
 
 class MonadMaps(NamedTuple):
-    """The monad maps at a point, as ``Matrix`` values, stacked from the
-    pencil blocks P1 = x1 - x3 a1 and P2 = x2 - x3 a2 of ``_pencil``:
-    A = (P1; P2; c x3) and B = (-P2 | P1 | b x3)."""
+    """The monad maps A = (P1; P2; c x3) and B = (-P2 | P1 | b x3) at a
+    point, as ``Matrix`` values, stacked from the blocks of ``_pencil``."""
 
     A: Matrix
     B: Matrix
@@ -179,18 +179,29 @@ class MonadMaps(NamedTuple):
 def _pencil(t: MonadDataP2, x: Sequence[Gauss], e: int) -> Tuple[_ZiMatrix, _ZiMatrix]:
     """The pencil blocks P1 = x1 - x3 a1 and P2 = x2 - x3 a2 at the point
     with homogeneous coordinates x / e (Gaussian integers x, an integer
-    e > 0), for a tuple t of integer forms (:func:`_integer`), with no
-    ``QI`` arithmetic.  This is the one place where they are formed."""
-    (x1, x2, x3), eye = x, _ZiMatrix.identity(t.k)
-    return (eye.scale(x1, e) - t.a1.scale(x3, e),
-            eye.scale(x2, e) - t.a2.scale(x3, e))
+    e > 0), for a tuple t of integer forms (:func:`_integer`).  This is
+    the one place where they are formed: each is one ``_ZiMatrix``,
+    written in one pass over a's numerators, with no ``QI`` arithmetic."""
+    (yr, yi), k, blocks = x[2], t.k, []
+    for a, (sr, si) in ((t.a1, x[0]), (t.a2, x[1])):
+        nums = [(yi * q - yr * p, -yr * q - yi * p) for p, q in a.nums]
+        for i in range(0, k * k, k + 1):  # the diagonal
+            nums[i] = (nums[i][0] + a.den * sr, nums[i][1] + a.den * si)
+        blocks.append(_ZiMatrix(k, k, nums, a.den * e))
+    return tuple(blocks)
+
+
+def _stacked_A(t: MonadDataP2, P1: _ZiMatrix, P2: _ZiMatrix, x3: Gauss,
+               e: int) -> _ZiMatrix:
+    """A = (P1; P2; c x3) from the pencil blocks at x / e."""
+    return _ZiMatrix.vstack([P1, P2, t.c.scale(x3, e)])
 
 
 def monad_maps(m: MonadDataP2, p: ProjectivePoint) -> MonadMaps:
     """A(p) and B(p), stacked from one evaluation of the pencil at p."""
     t, (x, e) = _integer(m), _clear(p.coords())
     P1, P2 = _pencil(t, x, e)
-    return MonadMaps(_ZiMatrix.vstack([P1, P2, t.c.scale(x[2], e)]).matrix(),
+    return MonadMaps(_stacked_A(t, P1, P2, x[2], e).matrix(),
                      _ZiMatrix.hstack([-P2, P1, t.b.scale(x[2], e)]).matrix())
 
 
@@ -314,9 +325,12 @@ def is_concentrated_at_origin(m: MonadDataP2) -> bool:
 
     The word family (empty word included, i.e. c b = 0) is finite once
     phrased through the invariant closure of Im b (:func:`min_b_special`):
-    c kills every word exactly when it kills the closure.  Nilpotency is
-    read off the characteristic polynomials (:func:`closure.is_nilpotent`),
-    with no nilpotency index.
+    c kills every word iff it kills each vector that the closure's spin
+    keeps.  All runs on one integer form of m (``closure._nilpotent``,
+    ``closure._spin``): no nilpotency index, basis or ``Matrix`` product.
     """
-    return (is_nilpotent(m.a1) and is_nilpotent(m.a2)
-            and (m.c @ min_b_special(m).basis).is_zero())
+    t = _integer(m)
+    c = t.c._rows()
+    return (_nilpotent(t.a1) and _nilpotent(t.a2)
+            and all(_gdot(row, v) == (0, 0)
+                    for v in _spin([t.a1, t.a2], t.b)[1] for row in c))

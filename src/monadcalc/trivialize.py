@@ -41,10 +41,10 @@ matrix identity.  Only the public helpers stack the sections into
 (2k+r) x r matrices (:meth:`_Frames.sections`).
 
 The frames are built, and verified, on Gaussian-integer numerators over
-one integer denominator (``matrix._ZiMatrix``; the tuple is converted
-once by ``p2._integer`` and P1, P2 are formed by ``p2._pencil``):
-between the concentration check and the verdict no ``QI`` value is
-built.  Only the public helpers convert their result to ``Matrix``.
+one integer denominator (``matrix._ZiMatrix``): the tuple is converted
+once (``p2._integer``), each ChartPoint is cleared once, when it is made,
+and ``p2._pencil`` writes each pencil block in one pass, so no ``QI``
+value is built between the concentration check and the verdict.
 
 Block convention: a kernel vector is (first W block, second W block,
 C^r block) in the column order of B, so the b-dependent part of the U1
@@ -54,7 +54,7 @@ see the tests for the k=1 witness).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -62,9 +62,9 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .errors import (InvalidPoint, MonadcalcError, OverlapViolation,
                      check_invariant)
 from .field import ONE, QI, qi
-from .matrix import Gauss, Matrix, _clear, _ZiMatrix, hstack
-from .p2 import (MonadDataP2, ProjectivePoint, _integer, _pencil,
-                 is_concentrated_at_origin, monad_maps)
+from .matrix import Gauss, Matrix, _clear, _gdot, _ZiMatrix
+from .p2 import (MonadDataP2, ProjectivePoint, _integer, _pencil, _stacked_A,
+                 is_concentrated_at_origin)
 
 
 class NotConcentrated(MonadcalcError):
@@ -82,12 +82,16 @@ class ChartPoint:
     chart: str  # "U1" or "U2"
     coord_a: QI
     coord_b: QI
+    # coords() cleared once, as Gaussian integers x over an integer e
+    _cleared: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.chart not in ("U1", "U2"):
             raise InvalidPoint("chart must be 'U1' or 'U2'")
         object.__setattr__(self, "coord_a", qi(self.coord_a))
         object.__setattr__(self, "coord_b", qi(self.coord_b))
+        x, e = _clear(self.coords())  # a tuple: the default points are shared
+        object.__setattr__(self, "_cleared", (tuple(x), e))
 
     def coords(self) -> Tuple[QI, QI, QI]:
         """Homogeneous coordinates with the chart's coordinate set to 1."""
@@ -114,11 +118,9 @@ def _check_index(m: MonadDataP2, i: int):
 
 
 class _Frames(NamedTuple):
-    """The pencil blocks and the frame data at one point, as
-    Gaussian-integer forms: P1 and P2, the k x r blocks Y = x3 P2^-1 b
-    (None where x2 = 0) and Z = -x3 P1^-1 b (None where x1 = 0) of the
-    sections, and the transition xi1 (None off the overlap U1 ∩ U2).
-    """
+    """The pencil blocks P1, P2 and the frame data at one point, as integer
+    forms: the k x r section blocks Y = x3 P2^-1 b (None where x2 = 0) and
+    Z = -x3 P1^-1 b (None where x1 = 0), and xi1 (None off U1 ∩ U2)."""
 
     P1: _ZiMatrix
     P2: _ZiMatrix
@@ -168,8 +170,8 @@ def _horner(terms: Sequence[_ZiMatrix], ratio: Tuple[Gauss, int],
     With ratio = p/q the numerators of sum_j p^j q^(n-1-j) terms[j] are
     accumulated over one denominator and reduced once, at the end.
     """
-    if not terms:
-        return zero
+    if len(terms) < 2:
+        return terms[0] if terms else zero
     (pr, pi), q = ratio
     den = lcm(*(T.den for T in terms))
     acc, qj = terms[-1]._over(den), 1
@@ -180,17 +182,17 @@ def _horner(terms: Sequence[_ZiMatrix], ratio: Tuple[Gauss, int],
     return _ZiMatrix(zero.rows, zero.cols, acc, den * qj)
 
 
-def _frames(t: MonadDataP2, W: List[List[_ZiMatrix]],
-            coords: Sequence[QI]) -> _Frames:
+def _frames(t: MonadDataP2, W: List[List[_ZiMatrix]], x: Sequence[Gauss],
+            e: int) -> _Frames:
     """Every frame of the tuple t of integer forms (``p2._integer``), with
-    its word table W (:func:`_words`), at [x1 : x2 : x3] = coords, all r
-    framing indices at once, from the Neumann series: no solve.
+    its word table W (:func:`_words`), at [x1 : x2 : x3] = x / e (Gaussian
+    integers x, an integer e > 0), all r framing indices at once, from
+    the Neumann series: no solve.
 
-    With z = x3/x1 and y = x3/x2: Y = y sum_j y^j a2^j b,
-    Z = -z sum_i z^i a1^i b and, on the overlap,
-    xi1 = (z/x2) sum_j y^j sum_i z^i a1^i a2^j b.
+    With z = x3/x1 and y = x3/x2, each block is one scale of a Horner sum:
+    Y = y sum_j y^j a2^j b, Z = -z sum_i z^i a1^i b and, on the overlap,
+    xi1 = (z e/x2) sum_j y^j sum_i z^i a1^i a2^j b.
     """
-    x, e = _clear(coords)
     x1, x2, x3 = x
     zero = _ZiMatrix.zeros(t.k, t.r)
     Y = Z = xi1 = None
@@ -198,12 +200,12 @@ def _frames(t: MonadDataP2, W: List[List[_ZiMatrix]],
         y = _ratio(x3, x2)
         Y = _horner([row[0] for row in W], y, zero).scale(*y)
     if x1 != (0, 0):
-        z = _ratio(x3, x1)
-        Z = -_horner(W[0] if W else [], z, zero).scale(*z)
+        (zr, zi), zd = z = _ratio(x3, x1)
+        Z = _horner(W[0] if W else [], z, zero).scale((-zr, -zi), zd)
         if Y is not None:
             inner = [_horner(row, z, zero) for row in W]
-            xi1 = (_horner(inner, y, zero).scale(*z)
-                   .scale(*_ratio((e, 0), x2)))
+            xi1 = _horner(inner, y, zero).scale(*_ratio((e * x3[0], e * x3[1]),
+                                                        _gdot([x1], [x2])))
     return _Frames(*_pencil(t, x, e), Y, Z, xi1)
 
 
@@ -212,7 +214,7 @@ def _section(m: MonadDataP2, i: int, p: ChartPoint, chart: str) -> Matrix:
     _check_index(m, i)
     if p.chart != chart:
         raise InvalidPoint(f"section_s{chart[1]} is defined on {chart} chart points")
-    S = _frames(t, W, p.coords()).sections(chart)
+    S = _frames(t, W, *p._cleared).sections(chart)
     return S.submatrix(range(S.rows), [i - 1]).matrix()
 
 
@@ -234,9 +236,10 @@ def frame_matrix(m: MonadDataP2, p: ChartPoint) -> Matrix:
     of that block (a1 nilpotent) forces maximal rank at every chart point.
     """
     t, W = _checked(m)
-    q = p.projective()
-    S = _frames(t, W, q.coords()).sections(p.chart)
-    return hstack([monad_maps(m, q).A, S.matrix()])
+    x, e = _clear(p.projective().coords())
+    f = _frames(t, W, x, e)
+    return _ZiMatrix.hstack([_stacked_A(t, f.P1, f.P2, x[2], e),
+                             f.sections(p.chart)]).matrix()
 
 
 def transition_xi(m: MonadDataP2, i: int, alpha2: QI, alpha3: QI) -> Tuple[Matrix, Matrix]:
@@ -251,7 +254,7 @@ def transition_xi(m: MonadDataP2, i: int, alpha2: QI, alpha3: QI) -> Tuple[Matri
     alpha2, alpha3 = qi(alpha2), qi(alpha3)
     if alpha2.is_zero():
         raise OverlapViolation("alpha2 = 0 lies outside U1 ∩ U2")
-    xi1 = _frames(t, W, (ONE, alpha2, alpha3)).xi1
+    xi1 = _frames(t, W, *_clear((ONE, alpha2, alpha3))).xi1
     return (xi1.submatrix(range(m.k), [i - 1]).matrix(),
             Matrix.identity(m.r).col_matrix(i - 1))
 
@@ -299,8 +302,8 @@ def verify_trivialization(m: MonadDataP2,
       chart.  At full rank F X = T has at most one solution, so this is
       the transition identity s2 - s1 = A xi1.
 
-    Per point: products and one k x k rank on Gaussian-integer
-    numerators; no stacked matrix, no solve and no ``QI`` value.
+    Per point: products and one k x k rank on the numerators that the
+    point cleared when it was made; no stacked matrix, solve or ``QI``.
 
     Raises ValueError when there is no point to check: n_samples < 1
     without sample_points, or an empty sample_points.
@@ -313,11 +316,10 @@ def verify_trivialization(m: MonadDataP2,
         raise ValueError("sample_points is empty")
     t, W = _checked(m)
     for p in sample_points:
-        f = _frames(t, W, p.coords())
-        (_, _, x3), e = _clear(p.coords())
-        bx = t.b.scale(x3, e)
-        P, X, bx = (f.P1, f.Z, -bx) if p.chart == "U1" else (f.P2, f.Y, bx)
-        if P @ X != bx or P.rank() != m.k:
+        (x, e), u1 = p._cleared, p.chart == "U1"
+        f, (xr, xi) = _frames(t, W, x, e), x[2]
+        P, X, s = (f.P1, f.Z, (-xr, -xi)) if u1 else (f.P2, f.Y, (xr, xi))
+        if P @ X != t.b.scale(s, e) or P.rank() != m.k:
             return False
         if f.xi1 is None:  # off the overlap U1 ∩ U2
             continue

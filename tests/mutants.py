@@ -44,8 +44,8 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant("is_nilpotent ignores the last coefficient",
            "src/monadcalc/closure.py",
-           "_berkowitz(_ZiMatrix.of(M))[1:])",
-           "_berkowitz(_ZiMatrix.of(M))[1:-1])",
+           "_berkowitz(Z)[1:])",
+           "_berkowitz(Z)[1:-1])",
            ("tests/test_closure_oracle.py",)),
     Mutant("the spin skips the second generator",
            "src/monadcalc/closure.py",
@@ -150,9 +150,19 @@ MUTANTS = (
            ("tests/test_trivialize.py",)),
     Mutant("the pencil's P2 is formed with x1",
            "src/monadcalc/p2.py",
-           "eye.scale(x2, e)",
-           "eye.scale(x1, e)",
+           "(t.a2, x[1])",
+           "(t.a2, x[0])",
            ("tests/test_monad_oracle.py",)),
+    Mutant("xi1's scale drops the point's denominator e",
+           "src/monadcalc/trivialize.py",
+           "_ratio((e * x3[0], e * x3[1]),",
+           "_ratio(x3,",
+           ("tests/test_trivialize.py",)),
+    Mutant("the concentration test checks c on the spin's first kept vector only",
+           "src/monadcalc/p2.py",
+           "for v in _spin([t.a1, t.a2], t.b)[1] for row in c",
+           "for v in _spin([t.a1, t.a2], t.b)[1][:1] for row in c",
+           ("tests/test_closure_oracle.py",)),
     Mutant("max_invariant_in_kernel seeds with c for c^T",
            "src/monadcalc/closure.py",
            "for g in generators], c.transpose())",

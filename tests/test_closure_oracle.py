@@ -10,7 +10,8 @@ tuple through its pushforward) and a rung of the height ladder, on raw
 plane and blowup tuples, on raw generator families with invariant
 subspaces, on seeds and c with zero, repeated and dependent columns or
 rows, on a seed whose images have ever earlier pivots, on trace-free
-matrices that are not nilpotent, and on the hypothesis strategies of
+matrices that are not nilpotent, on nilpotent tuples with c b = 0 that
+a longer word shows unconcentrated, and on the hypothesis strategies of
 test_stratify.py and test_trivialize_oracle.py.
 """
 
@@ -25,9 +26,10 @@ from monadcalc.closure import (invariant_closure, is_nilpotent,
 from monadcalc.errors import InfeasibleSpec, NonSquareMatrix
 from monadcalc.field import I, ONE, ZERO, qi
 from monadcalc.generate import FAMILIES, GenSpec, generate, random_invertible
-from monadcalc.matrix import Matrix, Subspace, column_space, hstack
+from monadcalc.matrix import (Matrix, Subspace, column_space, hstack,
+                              kernel_basis)
 from monadcalc.p2 import (MonadDataP2, is_concentrated_at_origin, max_c_special,
-                          min_b_special)
+                          min_b_special, validate_p2)
 from monadcalc.stratify import pushforward
 from test_matrix_oracle import _matrix, _random_case
 from test_stratify import _blowup_tuples
@@ -117,6 +119,44 @@ def _shift(k):
     """The cyclic shift: det(t - C) = t^k - 1, all other coefficients 0."""
     return Matrix(k, k, [ONE if j == (i + 1) % k else ZERO
                          for i in range(k) for j in range(k)])
+
+
+def _word_tuples(count, seed):
+    """Tuples on which c b = 0 does not decide concentration: the valid
+    k = 3, r = 2 tuple a1 = N, a2 = N^2 (N the nilpotent shift), b = (e2, 0)
+    and c = (0; e1^T), whose c a1 b is nonzero, and raw tuples with
+    a_i = g N_i g^-1 for strictly upper triangular N_i and the rows of c
+    drawn from the left kernel of b."""
+    N = Matrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    out = [MonadDataP2(N, N @ N, Matrix.from_rows([[0, 0], [1, 0], [0, 0]]),
+                       Matrix.from_rows([[0, 0, 0], [1, 0, 0]]))]
+    r_ = rng(seed)
+    for _ in range(count):
+        k = r_.randint(2, 5)
+        r = r_.randint(1, k - 1)
+        g = random_invertible(r_, k)
+        a1, a2 = (g @ Matrix(k, k, [_matrix(r_, 1, 1)[0, 0] if i < j else ZERO
+                                    for i in range(k) for j in range(k)])
+                  @ oracle.inverse(g) for _ in range(2))
+        b = _matrix(r_, k, r)
+        K = kernel_basis(b.transpose()).basis
+        out.append(MonadDataP2(a1, a2, b, (K @ _matrix(r_, K.cols, r)).transpose()))
+    return out
+
+
+def test_words_past_c_b_decide_concentration():
+    """Nilpotent a1 and a2 with c b = 0, where a longer word w has
+    c w b != 0: the verdict must read c on every vector the spin keeps,
+    not on the first (a column of b).  The corpus holds such tuples."""
+    tuples = _word_tuples(40, seed=160)
+    assert validate_p2(tuples[0]) is tuples[0]
+    biting = 0
+    for m in tuples:
+        verdict, _, _ = _compare(m)
+        assert (m.c @ m.b).is_zero() and is_nilpotent(m.a1) and is_nilpotent(m.a2)
+        biting += not verdict
+    assert not is_concentrated_at_origin(tuples[0])
+    assert biting >= 30
 
 
 def test_trace_free_matrices_that_are_not_nilpotent():

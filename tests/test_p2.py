@@ -348,3 +348,36 @@ def test_concentration_matches_word_oracle():
     assert is_nilpotent(bad.a1)
     assert not is_concentrated_at_origin(bad)
     assert not _word_oracle(bad, 4)
+
+
+def test_concentration_converts_once_and_makes_no_matrix_products(monkeypatch):
+    """is_concentrated_at_origin converts each matrix of m to its integer
+    form once and decides on that one form, with no Matrix product: on
+    concentrated tuples, on non-nilpotent ones and on a nilpotent one that
+    the word c a1 b rejects."""
+    tuples = (family_instances("block_concentrated", 6, seed=46)
+              + family_instances("commuting_points", 4, seed=46)
+              + raw_p2_tuples(10, seed=46)
+              + [MonadDataP2(Matrix.from_rows([[0, 1], [0, 0]]), Matrix.zeros(2, 2),
+                             Matrix.from_rows([[0], [1]]), Matrix.from_rows([[1, 0]]))])
+    products, converted = [], []
+    matmul, real_of = Matrix.__matmul__, _ZiMatrix.__dict__["of"].__func__
+
+    def counting(A, B):
+        products.append((A, B))
+        return matmul(A, B)
+
+    def of(cls, M):
+        converted.append(M)
+        return real_of(cls, M)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    monkeypatch.setattr(_ZiMatrix, "of", classmethod(of))
+    verdicts = []
+    for m in tuples:
+        converted.clear()
+        verdicts.append(is_concentrated_at_origin(m))
+        assert sorted(map(id, converted)) == sorted(id(getattr(m, f.name))
+                                                    for f in fields(m))
+    assert products == []
+    assert set(verdicts) == {True, False} and not verdicts[-1]

@@ -9,8 +9,8 @@ from monadcalc.errors import (InvalidPoint, InvariantViolation, MonadcalcError,
                               OverlapViolation)
 from monadcalc.field import ONE, QI, ZERO, qi
 from monadcalc.generate import GenSpec, _shift, generate, random_invertible
-from monadcalc.matrix import (Matrix, _ZiMatrix, hstack, inverse, kernel_basis,
-                              rank, solve, vstack)
+from monadcalc.matrix import (Matrix, _clear, _ZiMatrix, hstack, inverse,
+                              kernel_basis, rank, solve, vstack)
 from monadcalc.p2 import MonadDataP2, act, evaluate_A, evaluate_B
 from monadcalc.trivialize import (ChartPoint, NotConcentrated,
                                   default_sample_points, frame_matrix,
@@ -186,18 +186,19 @@ def test_verify_needs_a_point_to_check(kwargs):
 
 def test_verify_checks_concentration_once(monkeypatch):
     checks, nil = [], []
-    real_check, real_nilpotent = p2.is_concentrated_at_origin, p2.is_nilpotent
+    real_check, real_nilpotent = p2.is_concentrated_at_origin, p2._nilpotent
 
     def counting_check(m):
         checks.append(m)
         return real_check(m)
 
-    def counting_nilpotent(M):
-        nil.append(M)
-        return real_nilpotent(M)
+    def counting_nilpotent(Z):
+        nil.append(Z)
+        return real_nilpotent(Z)
 
     monkeypatch.setattr(trivialize, "is_concentrated_at_origin", counting_check)
-    monkeypatch.setattr(p2, "is_nilpotent", counting_nilpotent)
+    # the integer-form test that the concentration check runs
+    monkeypatch.setattr(p2, "_nilpotent", counting_nilpotent)
     pts = default_sample_points(6) + [ChartPoint("U2", qi(3), qi(1)),
                                       ChartPoint("U2", ZERO, ONE)]
     for m in family_instances("block_concentrated", 6, seed=72):
@@ -216,7 +217,7 @@ def test_word_lists_stop_on_non_nilpotent_data(a1, a2):
     t = p2._integer(MonadDataP2(a1, a2, Matrix.from_rows([[1], [2]]),
                                 Matrix.zeros(1, 2)))
     with pytest.raises(InvariantViolation):
-        trivialize._frames(t, trivialize._words(t), (ONE, qi(2), qi(1)))
+        trivialize._frames(t, trivialize._words(t), *_clear((ONE, qi(2), qi(1))))
 
 
 def _closed_form_column(m, p, i):
@@ -247,7 +248,7 @@ def test_frame_columns_match_per_index_helpers():
             q = p.projective()
             x1, x2, x3 = q.coords()
             t = p2._integer(m)
-            f = trivialize._frames(t, trivialize._words(t), q.coords())
+            f = trivialize._frames(t, trivialize._words(t), *_clear(q.coords()))
             assert (f.Z is None) == x1.is_zero()
             assert (f.Y is None) == x2.is_zero()
             S = f.sections(p.chart).matrix()
@@ -345,7 +346,7 @@ def break_frames(monkeypatch, broken):
     """Route every frame that trivialize builds through ``broken``."""
     real = trivialize._frames
     monkeypatch.setattr(trivialize, "_frames",
-                        lambda t, words, coords: broken(real(t, words, coords), t))
+                        lambda t, words, x, e: broken(real(t, words, x, e), t))
 
 
 def test_verify_rejects_a_broken_frame(monkeypatch):
@@ -370,7 +371,7 @@ def test_overlap_identity_holds_at_every_overlap_point():
         t = p2._integer(m)
         W = trivialize._words(t)
         for p in default_sample_points(10) + _EDGE_POINTS:
-            f = trivialize._frames(t, W, p.coords())
+            f = trivialize._frames(t, W, *p._cleared)
             if f.xi1 is None:
                 continue
             overlap += 1
@@ -453,9 +454,14 @@ def test_verify_operation_counts(monkeypatch):
     overlap): one echelon, of the k rows of length k of the chart's own
     pencil block, whose rank certifies the frame's; no stacked matrix
     (the identities are checked on the blocks, by products), no solve,
-    and no Matrix product and no QI value at all."""
+    and no Matrix product and no QI value at all.  No point is cleared
+    (each was cleared when it was made), and on these tuples, whose word
+    table is the one word b, a point costs 12 integer forms: the zero
+    block, the scales of Y, Z and xi1, the two pencil blocks, the scaled
+    b and the products and negation of the three checks."""
     counts = {"echelon": 0, "add": 0, "solve": 0, "matmul": 0, "qi_mul": 0,
-              "qi_new": 0, "hstack": 0, "vstack": 0}
+              "qi_new": 0, "hstack": 0, "vstack": 0, "clear": 0,
+              "point_clear": 0, "zi_new": 0}
     shapes = []
 
     def counting(name, fn):
@@ -488,6 +494,12 @@ def test_verify_operation_counts(monkeypatch):
     monkeypatch.setattr(QI, "__mul__", counting("qi_mul", QI.__mul__))
     monkeypatch.setattr(QI, "__rmul__", counting("qi_mul", QI.__rmul__))
     monkeypatch.setattr(QI, "__init__", counting("qi_new", QI.__init__))
+    monkeypatch.setattr(_ZiMatrix, "__init__",
+                        counting("zi_new", _ZiMatrix.__init__))
+    monkeypatch.setattr(matrix, "_clear", counting("clear", matrix._clear))
+    for module in (p2, trivialize):
+        monkeypatch.setattr(module, "_clear",
+                            counting("point_clear", module._clear))
     # the instances are concentrated by construction; the check's own
     # products are not counted here
     monkeypatch.setattr(trivialize, "is_concentrated_at_origin", lambda m_: True)
@@ -497,7 +509,12 @@ def test_verify_operation_counts(monkeypatch):
         shapes.clear()
         assert verify_trivialization(m, sample_points=pts)
         k = m.k
+        # the call's own conversion of the four matrices and its word
+        # table (a1 b and a2 b) are spread over the points
         assert counts == {"echelon": len(pts), "add": k * len(pts), "solve": 0,
                           "matmul": 0, "qi_mul": 0, "qi_new": 0, "hstack": 0,
-                          "vstack": 0}
+                          "vstack": 0, "clear": 4, "point_clear": 0,
+                          "zi_new": 12 * len(pts) + 4 + 2}
         assert shapes == [(k, k)] * len(pts)
+        t = p2._integer(m)
+        assert trivialize._words(t) == [[t.b]]

@@ -9,6 +9,8 @@ elimination of the stacked frame system that they replaced
 (``trivialize_oracle.verify_by_solve``), with correct and with broken
 frames, and on entries far above the seeded families' heights."""
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,9 +18,9 @@ from hypothesis import strategies as st
 import trivialize_oracle as oracle
 from conftest import is_integrable, rng
 from monadcalc import p2, trivialize
-from monadcalc.field import I, ONE, ZERO, qi
+from monadcalc.field import I, ONE, QI, ZERO, Rat, qi
 from monadcalc.generate import GenSpec, generate, random_invertible
-from monadcalc.matrix import Matrix
+from monadcalc.matrix import Matrix, _clear
 from monadcalc.p2 import MonadDataP2, act, is_concentrated_at_origin
 from monadcalc.trivialize import (ChartPoint, NotConcentrated,
                                   default_sample_points, frame_matrix,
@@ -241,3 +243,28 @@ def test_height_rung_exceeds_the_seeded_heights():
     for m in _height_rung():
         assert _bits(m) > 200
         assert verify_trivialization(m)
+
+
+def test_points_are_cleared_once_when_made():
+    """Each ChartPoint clears coords() when it is made: its stored Gaussian
+    integers x over e equal ``_clear(p.coords())`` and give back the
+    coordinates, on both charts, with zero coordinates, Gaussian-integer
+    points (e = 1) and rational ones (e > 1).  The stored field is not
+    part of the point's equality, hash, repr or constructor."""
+    seen = set()
+    for p in POINTS:
+        x, e = p._cleared
+        assert (list(x), e) == _clear(p.coords())
+        assert [QI(Rat(a, e), Rat(b, e)) for a, b in x] == list(p.coords())
+        seen |= {p.chart, e > 1} | {"zero" for c in p.coords() if c.is_zero()}
+    assert seen == {"U1", "U2", False, True, "zero"}
+    p = ChartPoint("U2", qi("1/2", 1), qi(-2))
+    assert p._cleared == (((1, 2), (2, 0), (-4, 0)), 2)
+    assert repr(p) == "ChartPoint(chart='U2', coord_a=QI(1/2, 1), coord_b=QI(-2))"
+    assert p == ChartPoint(chart="U2", coord_a=qi("1/2", 1), coord_b=-2)
+    assert p != ChartPoint("U1", qi("1/2", 1), qi(-2))
+    assert hash(p) == hash(("U2", qi("1/2", 1), qi(-2)))
+    assert [f.name for f in fields(p) if f.init or f.compare or f.repr] == [
+        "chart", "coord_a", "coord_b"]
+    with pytest.raises(TypeError):
+        ChartPoint("U2", ONE, ONE, _clear((ONE, ONE, ONE)))

@@ -129,13 +129,14 @@ def verify_by_solve(m, sample_points) -> bool:
     frame's rank and whose generic solution must be (xi1, 1) on U1 and
     (-xi1, 1) on U2, and of [A | S] off it.  The blocks are read through
     ``trivialize._frames`` when called, so a test that patches it reaches
-    this path too."""
+    this path too; each point's coordinates are cleared here, not read
+    from the point."""
     t = p2._integer(m)
     W = trivialize._words(t)
     k, r = m.k, m.r
     eye = _ZiMatrix.identity(r)
     for p in sample_points:
-        f = trivialize._frames(t, W, p.coords())
+        f = trivialize._frames(t, W, *_clear(p.coords()))
         A, B, S1, S2 = stacked(t, f, p.coords())
         S, T = (S1, S2) if p.chart == "U1" else (S2, S1)
         if not (B @ S).is_zero():
