@@ -8,7 +8,8 @@ matrix is nilpotent iff it is t^k.  :func:`invariant_closure` spins any
 columns that span its seed into ``matrix._Echelon`` (Parker's MeatAxe),
 the package's one fraction-free echelon over Z[i], and canonicalizes
 once.  Both run on integer forms as ``_nilpotent`` and ``_spin``, which
-``p2``'s concentration test calls on one form of its tuple.
+``p2``'s concentration test calls on one form of its tuple, reading
+its witness word off the spin's kept (word, vector) pairs.
 :func:`nilpotency_index` takes powers of ``Matrix`` values, for the
 reports that show the index.
 """
@@ -27,16 +28,9 @@ def invariant_closure(generators: Sequence[Matrix], seed: Matrix) -> Subspace:
     """Smallest subspace containing seed's columns, invariant under all generators.
 
     The invariant-subspace spin of Parker's MeatAxe (Computational Group
-    Theory, 1984) on Gaussian-integer numerators (:func:`_spin`).  It
-    visits the vectors w(g) v, for words w and columns v of ``seed`` (any
-    spanning set), breadth-first, queueing each kept vector's images
-    together: one length comes in lexicographic order of (column, word),
-    the word read from its first-acting letter.  Each visited vector is
-    added to one fraction-free echelon (``matrix._Echelon``), which keeps
-    it only if it is independent of those kept before.  Only a kept
-    vector is extended by every generator; the images of a dependent one
-    are combinations of images of kept ones.  The canonical basis is read
-    off the echelon with one division, so the spin canonicalizes once.
+    Theory, 1984) on Gaussian-integer numerators (:func:`_spin`), over
+    any columns that span the seed.  The canonical basis is read off the
+    spin's echelon with one division, so the spin canonicalizes once.
     """
     n = seed.rows
     for g in generators:
@@ -48,15 +42,25 @@ def invariant_closure(generators: Sequence[Matrix], seed: Matrix) -> Subspace:
 
 def _spin(generators: Sequence[_ZiMatrix], seed: _ZiMatrix) -> Tuple[_Echelon, list]:
     """The spin of :func:`invariant_closure` on integer forms: its echelon
-    and the primitive vectors it kept, which span the closure."""
+    and the (word, primitive vector) pairs it kept, which span the closure.
+
+    Words w over the generators (indices from 1, the first letter acting
+    first) come level by level in lexicographic order, each applied to
+    the kept columns of its prefix, into one fraction-free echelon, which
+    keeps a vector only if it is independent of those kept before.  So
+    for any linear map c, the first kept vector that c does not kill
+    carries the least word w with c w(g) seed != 0.
+    """
     # numerators only: a nonzero multiple of a vector has the same span
-    gens, queue = [g._rows() for g in generators], deque(seed._columns())
+    gens, queue = [g._rows() for g in generators], deque([((), seed._columns())])
     echelon, kept = _Echelon(seed.rows), []
     while queue and len(echelon.rows) < seed.rows:
-        v = queue.popleft()
-        if echelon.add(v):
-            kept.append(_primitive(v))
-            queue.extend([_gdot(row, kept[-1]) for row in G] for G in gens)
+        word, vs = queue.popleft()
+        new = [_primitive(v) for v in vs if echelon.add(v)]
+        kept += ((word, v) for v in new)
+        if new:
+            queue.extend((word + (i,), [[_gdot(row, v) for row in G] for v in new])
+                         for i, G in enumerate(gens, 1))
     return echelon, kept
 
 

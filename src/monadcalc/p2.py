@@ -24,7 +24,7 @@ fields.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .closure import (_nilpotent, _spin, invariant_closure,
                       max_invariant_in_kernel)
@@ -326,11 +326,17 @@ def is_concentrated_at_origin(m: MonadDataP2) -> bool:
     The word family (empty word included, i.e. c b = 0) is finite once
     phrased through the invariant closure of Im b (:func:`min_b_special`):
     c kills every word iff it kills each vector that the closure's spin
-    keeps.  All runs on one integer form of m (``closure._nilpotent``,
-    ``closure._spin``): no nilpotency index, basis or ``Matrix`` product.
+    keeps (:func:`_spun`).  All runs on one integer form of m: no
+    nilpotency index, basis or ``Matrix`` product.
     """
     t = _integer(m)
-    c = t.c._rows()
-    return (_nilpotent(t.a1) and _nilpotent(t.a2)
-            and all(_gdot(row, v) == (0, 0)
-                    for v in _spin([t.a1, t.a2], t.b)[1] for row in c))
+    return _nilpotent(t.a1) and _nilpotent(t.a2) and _spun(t)[1] is None
+
+
+def _spun(t: MonadDataP2) -> Tuple[int, Optional[Tuple[int, ...]]]:
+    """The spin of Im b under (a1, a2) on integer forms (``closure._spin``):
+    the number of vectors it keeps, dim :func:`min_b_special`, and the
+    length-lex least word w with c w(a1, a2) b != 0, or None."""
+    c, kept = t.c._rows(), _spin([t.a1, t.a2], t.b)[1]
+    return len(kept), next((w for w, v in kept
+                            if any(_gdot(row, v) != (0, 0) for row in c)), None)

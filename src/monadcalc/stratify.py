@@ -5,9 +5,9 @@ integrability defect is d times the blowup defect, so valid tuples push
 to valid tuples.  A blowup tuple lies in the fully-degenerate stratum
 iff d a1 and d a2 are nilpotent and c kills every word in them applied
 to d b, i.e. iff its pushforward passes the concentration test of
-:mod:`p2`, whose parts the report shows.  One breadth-first word search
-serves both the shortest failing word of a negative report and the
-exhaustive oracle kept as an independent reference.
+:mod:`p2`, whose parts the report shows; its spin also gives the
+shortest failing word.  A breadth-first word search serves only the
+exhaustive oracle, kept as an independent reference.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from typing import Iterator, Optional, Tuple, Union
 
 from .blowup import MonadDataBlowup
 from .closure import nilpotency_index
-from .errors import check_invariant
-from .p2 import MonadDataP2, canonical_reduction, min_b_special
+from .p2 import MonadDataP2, _integer, _spun, canonical_reduction
 
 Witness = Union[str, Tuple[int, ...]]
 
@@ -72,23 +71,18 @@ def classify_s0(mt: MonadDataBlowup) -> StratumReport:
 
     (d a1, d a2, d b, c) is exactly pushforward(mt), so the stratum is
     decided by the parts of :func:`p2.is_concentrated_at_origin`, with the
-    nilpotency indices by powers; the shortest failing word is searched
-    for only to explain a negative verdict.
+    nilpotency indices by powers.  One spin on one integer form gives the
+    Krylov dimension and the shortest failing word (``p2._spun``).
     """
     m = pushforward(mt)
     n1, n2 = nilpotency_index(m.a1), nilpotency_index(m.a2)
-    closure = min_b_special(m)
+    krylov_dim, word = _spun(_integer(m))
     nil = (("da1", n1), ("da2", n2))
-    krylov_dim = closure.dim
     if n1 is None:
         return StratumReport(False, nil, krylov_dim, witness="da1 not nilpotent")
     if n2 is None:
         return StratumReport(False, nil, krylov_dim, witness="da2 not nilpotent")
-    if (m.c @ closure.basis).is_zero():
-        return StratumReport(True, nil, krylov_dim)
-    word = next(_failing_words(m, 2 * m.k), None)
-    check_invariant(word is not None, "c misses the closure but kills every word")
-    return StratumReport(False, nil, krylov_dim, witness=word)
+    return StratumReport(word is None, nil, krylov_dim, witness=word)
 
 
 def classify_s0_oracle(mt: MonadDataBlowup, max_len: int) -> bool:

@@ -163,15 +163,14 @@ def _ratio(p: Gauss, q: Gauss) -> Tuple[Gauss, int]:
     return (re // g, im // g), n // g
 
 
-def _horner(terms: Sequence[_ZiMatrix], ratio: Tuple[Gauss, int],
-            zero: _ZiMatrix) -> _ZiMatrix:
-    """sum_j ratio^j terms[j] (``zero`` if there is no term).
+def _horner(terms: Sequence[_ZiMatrix], ratio: Tuple[Gauss, int]) -> _ZiMatrix:
+    """sum_j ratio^j terms[j], for one or more terms of one shape.
 
     With ratio = p/q the numerators of sum_j p^j q^(n-1-j) terms[j] are
     accumulated over one denominator and reduced once, at the end.
     """
-    if len(terms) < 2:
-        return terms[0] if terms else zero
+    if len(terms) == 1:
+        return terms[0]
     (pr, pi), q = ratio
     den = lcm(*(T.den for T in terms))
     acc, qj = terms[-1]._over(den), 1
@@ -179,7 +178,7 @@ def _horner(terms: Sequence[_ZiMatrix], ratio: Tuple[Gauss, int],
         qj *= q
         acc = [(pr * a - pi * b + qj * c, pr * b + pi * a + qj * d)
                for (a, b), (c, d) in zip(acc, T._over(den))]
-    return _ZiMatrix(zero.rows, zero.cols, acc, den * qj)
+    return _ZiMatrix(terms[0].rows, terms[0].cols, acc, den * qj)
 
 
 def _frames(t: MonadDataP2, W: List[List[_ZiMatrix]], x: Sequence[Gauss],
@@ -194,18 +193,18 @@ def _frames(t: MonadDataP2, W: List[List[_ZiMatrix]], x: Sequence[Gauss],
     xi1 = (z e/x2) sum_j y^j sum_i z^i a1^i a2^j b.
     """
     x1, x2, x3 = x
-    zero = _ZiMatrix.zeros(t.k, t.r)
+    W = W or [[_ZiMatrix.zeros(t.k, t.r)]]  # b = 0: the one zero word
     Y = Z = xi1 = None
     if x2 != (0, 0):
         y = _ratio(x3, x2)
-        Y = _horner([row[0] for row in W], y, zero).scale(*y)
+        Y = _horner([row[0] for row in W], y).scale(*y)
     if x1 != (0, 0):
         (zr, zi), zd = z = _ratio(x3, x1)
-        Z = _horner(W[0] if W else [], z, zero).scale((-zr, -zi), zd)
+        Z = _horner(W[0], z).scale((-zr, -zi), zd)
         if Y is not None:
-            inner = [_horner(row, z, zero) for row in W]
-            xi1 = _horner(inner, y, zero).scale(*_ratio((e * x3[0], e * x3[1]),
-                                                        _gdot([x1], [x2])))
+            inner = [_horner(row, z) for row in W]
+            xi1 = _horner(inner, y).scale(*_ratio((e * x3[0], e * x3[1]),
+                                                  _gdot([x1], [x2])))
     return _Frames(*_pencil(t, x, e), Y, Z, xi1)
 
 

@@ -49,9 +49,16 @@ MUTANTS = (
            ("tests/test_closure_oracle.py",)),
     Mutant("the spin skips the second generator",
            "src/monadcalc/closure.py",
-           "for row in G] for G in gens)",
-           "for row in G] for G in gens[:1])",
+           "for i, G in enumerate(gens, 1))",
+           "for i, G in enumerate(gens[:1], 1))",
            ("tests/test_closure_oracle.py",)),
+    Mutant("the spin queues each kept vector's images together (column-major)",
+           "src/monadcalc/closure.py",
+           "[[_gdot(row, v) for row in G] for v in new])\n"
+           "                         for i, G in enumerate(gens, 1))",
+           "[[_gdot(row, v) for row in G]])\n"
+           "                         for v in new for i, G in enumerate(gens, 1))",
+           ("tests/test_stratify.py",)),
     Mutant("nilpotency_index stops at M^(k-1)",
            "src/monadcalc/closure.py",
            "return k if P.is_zero() else None",
@@ -79,13 +86,13 @@ MUTANTS = (
            ("tests/test_trivialize.py",)),
     Mutant("the transition's sum over a2 words uses z for y",
            "src/monadcalc/trivialize.py",
-           "_horner(inner, y, zero)",
-           "_horner(inner, z, zero)",
+           "_horner(inner, y)",
+           "_horner(inner, z)",
            ("tests/test_trivialize_oracle.py", "tests/test_trivialize.py")),
     Mutant("classify_s0's verdict is always concentrated",
            "src/monadcalc/stratify.py",
-           "if (m.c @ closure.basis).is_zero():",
-           "if True:",
+           "StratumReport(word is None, nil,",
+           "StratumReport(True, nil,",
            ("tests/test_stratify.py",)),
     Mutant("the echelon's reduction skips the last kept row",
            "src/monadcalc/matrix.py",
@@ -160,8 +167,8 @@ MUTANTS = (
            ("tests/test_trivialize.py",)),
     Mutant("the concentration test checks c on the spin's first kept vector only",
            "src/monadcalc/p2.py",
-           "for v in _spin([t.a1, t.a2], t.b)[1] for row in c",
-           "for v in _spin([t.a1, t.a2], t.b)[1][:1] for row in c",
+           "(w for w, v in kept\n",
+           "(w for w, v in kept[:1]\n",
            ("tests/test_closure_oracle.py",)),
     Mutant("max_invariant_in_kernel seeds with c for c^T",
            "src/monadcalc/closure.py",

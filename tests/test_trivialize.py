@@ -456,9 +456,10 @@ def test_verify_operation_counts(monkeypatch):
     (the identities are checked on the blocks, by products), no solve,
     and no Matrix product and no QI value at all.  No point is cleared
     (each was cleared when it was made), and on these tuples, whose word
-    table is the one word b, a point costs 12 integer forms: the zero
-    block, the scales of Y, Z and xi1, the two pencil blocks, the scaled
-    b and the products and negation of the three checks."""
+    table is the one word b, a point costs 11 integer forms: the scales
+    of Y, Z and xi1, the two pencil blocks, the scaled b and the products
+    and negation of the three checks (no zero block: only an empty word
+    table builds one)."""
     counts = {"echelon": 0, "add": 0, "solve": 0, "matmul": 0, "qi_mul": 0,
               "qi_new": 0, "hstack": 0, "vstack": 0, "clear": 0,
               "point_clear": 0, "zi_new": 0}
@@ -514,7 +515,7 @@ def test_verify_operation_counts(monkeypatch):
         assert counts == {"echelon": len(pts), "add": k * len(pts), "solve": 0,
                           "matmul": 0, "qi_mul": 0, "qi_new": 0, "hstack": 0,
                           "vstack": 0, "clear": 4, "point_clear": 0,
-                          "zi_new": 12 * len(pts) + 4 + 2}
+                          "zi_new": 11 * len(pts) + 4 + 2}
         assert shapes == [(k, k)] * len(pts)
         t = p2._integer(m)
         assert trivialize._words(t) == [[t.b]]
